@@ -39,9 +39,6 @@ class Formula:
     def var(self, name: str) -> int:
         return self.name_to_var[name]
 
-    def lookup(self, name: str) -> int | None:
-        return self.name_to_var.get(name)
-
     def add_clause(self, lits: list[int]) -> None:
         for lit in lits:
             if lit == 0 or abs(lit) > self.num_vars:

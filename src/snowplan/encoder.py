@@ -22,7 +22,7 @@ path copies).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 from . import levels as lv
@@ -64,19 +64,58 @@ class EncodingConfig:
 
 @dataclass
 class Encoding:
-    """A compiled formula together with everything needed to decode models."""
+    """A compiled formula together with everything needed to decode models.
+
+    An incremental encoding keeps the builder that made it, so `encode` can
+    append later layers to the same formula; its goal at the horizon is then
+    switched on by the literal `goal` rather than asserted.
+    """
 
     formula: Formula
     level: Level
     config: EncodingConfig
     graph: reach.Graph
+    goal: int | None = None
+    builder: _Encoder | None = field(default=None, repr=False)
 
     def var(self, name: str) -> int:
         return self.formula.var(name)
 
 
-def encode(level: Level, config: EncodingConfig) -> Encoding:
-    return _Encoder(level, config).build()
+def encode(level: Level, config: EncodingConfig, extend: Encoding | None = None,
+           *, incremental: bool = False) -> Encoding:
+    """Compile a level up to `config.horizon`.
+
+    A one-shot encoding (the default) asserts the goal at the horizon. With
+    `incremental=True`, or when `extend` names an earlier incremental
+    encoding, the goal at the horizon is instead a set of clauses guarded by
+    a fresh `goal[T]` variable (`Encoding.goal`): solve under the assumption
+    `goal[T]`, and grow the same formula to a later horizon by passing the
+    result back as `extend`. Layers already in `extend` are not encoded
+    again, and the config may differ from its config in the horizon only.
+    """
+    if extend is None:
+        builder = _Encoder(level, config)
+    else:
+        builder = extend.builder
+        if builder is None:
+            raise ValueError("only an incremental encoding can be extended")
+        if (level is not extend.level
+                or replace(config, horizon=extend.config.horizon) != extend.config):
+            raise ValueError("an extension may change the horizon only")
+        incremental = True
+    if incremental and config.action_budget is not None:
+        raise ValueError("an action budget needs a one-shot encoding")
+    T = config.horizon
+    builder.grow(T)
+    if incremental:
+        goal = builder.guarded_goal(T) if config.assert_goal else None
+        return Encoding(builder.f, level, config, builder.graph, goal, builder)
+    if config.assert_goal:
+        builder.goal(T)
+    if config.action_budget is not None and config.mode is Mode.DESCEND:
+        builder.f.at_most_k([-n for n in builder.noops], config.action_budget)
+    return Encoding(builder.f, level, config, builder.graph)
 
 
 def encode_full(level: Level, T: int, *, invariants_on: bool = True,
@@ -107,15 +146,20 @@ def encode_descend(level: Level, T: int, reach_kind: ReachKind = ReachKind.PATH,
 
 
 class _Encoder:
+    """Builds the formula one time layer at a time: layer t holds the state
+    variables at t and, for t > 0, the transition t-1 -> t with its frame
+    axioms. Goals are added on request, after the layers they refer to."""
+
     def __init__(self, level: Level, config: EncodingConfig):
         self.level = level
         self.cfg = config
-        self.T = config.horizon
+        self.T = -1             # last layer built
         self.f = Formula()
         self.graph = lv.grid_graph(level)
         self.vertex = {cell: i for i, cell in enumerate(self.graph.cell_of)}
         self.cells = sorted(level.floor)
         self.snowman = level.game is GameTag.SNOWMAN
+        self.noops: list[int] = []
 
         # state variables, keyed (cell, t)
         self.snow: dict[tuple[Cell, int], int] = {}
@@ -133,6 +177,36 @@ class _Encoder:
         self.agent_in: dict[tuple[Cell, int], list[int]] = {}
         self.agent_out: dict[tuple[Cell, int], list[int]] = {}
 
+    def grow(self, T: int) -> None:
+        """Append the layers after the last one built, up to T."""
+        for t in range(self.T + 1, T + 1):
+            self._state_layer(t)
+            if t:
+                self._transition(t - 1)
+        self.T = max(self.T, T)
+
+    def _state_layer(self, t: int) -> None:
+        self._make_state_vars(t)
+        if self.cfg.mode is not Mode.FULL:
+            self._make_free_vars(t)
+        if t == 0:
+            self._initial_state()
+        # implied by the frame axioms in FULL, but stated so the solver
+        # propagates it
+        self.f.exactly_one([self.agent[cell, t] for cell in self.cells])
+        if self.snowman and self.cfg.invariants_on:
+            self._invariants(t)
+
+    def _transition(self, t: int) -> None:
+        if self.cfg.mode is Mode.FULL:
+            self._full_step(t)
+            self._agent_frame_axioms(t)
+        elif self.cfg.mode is Mode.PARALLEL:
+            self._parallel_step(t)
+        else:
+            self._collapsed_step(t)
+        self._frame_axioms(t)
+
     # -- shared helpers -------------------------------------------------
 
     def _flags(self, cell: Cell, t: int) -> list[int]:
@@ -143,32 +217,30 @@ class _Encoder:
     def _lic(self, table, cell: Cell, t: int, var: int) -> None:
         table.setdefault((cell, t), []).append(var)
 
-    def _make_state_vars(self) -> None:
+    def _make_state_vars(self, t: int) -> None:
         f = self.f
-        for t in range(self.T + 1):
-            for (r, c) in self.cells:
-                cell = (r, c)
-                self.agent[cell, t] = f.new_var(f"agent[{r},{c},{t}]")
-                if self.snowman:
-                    self.snow[cell, t] = f.new_var(f"snow[{r},{c},{t}]")
-                    self.bs[cell, t] = f.new_var(f"bs[{r},{c},{t}]")
-                    self.bm[cell, t] = f.new_var(f"bm[{r},{c},{t}]")
-                    self.bl[cell, t] = f.new_var(f"bl[{r},{c},{t}]")
-                else:
-                    self.box[cell, t] = f.new_var(f"box[{r},{c},{t}]")
+        for (r, c) in self.cells:
+            cell = (r, c)
+            self.agent[cell, t] = f.new_var(f"agent[{r},{c},{t}]")
+            if self.snowman:
+                self.snow[cell, t] = f.new_var(f"snow[{r},{c},{t}]")
+                self.bs[cell, t] = f.new_var(f"bs[{r},{c},{t}]")
+                self.bm[cell, t] = f.new_var(f"bm[{r},{c},{t}]")
+                self.bl[cell, t] = f.new_var(f"bl[{r},{c},{t}]")
+            else:
+                self.box[cell, t] = f.new_var(f"box[{r},{c},{t}]")
 
-    def _make_free_vars(self) -> None:
+    def _make_free_vars(self, t: int) -> None:
         """free[v,t] is true iff no ball/box occupies v at time t."""
         f = self.f
-        for t in range(self.T + 1):
-            for (r, c) in self.cells:
-                cell = (r, c)
-                flags = self._flags(cell, t)
-                fv = f.new_var(f"free[{r},{c},{t}]")
-                self.free[cell, t] = fv
-                for flag in flags:
-                    f.add_clause([-fv, -flag])
-                f.add_clause([fv] + flags)
+        for (r, c) in self.cells:
+            cell = (r, c)
+            flags = self._flags(cell, t)
+            fv = f.new_var(f"free[{r},{c},{t}]")
+            self.free[cell, t] = fv
+            for flag in flags:
+                f.add_clause([-fv, -flag])
+            f.add_clause([fv] + flags)
 
     def _initial_state(self) -> None:
         f = self.f
@@ -188,31 +260,36 @@ class _Encoder:
                 f.add_clause([self.box[cell, 0] if cell in self.level.boxes
                               else -self.box[cell, 0]])
 
-    def _goal(self) -> None:
+    def goal(self, T: int, guard: int | None = None) -> None:
+        """The goal at T, as clauses that hold only while `guard` is true
+        when a guard is given."""
         f = self.f
-        T = self.T
+        head = [] if guard is None else [-guard]
         if self.snowman:
             # no partial snowman anywhere: the three size flags agree per cell
             for cell in self.cells:
                 s, m, l = self.bs[cell, T], self.bm[cell, T], self.bl[cell, T]
-                f.add_clause([-s, m])
-                f.add_clause([-m, s])
-                f.add_clause([-m, l])
-                f.add_clause([-l, m])
+                f.add_clause(head + [-s, m])
+                f.add_clause(head + [-m, s])
+                f.add_clause(head + [-m, l])
+                f.add_clause(head + [-l, m])
         else:
             for cell in self.cells:
                 if cell not in self.level.goals:
-                    f.add_clause([-self.box[cell, T]])
+                    f.add_clause(head + [-self.box[cell, T]])
 
-    def _invariants(self) -> None:
+    def guarded_goal(self, T: int) -> int:
+        """A new variable goal[T] that switches on the goal at T."""
+        guard = self.f.new_var(f"goal[{T}]")
+        self.goal(T, guard)
+        return guard
+
+    def _invariants(self, t: int) -> None:
         """Snowball counting: larges never exceed, smalls never undercut,
         the snowman count."""
         count = self.level.snowman_count
-        for t in range(self.T + 1):
-            large = [self.bl[cell, t] for cell in self.cells]
-            small = [self.bs[cell, t] for cell in self.cells]
-            self.f.at_most_k(large, count)
-            self.f.at_least_k(small, count)
+        self.f.at_most_k([self.bl[cell, t] for cell in self.cells], count)
+        self.f.at_least_k([self.bs[cell, t] for cell in self.cells], count)
 
     # -- object-action effect tables ------------------------------------
 
@@ -310,31 +387,29 @@ class _Encoder:
 
     # -- frame axioms ---------------------------------------------------
 
-    def _frame_axioms(self) -> None:
+    def _frame_axioms(self, t: int) -> None:
         """A state flip between t and t+1 needs a licensing action at t."""
         f = self.f
-        for t in range(self.T):
-            for cell in self.cells:
-                arrive = self.ball_arrive.get((cell, t), [])
-                leave = self.ball_leave.get((cell, t), [])
-                if self.snowman:
-                    sn = self.snow
-                    f.add_clause([sn[cell, t], -sn[cell, t + 1]])
-                    f.add_clause([-sn[cell, t], sn[cell, t + 1]]
-                                 + self.snow_clear.get((cell, t), []))
-                for now, nxt in zip(self._flags(cell, t),
-                                    self._flags(cell, t + 1)):
-                    f.add_clause([now, -nxt] + arrive)
-                    f.add_clause([-now, nxt] + leave)
+        for cell in self.cells:
+            arrive = self.ball_arrive.get((cell, t), [])
+            leave = self.ball_leave.get((cell, t), [])
+            if self.snowman:
+                sn = self.snow
+                f.add_clause([sn[cell, t], -sn[cell, t + 1]])
+                f.add_clause([-sn[cell, t], sn[cell, t + 1]]
+                             + self.snow_clear.get((cell, t), []))
+            for now, nxt in zip(self._flags(cell, t),
+                                self._flags(cell, t + 1)):
+                f.add_clause([now, -nxt] + arrive)
+                f.add_clause([-now, nxt] + leave)
 
-    def _agent_frame_axioms(self) -> None:
+    def _agent_frame_axioms(self, t: int) -> None:
         f = self.f
-        for t in range(self.T):
-            for cell in self.cells:
-                f.add_clause([self.agent[cell, t], -self.agent[cell, t + 1]]
-                             + self.agent_in.get((cell, t), []))
-                f.add_clause([-self.agent[cell, t], self.agent[cell, t + 1]]
-                             + self.agent_out.get((cell, t), []))
+        for cell in self.cells:
+            f.add_clause([self.agent[cell, t], -self.agent[cell, t + 1]]
+                         + self.agent_in.get((cell, t), []))
+            f.add_clause([-self.agent[cell, t], self.agent[cell, t + 1]]
+                         + self.agent_out.get((cell, t), []))
 
     # -- FULL mode ------------------------------------------------------
 
@@ -342,57 +417,51 @@ class _Encoder:
         nxt = d.apply(cell)
         return None if self.level.is_wall(nxt) else nxt
 
-    def _build_full(self) -> None:
+    def _full_step(self, t: int) -> None:
         f = self.f
-        # implied by the frame axioms, but stated so the solver propagates it
-        for t in range(self.T + 1):
-            f.exactly_one([self.agent[cell, t] for cell in self.cells])
-        for t in range(self.T):
-            dirs = {d: f.new_var(f"dir[{d.name},{t}]") for d in Direction}
-            f.exactly_one(list(dirs.values()))
-            for cell in self.cells:
-                r, c = cell
-                for d in Direction:
-                    m = self._dest(cell, d)
-                    if m is None:
-                        # wall straight ahead: this direction is unavailable
-                        f.add_clause([-self.agent[cell, t], -dirs[d]])
-                        continue
-                    cases = []
-                    mo = f.new_var(f"move[{r},{c},{d.name},{t}]")
-                    cases.append(mo)
-                    f.add_clause([-mo, self.agent[cell, t]])
-                    f.add_clause([-mo, dirs[d]])
-                    f.add_clause([-mo, -self.agent[cell, t + 1]])
-                    f.add_clause([-mo, self.agent[m, t + 1]])
-                    for flag in self._flags(m, t):
-                        f.add_clause([-mo, -flag])
-                    self._lic(self.agent_out, cell, t, mo)
-                    self._lic(self.agent_in, m, t, mo)
-                    b = self._dest(m, d)
-                    if b is not None:
-                        kinds = OBJECT_ACTION_NAMES if self.snowman else ("roll",)
-                        for kind in kinds:
-                            a = f.new_var(f"{kind}[{r},{c},{d.name},{t}]")
-                            cases.append(a)
-                            f.add_clause([-a, self.agent[cell, t]])
-                            f.add_clause([-a, dirs[d]])
-                            if kind == "pop":
-                                self._pop_clauses(a, m, b, t)
-                                f.add_clause([-a, self.agent[cell, t + 1]])
+        dirs = {d: f.new_var(f"dir[{d.name},{t}]") for d in Direction}
+        f.exactly_one(list(dirs.values()))
+        for cell in self.cells:
+            r, c = cell
+            for d in Direction:
+                m = self._dest(cell, d)
+                if m is None:
+                    # wall straight ahead: this direction is unavailable
+                    f.add_clause([-self.agent[cell, t], -dirs[d]])
+                    continue
+                cases = []
+                mo = f.new_var(f"move[{r},{c},{d.name},{t}]")
+                cases.append(mo)
+                f.add_clause([-mo, self.agent[cell, t]])
+                f.add_clause([-mo, dirs[d]])
+                f.add_clause([-mo, -self.agent[cell, t + 1]])
+                f.add_clause([-mo, self.agent[m, t + 1]])
+                for flag in self._flags(m, t):
+                    f.add_clause([-mo, -flag])
+                self._lic(self.agent_out, cell, t, mo)
+                self._lic(self.agent_in, m, t, mo)
+                b = self._dest(m, d)
+                if b is not None:
+                    kinds = OBJECT_ACTION_NAMES if self.snowman else ("roll",)
+                    for kind in kinds:
+                        a = f.new_var(f"{kind}[{r},{c},{d.name},{t}]")
+                        cases.append(a)
+                        f.add_clause([-a, self.agent[cell, t]])
+                        f.add_clause([-a, dirs[d]])
+                        if kind == "pop":
+                            self._pop_clauses(a, m, b, t)
+                            f.add_clause([-a, self.agent[cell, t + 1]])
+                        else:
+                            if kind == "roll":
+                                self._roll_clauses(a, m, b, t)
                             else:
-                                if kind == "roll":
-                                    self._roll_clauses(a, m, b, t)
-                                else:
-                                    self._push_clauses(a, m, b, t)
-                                f.add_clause([-a, -self.agent[cell, t + 1]])
-                                f.add_clause([-a, self.agent[m, t + 1]])
-                                self._lic(self.agent_out, cell, t, a)
-                                self._lic(self.agent_in, m, t, a)
-                    # acting here in this direction requires one of the cases
-                    f.add_clause([-self.agent[cell, t], -dirs[d]] + cases)
-        self._frame_axioms()
-        self._agent_frame_axioms()
+                                self._push_clauses(a, m, b, t)
+                            f.add_clause([-a, -self.agent[cell, t + 1]])
+                            f.add_clause([-a, self.agent[m, t + 1]])
+                            self._lic(self.agent_out, cell, t, a)
+                            self._lic(self.agent_in, m, t, a)
+                # acting here in this direction requires one of the cases
+                f.add_clause([-self.agent[cell, t], -dirs[d]] + cases)
 
     # -- collapsed-family modes -----------------------------------------
 
@@ -456,6 +525,19 @@ class _Encoder:
         for kind, l, d, a in actions:
             f.add_clause([-a, frag.reach[self._pushing_vertex(l, d)]])
 
+    def _selected_source(self, source: dict[int, int], sel: int, name: str,
+                         tag: str) -> dict[int, int]:
+        """A copy of the reach source that is empty unless `sel` holds."""
+        f = self.f
+        out = {}
+        for v, ind in source.items():
+            lit = f.new_var(f"{name}[{v},{tag}]")
+            f.add_clause([-lit, ind])
+            f.add_clause([-lit, sel])
+            f.add_clause([-ind, -sel, lit])
+            out[v] = lit
+        return out
+
     def _attach_reach_path(self, actions, t: int, gate: dict[int, int],
                            source: dict[int, int]) -> None:
         """Path encoding needs explicit targets: aim one copy per ball at
@@ -479,133 +561,90 @@ class _Encoder:
             for v in tgt.values():
                 f.add_clause([-v, sel])
             f.add_clause([-sel] + list(tgt.values()))
-            src = {}
-            for v, ind in source.items():
-                lit = f.new_var(f"src[{v},c{k},{t}]")
-                f.add_clause([-lit, ind])
-                f.add_clause([-lit, sel])
-                f.add_clause([-ind, -sel, lit])
-                src[v] = lit
+            src = self._selected_source(source, sel, "src", f"c{k},{t}")
             reach.encode_path(f, self.graph, src, tgt, gate, tag=f",c{k},{t}")
             by_copy.append(tgt)
         for kind, l, d, a in actions:
             p = self._pushing_vertex(l, d)
             f.add_clause([-a] + [tgt[p] for tgt in by_copy])
 
-    def _build_collapsed(self, with_noop: bool) -> None:
+    def _collapsed_step(self, t: int) -> None:
         f = self.f
-        for t in range(self.T + 1):
-            f.exactly_one([self.agent[cell, t] for cell in self.cells])
-        noops = []
-        for t in range(self.T):
-            actions = self._object_actions(t)
-            avars = [a for _, _, _, a in actions]
-            if with_noop:
-                noop = f.new_var(f"noop[{t}]")
-                noops.append(noop)
-                for cell in self.cells:
-                    f.add_clause([-noop, -self.agent[cell, t],
-                                  self.agent[cell, t + 1]])
-                f.exactly_one(avars + [noop])
-            else:
-                f.exactly_one(avars)
-            self._agent_effects_sequential(actions, t)
-            gate = {self.vertex[cell]: self.free[cell, t] for cell in self.cells}
-            self._attach_reach(actions, t, gate)
-        self._frame_axioms()
-        # once idle, stay idle: pushes all noops to the tail of the plan
-        for a, b in zip(noops, noops[1:]):
-            f.add_clause([-a, b])
-        if with_noop and self.cfg.action_budget is not None:
-            f.at_most_k([-n for n in noops], self.cfg.action_budget)
-
-    def _build_parallel(self) -> None:
-        f = self.f
-        for t in range(self.T + 1):
-            f.exactly_one([self.agent[cell, t] for cell in self.cells])
-        for t in range(self.T):
-            actions = self._object_actions(t)
-            avars = [a for _, _, _, a in actions]
-            # direct interference: the balls' source/destination cells of two
-            # simultaneous actions must not intersect
-            spans = []
-            for kind, l, d, a in actions:
-                spans.append((a, {l, d.apply(l)}))
-            for (a1, s1), (a2, s2) in combinations(spans, 2):
-                if s1 & s2:
-                    f.add_clause([-a1, -a2])
-            # exclusive jump action under the plain time-t gate
-            jumps = {cell: f.new_var(f"jump[{cell[0]},{cell[1]},{t}]")
-                     for cell in self.cells}
-            for x, y in combinations(jumps.values(), 2):
-                f.add_clause([-x, -y])
-            jumping = f.new_var(f"jumping[{t}]")
-            for j in jumps.values():
-                f.add_clause([-j, jumping])
-            f.add_clause([-jumping] + list(jumps.values()))
-            for a in avars:
-                f.add_clause([-jumping, -a])
-            f.add_clause(avars + list(jumps.values()))  # no idle steps
-            # agent moves only by jumping
+        actions = self._object_actions(t)
+        avars = [a for _, _, _, a in actions]
+        if self.cfg.mode is Mode.DESCEND:
+            noop = f.new_var(f"noop[{t}]")
             for cell in self.cells:
-                f.add_clause([-jumps[cell], self.agent[cell, t + 1]])
-                f.add_clause([-self.agent[cell, t], jumping,
+                f.add_clause([-noop, -self.agent[cell, t],
                               self.agent[cell, t + 1]])
-            # object actions see cells occupied now or next as obstacles
-            gate = {}
-            for cell in self.cells:
-                g = f.new_var(f"gate[{cell[0]},{cell[1]},{t}]")
-                f.add_clause([-g, self.free[cell, t]])
-                f.add_clause([-g, self.free[cell, t + 1]])
-                f.add_clause([g, -self.free[cell, t], -self.free[cell, t + 1]])
-                gate[self.vertex[cell]] = g
-            self._attach_reach(actions, t, gate)
-            # the jump destination is reachable under the time-t gate
-            jgate = {self.vertex[cell]: self.free[cell, t]
-                     for cell in self.cells}
-            source = self._reach_source(t)
-            jtgt = {self.vertex[cell]: j for cell, j in jumps.items()}
-            if self.cfg.reach is ReachKind.PATH:
-                # non-jump steps have no target; release the path through
-                # the jumping indicator
-                jsrc = {}
-                for v, ind in source.items():
-                    lit = f.new_var(f"jsrc[{v},{t}]")
-                    f.add_clause([-lit, ind])
-                    f.add_clause([-lit, jumping])
-                    f.add_clause([-ind, -jumping, lit])
-                    jsrc[v] = lit
-                reach.encode_path(f, self.graph, jsrc, jtgt, jgate,
-                                  tag=f",j{t}")
-            elif self.cfg.reach is ReachKind.TREE:
-                frag = reach.encode_spanning_tree(f, self.graph, source, jgate,
-                                                  tag=f",j{t}")
-                for v, j in jtgt.items():
-                    f.add_clause([-j, frag.reach[v]])
-            else:
-                frag = reach.encode_dag(f, self.graph, source, jgate,
-                                        tag=f",j{t}")
-                for v, j in jtgt.items():
-                    f.add_clause([-j, frag.reach[v]])
-        self._frame_axioms()
-
-    # -- driver ---------------------------------------------------------
-
-    def build(self) -> Encoding:
-        self._make_state_vars()
-        if self.cfg.mode is not Mode.FULL:
-            self._make_free_vars()
-        self._initial_state()
-        if self.cfg.mode is Mode.FULL:
-            self._build_full()
-        elif self.cfg.mode is Mode.COLLAPSED:
-            self._build_collapsed(with_noop=False)
-        elif self.cfg.mode is Mode.DESCEND:
-            self._build_collapsed(with_noop=True)
+            f.exactly_one(avars + [noop])
+            # once idle, stay idle: pushes all noops to the tail of the plan
+            if self.noops:
+                f.add_clause([-self.noops[-1], noop])
+            self.noops.append(noop)
         else:
-            self._build_parallel()
-        if self.snowman and self.cfg.invariants_on:
-            self._invariants()
-        if self.cfg.assert_goal:
-            self._goal()
-        return Encoding(self.f, self.level, self.cfg, self.graph)
+            f.exactly_one(avars)
+        self._agent_effects_sequential(actions, t)
+        gate = {self.vertex[cell]: self.free[cell, t] for cell in self.cells}
+        self._attach_reach(actions, t, gate)
+
+    def _parallel_step(self, t: int) -> None:
+        f = self.f
+        actions = self._object_actions(t)
+        avars = [a for _, _, _, a in actions]
+        # direct interference: the balls' source/destination cells of two
+        # simultaneous actions must not intersect
+        spans = []
+        for kind, l, d, a in actions:
+            spans.append((a, {l, d.apply(l)}))
+        for (a1, s1), (a2, s2) in combinations(spans, 2):
+            if s1 & s2:
+                f.add_clause([-a1, -a2])
+        # exclusive jump action under the plain time-t gate
+        jumps = {cell: f.new_var(f"jump[{cell[0]},{cell[1]},{t}]")
+                 for cell in self.cells}
+        for x, y in combinations(jumps.values(), 2):
+            f.add_clause([-x, -y])
+        jumping = f.new_var(f"jumping[{t}]")
+        for j in jumps.values():
+            f.add_clause([-j, jumping])
+        f.add_clause([-jumping] + list(jumps.values()))
+        for a in avars:
+            f.add_clause([-jumping, -a])
+        f.add_clause(avars + list(jumps.values()))  # no idle steps
+        # agent moves only by jumping
+        for cell in self.cells:
+            f.add_clause([-jumps[cell], self.agent[cell, t + 1]])
+            f.add_clause([-self.agent[cell, t], jumping,
+                          self.agent[cell, t + 1]])
+        # object actions see cells occupied now or next as obstacles
+        gate = {}
+        for cell in self.cells:
+            g = f.new_var(f"gate[{cell[0]},{cell[1]},{t}]")
+            f.add_clause([-g, self.free[cell, t]])
+            f.add_clause([-g, self.free[cell, t + 1]])
+            f.add_clause([g, -self.free[cell, t], -self.free[cell, t + 1]])
+            gate[self.vertex[cell]] = g
+        self._attach_reach(actions, t, gate)
+        # the jump destination is reachable under the time-t gate
+        jgate = {self.vertex[cell]: self.free[cell, t]
+                 for cell in self.cells}
+        source = self._reach_source(t)
+        jtgt = {self.vertex[cell]: j for cell, j in jumps.items()}
+        if self.cfg.reach is ReachKind.PATH:
+            # non-jump steps have no target; release the path through
+            # the jumping indicator
+            jsrc = self._selected_source(source, jumping, "jsrc", str(t))
+            reach.encode_path(f, self.graph, jsrc, jtgt, jgate,
+                              tag=f",j{t}")
+        elif self.cfg.reach is ReachKind.TREE:
+            frag = reach.encode_spanning_tree(f, self.graph, source, jgate,
+                                              tag=f",j{t}")
+            for v, j in jtgt.items():
+                f.add_clause([-j, frag.reach[v]])
+        else:
+            frag = reach.encode_dag(f, self.graph, source, jgate,
+                                    tag=f",j{t}")
+            for v, j in jtgt.items():
+                f.add_clause([-j, frag.reach[v]])
+

@@ -54,14 +54,6 @@ class Graph:
                 out[v].add(u)
         return [sorted(s) for s in out]
 
-    def in_neighbors(self) -> list[list[int]]:
-        inn: list[set[int]] = [set() for _ in range(self.num_vertices)]
-        for u, v in self.edges:
-            inn[v].add(u)
-            if not self.directed:
-                inn[u].add(v)
-        return [sorted(s) for s in inn]
-
 
 def grid_graph(rows: int, cols: int, open_cells) -> Graph:
     """Undirected grid graph over the given open (row, col) cells."""

@@ -7,6 +7,11 @@ then probe strictly shorter sequential horizons with noop padding until an
 UNSAT answer certifies optimality. Because a satisfiable probe may contain
 several trailing noops, the upper bound can drop by more than one per
 iteration.
+
+Every strategy run keeps one live formula and hands it to one backend, so
+an incremental backend keeps what it learnt from one horizon to the next:
+deepening appends a layer per horizon and assumes that horizon's goal
+literal, and descend encodes once and assumes noops at the tail.
 """
 
 from __future__ import annotations
@@ -17,11 +22,12 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from . import encoder as enc
-from .encoder import Mode, ReachKind
-from .game import ActionKind, Direction, GameState, classify, initial_state, is_goal, step
+from .encoder import EncodingConfig, Mode, ReachKind
+from .game import (ActionKind, Direction, GameState, classify, initial_state,
+                   is_goal, run_plan, step)
 from .levels import Cell, Level
 from .plans import ObjectAction, ParallelPlan, Plan, SequentialPlan, Step, decode
-from .solvers import SolveOutcome, Status, solve
+from .solvers import Status, default_backend, solve
 
 
 class SerializationError(Exception):
@@ -78,32 +84,33 @@ class _Clock:
         return self.remaining() <= 0
 
 
-def _encode_for(level: Level, mode: Mode, T: int, reach: ReachKind) -> enc.Encoding:
-    if mode is Mode.FULL:
-        return enc.encode_full(level, T)
-    if mode is Mode.COLLAPSED:
-        return enc.encode_collapsed(level, T, reach)
-    if mode is Mode.PARALLEL:
-        return enc.encode_parallel(level, T, reach)
-    return enc.encode_descend(level, T, reach)
-
-
 def _deepen(level: Level, mode: Mode, reach: ReachKind, clock: _Clock,
             backend) -> tuple[Bounds, Plan | None]:
-    """Iterative deepening from T = 0; first SAT horizon is minimal."""
+    """Iterative deepening from T = 0; first SAT horizon is minimal.
+
+    One formula grows by a layer per horizon, and each SAT call assumes
+    that horizon's goal literal. After UNSAT the goal at T is false for
+    good, which the unit clause -goal[T] records.
+    """
+    if backend is None:
+        backend = default_backend()
     times: list[float] = []
     lower = 0
+    encoding = None
     for T in range(clock.policy.horizon_cap + 1):
         if clock.exhausted:
             break
-        encoding = _encode_for(level, mode, T, reach)
-        outcome = solve(encoding.formula, clock.call_budget(), backend)
+        encoding = enc.encode(level, EncodingConfig(mode, T, reach), encoding,
+                              incremental=True)
+        outcome = solve(encoding.formula, clock.call_budget(), backend,
+                        assumptions=[encoding.goal])
         times.append(outcome.elapsed)
         if outcome.status is Status.SAT:
             bounds = Bounds(T, T, BoundStatus.OPTIMAL, horizon_times=times)
             return bounds, decode(encoding, outcome.model)
         if outcome.status is Status.UNKNOWN:
             break
+        encoding.formula.add_clause([-encoding.goal])
         lower = T + 1
     return Bounds(lower, None, BoundStatus.BOUNDED, horizon_times=times), None
 
@@ -120,9 +127,14 @@ def solve_sequential(level: Level, mode: Mode = Mode.COLLAPSED,
 
 def ascend_parallel(level: Level, reach: ReachKind = ReachKind.TREE,
                     policy: BudgetPolicy = BudgetPolicy(),
-                    backend=None) -> tuple[Bounds, ParallelPlan | None]:
-    """Minimal parallel horizon; the plan's action count is an upper bound."""
-    bounds, plan = _deepen(level, Mode.PARALLEL, reach, _Clock(policy), backend)
+                    backend=None, clock: _Clock | None = None
+                    ) -> tuple[Bounds, ParallelPlan | None]:
+    """Minimal parallel horizon; the plan's action count is an upper bound.
+
+    `clock` defaults to a fresh one for `policy`.
+    """
+    bounds, plan = _deepen(level, Mode.PARALLEL, reach,
+                           clock or _Clock(policy), backend)
     if plan is None:
         return Bounds(None, None, BoundStatus.UNKNOWN,
                       horizon_times=bounds.horizon_times), None
@@ -204,21 +216,33 @@ def serialize(level: Level, plan: ParallelPlan) -> list[Direction]:
 
 def descend(level: Level, upper: int, reach: ReachKind = ReachKind.PATH,
             policy: BudgetPolicy = BudgetPolicy(),
-            backend=None) -> tuple[Bounds, ParallelPlan | None]:
+            backend=None, clock: _Clock | None = None
+            ) -> tuple[Bounds, ParallelPlan | None]:
     """Probe strictly below a known upper bound until UNSAT proves it optimal.
 
     A satisfiable probe's non-noop action count becomes the new upper bound,
-    which can therefore drop by more than one per iteration.
+    which can therefore drop by more than one per iteration. One DESCEND
+    formula at horizon upper-1 serves every probe: the probe for a bound u
+    below it assumes noop[u-1], and since noops are forced to the tail, at
+    most u-1 actions remain. `clock` defaults to a fresh one for `policy`.
     """
-    clock = _Clock(policy)
+    clock = clock or _Clock(policy)
+    if backend is None:
+        backend = default_backend()
     times: list[float] = []
     best: ParallelPlan | None = None
+    encoding = None
+    top = upper
     while upper > 0:
         if clock.exhausted:
             return Bounds(None, upper, BoundStatus.BOUNDED,
                           horizon_times=times), best
-        encoding = enc.encode_descend(level, upper - 1, reach)
-        outcome = solve(encoding.formula, clock.call_budget(), backend)
+        if encoding is None:
+            encoding = enc.encode(level, EncodingConfig(Mode.DESCEND, top - 1,
+                                                        reach))
+        tail = [encoding.var(f"noop[{upper - 1}]")] if upper < top else []
+        outcome = solve(encoding.formula, clock.call_budget(), backend,
+                        assumptions=tail)
         times.append(outcome.elapsed)
         if outcome.status is Status.UNKNOWN:
             return Bounds(None, upper, BoundStatus.BOUNDED,
@@ -238,30 +262,31 @@ def solve_hybrid(level: Level, ascend_reach: ReachKind = ReachKind.TREE,
                  descend_reach: ReachKind = ReachKind.PATH,
                  policy: BudgetPolicy = BudgetPolicy(),
                  backend=None) -> tuple[Bounds, list[Direction] | None]:
-    """Parallel ascend, serialize, then sequential descend with noops."""
+    """Parallel ascend, serialize, then sequential descend with noops.
+
+    Both phases share one clock, so `policy.total_budget` bounds the run.
+    """
+    clock = _Clock(policy)
     t0 = time.monotonic()
     up_bounds, parallel_plan = ascend_parallel(level, ascend_reach, policy,
-                                               backend)
+                                               backend, clock)
     ascend_time = time.monotonic() - t0
     if parallel_plan is None:
         return Bounds(None, None, BoundStatus.UNKNOWN,
                       phase_times={"ascend": ascend_time},
                       horizon_times=up_bounds.horizon_times), None
-    moves = serialize(level, parallel_plan)
-    if not is_goal(level, _replay(level, moves)):
-        raise SerializationError("serialized parallel plan misses the goal")
+    moves = _replayed(level, serialize(level, parallel_plan), "parallel")
     upper = parallel_plan.object_action_count
     if upper == 0:
         return Bounds(0, 0, BoundStatus.OPTIMAL,
                       phase_times={"ascend": ascend_time, "descend": 0.0},
                       horizon_times=up_bounds.horizon_times), []
     t1 = time.monotonic()
-    down_bounds, best = descend(level, upper, descend_reach, policy, backend)
+    down_bounds, best = descend(level, upper, descend_reach, policy, backend,
+                                clock)
     phase = {"ascend": ascend_time, "descend": time.monotonic() - t1}
     if best is not None:
-        moves = serialize(level, best)
-        if not is_goal(level, _replay(level, moves)):
-            raise SerializationError("serialized descend plan misses the goal")
+        moves = _replayed(level, serialize(level, best), "descend")
     bounds = Bounds(down_bounds.lower, down_bounds.upper, down_bounds.status,
                     phase_times=phase,
                     horizon_times=up_bounds.horizon_times
@@ -269,11 +294,12 @@ def solve_hybrid(level: Level, ascend_reach: ReachKind = ReachKind.TREE,
     return bounds, moves
 
 
-def _replay(level: Level, moves: list[Direction]) -> GameState:
-    state = initial_state(level)
-    for d in moves:
-        nxt = step(level, state, d)
-        if nxt is None:
-            raise SerializationError("serialized plan rejected by simulator")
-        state = nxt
-    return state
+def _replayed(level: Level, moves: list[Direction], source: str) -> list[Direction]:
+    """The moves, once the simulator confirms they reach the goal."""
+    result = run_plan(level, moves)
+    if not result.ok:
+        raise SerializationError(f"serialized {source} plan rejected by the "
+                                 f"simulator at move {result.rejected_at}")
+    if not is_goal(level, result.state):
+        raise SerializationError(f"serialized {source} plan misses the goal")
+    return moves

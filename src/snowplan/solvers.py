@@ -3,10 +3,17 @@
 The external backend hands a DIMACS file to a solver process configured by a
 command template and parses competition-style output ("s SATISFIABLE" /
 "s UNSATISFIABLE" status lines and "v " value lines). The bundled backend is
-a watched-literal CDCL solver, slower but dependency-free.
+a watched-literal CDCL solver, slower but dependency-free, and incremental:
+it keeps one solver state per formula and solves under assumptions.
+
+`solve` is the one entry point. A backend with `incremental = True` takes
+`solve(formula, budget, assumptions)`; any other backend only needs
+`solve(formula, budget)` and gets the assumptions as unit clauses on a
+one-shot copy of the formula.
 
 Timeouts are results (UNKNOWN); process failures raise BackendError.
-Every SAT model is re-checked against the clause list before being returned.
+Every SAT model is re-checked against the clause list, and the
+assumptions, before being returned.
 """
 
 from __future__ import annotations
@@ -14,9 +21,12 @@ from __future__ import annotations
 import enum
 import os
 import shutil
+import signal
 import subprocess
 import tempfile
+import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 
 from .cnf import Formula
@@ -52,11 +62,23 @@ def check_model(formula: Formula, model: dict[int, bool]) -> bool:
     return True
 
 
-def _verified(formula: Formula, assignment: dict[int, bool], elapsed: float) -> SolveOutcome:
+def _verified(formula: Formula, assignment: dict[int, bool], elapsed: float,
+              assumptions=()) -> SolveOutcome:
     model = {v: assignment.get(v, False) for v in range(1, formula.num_vars + 1)}
-    if not check_model(formula, model):
+    if not (check_model(formula, model)
+            and all(model[abs(lit)] == (lit > 0) for lit in assumptions)):
         raise BackendError("backend returned an assignment that violates the formula")
     return SolveOutcome(Status.SAT, model, elapsed)
+
+
+def _with_units(formula: Formula, lits) -> Formula:
+    """A one-shot copy of the formula with each literal as a unit clause."""
+    copy = Formula()
+    copy.num_vars = formula.num_vars
+    copy.clauses = list(formula.clauses)
+    for lit in lits:
+        copy.add_clause([lit])
+    return copy
 
 
 class ExternalSolver:
@@ -83,25 +105,35 @@ class ExternalSolver:
         try:
             cmd = self.command_template.format(input=path)
             try:
-                proc = subprocess.run(
+                # a session of its own, so a timeout can end the shell and
+                # every process it started
+                proc = subprocess.Popen(
                     cmd,
                     shell=True,
-                    capture_output=True,
+                    stdout=subprocess.PIPE,
+                    stderr=subprocess.PIPE,
                     text=True,
-                    timeout=budget,
+                    start_new_session=True,
                 )
-            except subprocess.TimeoutExpired:
-                return SolveOutcome(Status.UNKNOWN, None, time.monotonic() - start)
             except OSError as exc:
                 raise BackendError(f"failed to run solver: {exc}") from exc
-            return self._parse(formula, proc, time.monotonic() - start)
+            try:
+                stdout, stderr = proc.communicate(timeout=budget)
+            except subprocess.TimeoutExpired:
+                return SolveOutcome(Status.UNKNOWN, None, time.monotonic() - start)
+            finally:
+                if proc.returncode is None:
+                    _kill_group(proc)
+            return self._parse(formula, proc.returncode, stdout, stderr,
+                               time.monotonic() - start)
         finally:
             os.unlink(path)
 
-    def _parse(self, formula: Formula, proc, elapsed: float) -> SolveOutcome:
+    def _parse(self, formula: Formula, returncode: int, stdout: str,
+               stderr: str, elapsed: float) -> SolveOutcome:
         status = None
         values: list[int] = []
-        for line in proc.stdout.splitlines():
+        for line in stdout.splitlines():
             if line.startswith("s "):
                 token = line.split(None, 1)[1].strip()
                 if token == "SATISFIABLE":
@@ -114,8 +146,8 @@ class ExternalSolver:
                 values.extend(int(tok) for tok in line[1:].split())
         if status is None:
             raise BackendError(
-                f"no status line from solver (exit {proc.returncode}): "
-                f"{proc.stderr.strip()[:500] or proc.stdout.strip()[:500]}"
+                f"no status line from solver (exit {returncode}): "
+                f"{stderr.strip()[:500] or stdout.strip()[:500]}"
             )
         if status is Status.SAT:
             assignment = {abs(v): v > 0 for v in values if v != 0}
@@ -123,22 +155,60 @@ class ExternalSolver:
         return SolveOutcome(status, None, elapsed)
 
 
+def _kill_group(proc: subprocess.Popen) -> None:
+    """Kill the process group the solver leads, then reap the leader."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    proc.communicate()
+
+
 class InProcessSolver:
-    """Bundled CDCL solver (watched literals, VSIDS, phase saving, restarts)."""
+    """Bundled CDCL solver (watched literals, VSIDS, phase saving, restarts).
+
+    It keeps one solver state per formula, for as long as the formula lives,
+    and loads only the clauses appended since the last call, so a formula
+    grown between calls keeps everything learnt so far. Formulas must only
+    grow: variables and clauses are appended, never changed or removed.
+    Threads may share one solver as long as each formula is solved by one
+    thread at a time.
+    """
+
+    incremental = True
+
+    def __init__(self) -> None:
+        self._states: weakref.WeakKeyDictionary[Formula, _CDCL] = (
+            weakref.WeakKeyDictionary())
+        self._lock = threading.Lock()
 
     def __repr__(self) -> str:
         return "InProcessSolver()"
 
-    def solve(self, formula: Formula, budget: float | None = None) -> SolveOutcome:
+    def solve(self, formula: Formula, budget: float | None = None,
+              assumptions=()) -> SolveOutcome:
+        """SAT, UNSAT or UNKNOWN for the formula with every assumption true.
+
+        UNSAT under assumptions says nothing about the formula alone, and
+        neither it nor UNKNOWN changes later answers.
+        """
         start = time.monotonic()
         deadline = None if budget is None else start + budget
-        result = _CDCL(formula.num_vars, formula.clauses, deadline).run()
+        for lit in assumptions:
+            if lit == 0 or abs(lit) > formula.num_vars:
+                raise ValueError(f"assumption {lit} outside allocated variables")
+        with self._lock:
+            cdcl = self._states.get(formula)
+            if cdcl is None:
+                cdcl = self._states[formula] = _CDCL()
+        cdcl.load(formula)
+        result = cdcl.run(assumptions, deadline)
         elapsed = time.monotonic() - start
         if result is None:
             return SolveOutcome(Status.UNKNOWN, None, elapsed)
         if result is False:
             return SolveOutcome(Status.UNSAT, None, elapsed)
-        return _verified(formula, result, elapsed)
+        return _verified(formula, result, elapsed, assumptions)
 
 
 class _CDCL:
@@ -146,7 +216,8 @@ class _CDCL:
 
     Literals are DIMACS ints and index the per-literal lists directly: a list
     of length 2n+1 maps +v to slot v and -v to slot 2n+1-v, so every literal
-    must lie within +-1..n (as `Formula.add_clause` checks). `val[lit]` is 1
+    must lie within +-1..n (as `Formula.add_clause` checks), and k new
+    variables insert 2k slots at n+1. `val[lit]` is 1
     (true), -1 (false) or 0 (unassigned). Binary clauses live in implication
     lists (`bins[lit]` holds the literals forced once `lit` is false) and
     have the antecedent literal itself as reason; longer clauses are watched
@@ -155,54 +226,93 @@ class _CDCL:
     phase saving; restarts follow the Luby sequence. Every structure besides
     the clause lists is O(number of variables).
 
-    run() returns a model dict, False for UNSAT, or None on budget exhaustion.
+    The state lives across calls, after MiniSat's incremental interface:
+    `load` adds the clauses appended to a formula since the last load (at
+    decision level 0, so satisfied clauses are skipped and false literals
+    dropped), and `run(assumptions)` decides the assumptions first, one
+    level each, re-deciding them after every restart. Learnt clauses
+    follow from the clauses alone, so they stay valid for every later call.
+    run() returns a model dict, False for UNSAT (under the assumptions, or
+    for good once `ok` is False), or None on budget exhaustion.
     """
 
-    def __init__(self, num_vars: int, clauses: list[list[int]], deadline: float | None):
-        n = num_vars
-        self.num_vars = n
-        self.deadline = deadline
-        self.val = [0] * (2 * n + 1)
-        self.bins: list[list[int]] = [[] for _ in range(2 * n + 1)]
-        self.watches: list[list[list[int]]] = [[] for _ in range(2 * n + 1)]
-        self.level = [0] * (n + 1)
-        self.reason: list = [None] * (n + 1)
-        self.phase = [False] * (n + 1)
-        self.seen = [False] * (n + 1)
-        self.activity = [0.0] * (n + 1)
+    def __init__(self) -> None:
+        self.num_vars = 0
+        self.loaded = 0                  # clauses of the formula read so far
+        self.ok = True                   # False once UNSAT without assumptions
+        self.deadline: float | None = None
+        self.val = [0]
+        self.bins: list[list[int]] = [[]]
+        self.watches: list[list[list[int]]] = [[]]
+        self.level = [0]
+        self.reason: list = [None]
+        self.phase = [False]
+        self.seen = [False]
+        self.activity = [0.0]
         self.var_inc = 1.0
-        self.heap = list(range(1, n + 1))   # all activities 0: a valid heap
-        self.pos = list(range(-1, n))       # pos[v] = index in heap, -1 if out
+        self.heap: list[int] = []
+        self.pos = [-1]                  # pos[v] = index in heap, -1 if out
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
-        self.units: list[int] = []
-        self.empty_clause = False
-        for clause in clauses:
-            self._add_clause(clause)
+
+    def load(self, formula: Formula) -> None:
+        """Take in the formula's new variables and new clauses."""
+        n, k = self.num_vars, formula.num_vars - self.num_vars
+        if k > 0:
+            slots = 2 * k
+            self.val[n + 1:n + 1] = [0] * slots
+            self.bins[n + 1:n + 1] = [[] for _ in range(slots)]
+            self.watches[n + 1:n + 1] = [[] for _ in range(slots)]
+            self.level += [0] * k
+            self.reason += [None] * k
+            self.phase += [False] * k
+            self.seen += [False] * k
+            self.activity += [0.0] * k
+            # activity 0 at the bottom of the heap keeps it valid
+            self.pos += range(len(self.heap), len(self.heap) + k)
+            self.heap += range(n + 1, n + k + 1)
+            self.num_vars = n + k
+        clauses = formula.clauses
+        for i in range(self.loaded, len(clauses)):
+            self._add_clause(clauses[i])
+        self.loaded = len(clauses)
 
     def _add_clause(self, clause: list[int]) -> None:
+        val = self.val
         if len(clause) == 2:
             a, b = clause
-            if a == b:
-                self.units.append(a)
-            elif a != -b:
-                self.bins[a].append(b)
-                self.bins[b].append(a)
-            return
-        clause = list(dict.fromkeys(clause))
-        lits = set(clause)
-        if any(-lit in lits for lit in clause):
-            return  # tautology
-        if not clause:
-            self.empty_clause = True
-        elif len(clause) == 1:
-            self.units.append(clause[0])
-        elif len(clause) == 2:
-            self._add_clause(clause)
+            if not val[a] and not val[b]:
+                if a == b:
+                    self._enqueue(a, None)
+                elif a != -b:
+                    self.bins[a].append(b)
+                    self.bins[b].append(a)
+                return
+        lits: list[int] = []
+        for lit in clause:
+            v = val[lit]
+            if v > 0:
+                return  # satisfied at level 0
+            if not v:
+                lits.append(lit)
+        if len(lits) > 1:
+            unique = set(lits)
+            if any(-lit in unique for lit in lits):
+                return  # tautology
+            if len(unique) < len(lits):
+                lits = list(dict.fromkeys(lits))
+        if not lits:
+            self.ok = False
+        elif len(lits) == 1:
+            self._enqueue(lits[0], None)
+        elif len(lits) == 2:
+            a, b = lits
+            self.bins[a].append(b)
+            self.bins[b].append(a)
         else:
-            self.watches[clause[0]].append(clause)
-            self.watches[clause[1]].append(clause)
+            self.watches[lits[0]].append(lits)
+            self.watches[lits[1]].append(lits)
 
     # -- VSIDS heap -----------------------------------------------------
 
@@ -415,15 +525,16 @@ class _CDCL:
     def _expired(self) -> bool:
         return self.deadline is not None and time.monotonic() > self.deadline
 
-    def run(self):
-        if self.empty_clause:
+    def run(self, assumptions=(), deadline: float | None = None):
+        if not self.ok:
             return False
-        for lit in self.units:
-            val = self.val[lit]
-            if val < 0:
-                return False
-            if val == 0:
-                self._enqueue(lit, None)
+        self.deadline = deadline
+        try:
+            return self._search(assumptions)
+        finally:
+            self._backtrack(0)
+
+    def _search(self, assumptions):
         conflicts = decisions = 0
         restart_at = 100
         luby_idx = 1
@@ -431,6 +542,7 @@ class _CDCL:
             conflict = self._propagate()
             if conflict is not None:
                 if not self.trail_lim:
+                    self.ok = False
                     return False
                 conflicts += 1
                 if not conflicts & 255 and self._expired():
@@ -452,6 +564,14 @@ class _CDCL:
                     luby_idx += 1
                     restart_at = conflicts + 100 * _luby(luby_idx)
                     self._backtrack(0)
+            elif len(self.trail_lim) < len(assumptions):
+                lit = assumptions[len(self.trail_lim)]
+                if self.val[lit] < 0:
+                    return False  # the assumptions contradict the formula
+                # one level per assumption, even one already true
+                self.trail_lim.append(len(self.trail))
+                if not self.val[lit]:
+                    self._enqueue(lit, None)
             else:
                 decisions += 1
                 if not decisions & 255 and self._expired():
@@ -487,7 +607,17 @@ def default_backend():
     return InProcessSolver()
 
 
-def solve(formula: Formula, budget: float | None = None, backend=None) -> SolveOutcome:
+def solve(formula: Formula, budget: float | None = None, backend=None,
+          assumptions=()) -> SolveOutcome:
+    """Solve the formula with every assumption literal true.
+
+    An incremental backend gets the assumptions as such; any other gets a
+    one-shot copy of the formula with the assumptions as unit clauses.
+    """
     if backend is None:
         backend = default_backend()
+    if getattr(backend, "incremental", False):
+        return backend.solve(formula, budget, assumptions)
+    if assumptions:
+        formula = _with_units(formula, assumptions)
     return backend.solve(formula, budget)

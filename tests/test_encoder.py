@@ -3,11 +3,13 @@ across reachability encodings, and the descend/noop machinery behaves."""
 
 import pytest
 
-from snowplan.encoder import (Mode, ReachKind, encode_collapsed,
-                              encode_descend, encode_full, encode_parallel)
+from snowplan.encoder import (EncodingConfig, Mode, ReachKind, encode,
+                              encode_collapsed, encode_descend, encode_full,
+                              encode_parallel)
 from snowplan.fixtures import load_fixture
-from snowplan.game import Direction
+from snowplan.game import Direction, is_goal, run_plan
 from snowplan.plans import decode
+from snowplan.search import serialize
 from snowplan.solvers import Status, solve
 
 REACHES = list(ReachKind)
@@ -189,3 +191,38 @@ def test_invariants_do_not_change_status(backend):
         for T, want in ((opt - 1, False), (opt, True)):
             enc = encode_full(fx.level, T, invariants_on=invariants_on)
             assert _sat(enc, backend) is want, (invariants_on, T)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_extension_appends_layers_once(mode, backend):
+    """An incremental encoding grown horizon by horizon holds the one-shot
+    encoding's variables plus one goal[T] per horizon, and under goal[T]
+    answers like the one-shot encoding at T."""
+    fx = load_fixture("snow_pop")
+    opt = fx.moves_optimal if mode is Mode.FULL else fx.object_actions_optimal
+    encoding = None
+    for T in range(opt + 1):
+        encoding = encode(fx.level, EncodingConfig(mode, T), encoding,
+                          incremental=True)
+        assert encoding.goal == encoding.var(f"goal[{T}]")
+        one_shot = encode(fx.level, EncodingConfig(mode, T))
+        assert encoding.formula.num_vars == one_shot.formula.num_vars + T + 1
+        out = solve(encoding.formula, backend=backend,
+                    assumptions=[encoding.goal])
+        assert out.status is _status(one_shot, backend)
+    plan = decode(encoding, out.model)
+    moves = plan.moves if mode is Mode.FULL else serialize(fx.level, plan)
+    assert is_goal(fx.level, run_plan(fx.level, moves).state)
+
+
+def test_extension_rejects_other_configs():
+    level = load_fixture("snow_pop").level
+    one_shot = encode(level, EncodingConfig(Mode.COLLAPSED, 1))
+    with pytest.raises(ValueError):
+        encode(level, EncodingConfig(Mode.COLLAPSED, 2), one_shot)
+    grown = encode(level, EncodingConfig(Mode.COLLAPSED, 1), incremental=True)
+    with pytest.raises(ValueError):
+        encode(level, EncodingConfig(Mode.COLLAPSED, 2, ReachKind.DAG), grown)
+    with pytest.raises(ValueError):
+        encode(level, EncodingConfig(Mode.DESCEND, 2, action_budget=1),
+               incremental=True)

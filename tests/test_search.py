@@ -1,14 +1,18 @@
 """Search strategies: deepening, ascend/serialize/descend, and the hybrid."""
 
+import time
+
 import pytest
 
-from snowplan.encoder import Mode, ReachKind
+from snowplan.encoder import EncodingConfig, Mode, ReachKind, encode
 from snowplan.fixtures import load_fixture
 from snowplan.game import Direction, initial_state, is_goal, run_plan
 from snowplan.plans import ObjectAction, ParallelPlan, SequentialPlan, Step, to_lurd
 from snowplan.search import (Bounds, BoundStatus, BudgetPolicy,
-                             SerializationError, ascend_parallel, descend,
-                             serialize, solve_hybrid, solve_sequential)
+                             SerializationError, _Clock, _deepen,
+                             ascend_parallel, descend, serialize,
+                             solve_hybrid, solve_sequential)
+from snowplan.solvers import InProcessSolver, Status, solve
 
 FAST = BudgetPolicy(solve_budget=60.0, total_budget=120.0, horizon_cap=30)
 
@@ -147,3 +151,42 @@ def test_hybrid_records_phase_times(backend):
     assert set(bounds.phase_times) == {"ascend", "descend"}
     assert all(t >= 0 for t in bounds.phase_times.values())
     assert bounds.horizon_times
+
+
+@pytest.mark.parametrize("name", ["soko_three", "snow_pop"])
+@pytest.mark.parametrize("mode,reach", [(Mode.FULL, ReachKind.PATH)]
+                         + [(Mode.PARALLEL, r) for r in ReachKind])
+def test_incremental_deepening_matches_one_shot(name, mode, reach):
+    """Growing one formula under goal assumptions finds the same minimal
+    horizon as a fresh one-shot encoding and solver per horizon."""
+    level = load_fixture(name).level
+    one_shot = next(
+        T for T in range(FAST.horizon_cap + 1)
+        if solve(encode(level, EncodingConfig(mode, T, reach)).formula,
+                 backend=InProcessSolver()).status is Status.SAT)
+    bounds, plan = _deepen(level, mode, reach, _Clock(FAST), InProcessSolver())
+    assert bounds.status is BoundStatus.OPTIMAL
+    assert bounds.upper == one_shot
+    assert len(bounds.horizon_times) == one_shot + 1
+
+
+class _SlowBackend:
+    """Answers correctly, but each call lasts 60% of its budget."""
+
+    def solve(self, formula, budget=None):
+        start = time.monotonic()
+        out = InProcessSolver().solve(formula)
+        time.sleep(max(0.0, 0.6 * budget - (time.monotonic() - start)))
+        return out
+
+
+def test_hybrid_total_budget_covers_both_phases():
+    """Ascend and descend share one clock: a run whose ascend spends most
+    of the budget leaves descend only the rest."""
+    fx = load_fixture("snow_pop")
+    policy = BudgetPolicy(solve_budget=1.0, total_budget=1.0, horizon_cap=30)
+    start = time.monotonic()
+    bounds, _ = solve_hybrid(fx.level, policy=policy, backend=_SlowBackend())
+    assert time.monotonic() - start < policy.total_budget + 0.4
+    if bounds.upper is not None:
+        assert bounds.upper >= fx.object_actions_optimal

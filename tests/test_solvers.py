@@ -3,6 +3,8 @@
 import os
 import random
 import stat
+import sys
+import threading
 import time
 from pathlib import Path
 
@@ -13,7 +15,7 @@ from snowplan.solvers import (BackendError, ExternalSolver, InProcessSolver,
                               Status, check_model, default_backend, solve,
                               SOLVER_CMD_ENV)
 
-from conftest import is_satisfiable_brute
+from conftest import brute_force_models, is_satisfiable_brute
 
 
 def _tiny(clauses, n):
@@ -140,6 +142,31 @@ def test_external_timeout_is_unknown(tmp_path):
     assert out.model is None
 
 
+def _running(pid: int) -> bool:
+    """True while the process exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_external_timeout_kills_solver_children(tmp_path):
+    """A timeout ends the solver's whole process group, not only the shell
+    that started it."""
+    pidfile = tmp_path / "child.pid"
+    cmd = _script_solver(
+        tmp_path, f"sh -c 'echo $$ > {pidfile}; exec sleep 30'\n")
+    out = ExternalSolver(cmd).solve(_tiny([[1]], 1), budget=0.5)
+    assert out.status is Status.UNKNOWN
+    pid = int(pidfile.read_text())
+    deadline = time.monotonic() + 5.0
+    while _running(pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not _running(pid)
+
+
 def test_default_backend_env_override(tmp_path, monkeypatch):
     cmd = _script_solver(tmp_path, 'echo "s UNSATISFIABLE"\n')
     monkeypatch.setenv(SOLVER_CMD_ENV, cmd)
@@ -163,3 +190,126 @@ def test_session_backend_solves(backend):
     out = backend.solve(_tiny([[1, 2], [-1, -2], [1]], 2))
     assert out.status is Status.SAT
     assert out.model == {1: True, 2: False}
+
+
+# -- incremental solving ------------------------------------------------
+
+
+def _random_clause(rng, n):
+    width = rng.randint(1, 3)
+    return sorted({rng.choice([-1, 1]) * rng.randint(1, n)
+                   for _ in range(width)})
+
+
+def _agrees(formula, out, assumptions):
+    models = [m for m in brute_force_models(formula)
+              if all(m[abs(a)] == (a > 0) for a in assumptions)]
+    assert (out.status is Status.SAT) == bool(models)
+    if out.status is Status.SAT:
+        assert check_model(formula, out.model)
+        assert all(out.model[abs(a)] == (a > 0) for a in assumptions)
+
+
+def test_incremental_agrees_with_enumeration():
+    """One solver state per formula, grown between calls (variables and
+    clauses) and asked under random assumptions, answers like enumeration."""
+    rng = random.Random(7)
+    solver = InProcessSolver()
+    for _ in range(60):
+        f = Formula()
+        for _ in range(rng.randint(1, 4)):
+            f.new_var()
+        for _ in range(8):
+            for _ in range(rng.randint(0, 2)):
+                if f.num_vars < 10:
+                    f.new_var()
+            for _ in range(rng.randint(0, 3)):
+                f.add_clause(_random_clause(rng, f.num_vars))
+            assumptions = sorted({rng.choice([-1, 1]) * rng.randint(1, f.num_vars)
+                                  for _ in range(rng.randint(0, 3))})
+            _agrees(f, solver.solve(f, assumptions=assumptions), assumptions)
+
+
+def test_unsat_under_assumptions_and_unknown_leave_no_trace():
+    """Neither an UNSAT answer under assumptions nor a budget UNKNOWN
+    changes what later calls on the same formula answer."""
+    solver = InProcessSolver()
+    f = _pigeonhole(10, 9)
+    # guard every clause by s: the formula is SAT, and UNSAT under s
+    s = f.new_var()
+    f.clauses = [c + [-s] for c in f.clauses]
+    out = solver.solve(f, budget=0.2, assumptions=[s])
+    assert out.status is Status.UNKNOWN
+    assert solver.solve(f, assumptions=[-s]).status is Status.SAT
+    x, y = f.new_var(), f.new_var()
+    f.add_clause([x, y])
+    f.add_clause([-x, y])
+    assert solver.solve(f, assumptions=[-y]).status is Status.UNSAT
+    assert solver.solve(f, assumptions=[-s, x]).status is Status.SAT
+    out = solver.solve(f, assumptions=[-s])
+    assert out.status is Status.SAT and out.model[y]
+    f.add_clause([-y])
+    assert solver.solve(f).status is Status.UNSAT
+    assert solver.solve(f, assumptions=[-s]).status is Status.UNSAT
+
+
+def test_assumption_outside_variables_rejected():
+    with pytest.raises(ValueError):
+        InProcessSolver().solve(_tiny([[1]], 1), assumptions=[2])
+
+
+class _OneShotStub:
+    """A backend with no notion of assumptions."""
+
+    def __init__(self):
+        self.seen = []
+
+    def solve(self, formula, budget=None):
+        self.seen.append(len(formula.clauses))
+        return InProcessSolver().solve(formula, budget)
+
+
+def test_one_shot_backend_gets_assumptions_as_units():
+    rng = random.Random(11)
+    stub = _OneShotStub()
+    for _ in range(80):
+        n = rng.randint(1, 7)
+        f = _tiny([_random_clause(rng, n) for _ in range(rng.randint(1, 3 * n))], n)
+        clauses = len(f.clauses)
+        assumptions = sorted({rng.choice([-1, 1]) * rng.randint(1, n)
+                              for _ in range(rng.randint(1, 3))})
+        out = solve(f, backend=stub, assumptions=assumptions)
+        assert stub.seen[-1] == clauses + len(assumptions)
+        assert len(f.clauses) == clauses     # the copy was solved
+        _agrees(f, out, assumptions)
+
+
+def test_threads_share_one_incremental_solver():
+    """Threads solving their own formulas through one solver each get the
+    answers enumeration gives."""
+    solver = InProcessSolver()
+    failures = []
+
+    def work(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(15):
+                n = rng.randint(2, 8)
+                f = _tiny([_random_clause(rng, n) for _ in range(3 * n)], n)
+                lit = rng.choice([-1, 1]) * rng.randint(1, n)
+                _agrees(f, solver.solve(f, assumptions=[lit]), [lit])
+        except AssertionError as exc:
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not failures
