@@ -9,7 +9,6 @@ better. Instances that error are counted as unsolved and reported.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -37,12 +36,9 @@ class BenchReport:
     runs: list[BenchRun] = field(default_factory=list)
 
     def par2(self, reach: str | None = None) -> float:
-        score = 0.0
-        for run in self.runs:
-            if reach is not None and run.reach != reach:
-                continue
-            score += run.runtime if run.solved else 2 * self.limit
-        return score
+        runs = [run for run in self.runs if reach is None or run.reach == reach]
+        return par2_score([run.runtime for run in runs if run.solved],
+                          sum(1 for run in runs if not run.solved), self.limit)
 
     def timeouts(self, reach: str | None = None) -> int:
         return sum(1 for run in self.runs
@@ -130,25 +126,17 @@ def _dispatch(level: Level, instance: str, reach: ReachKind, mode,
 
 def run_bench(directory: Path, reaches: list[ReachKind],
               mode: Mode | str = "hybrid", limit: float = 60.0,
-              jobs: int = 1, seed: int | None = None,
-              backend=None) -> BenchReport:
+              seed: int | None = None, backend=None) -> BenchReport:
     """Run every (instance, reach) pair; failures are recorded, not fatal."""
-    levels = discover_levels(directory)
     report = BenchReport(limit=limit)
-    tasks = [(path, game, reach)
-             for path, game in levels for reach in reaches]
-
-    def work(task):
-        path, game, reach = task
-        try:
-            level = parse_level(path.read_text(), game)
-        except Exception as exc:  # noqa: BLE001
-            return BenchRun(path.stem, reach.value, False, 0.0, error=str(exc))
-        return run_instance(level, path.stem, reach, mode, limit, seed, backend)
-
-    if jobs <= 1:
-        report.runs = [work(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            report.runs = list(pool.map(work, tasks))
+    for path, game in discover_levels(directory):
+        for reach in reaches:
+            try:
+                level = parse_level(path.read_text(), game)
+            except Exception as exc:  # noqa: BLE001
+                report.runs.append(BenchRun(path.stem, reach.value, False, 0.0,
+                                            error=str(exc)))
+                continue
+            report.runs.append(run_instance(level, path.stem, reach, mode,
+                                            limit, seed, backend))
     return report

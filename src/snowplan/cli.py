@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .bench import load_level_file, run_bench, run_instance
-from .encoder import (EncodingConfig, Mode, ReachKind, encode)
+from .encoder import EncodingConfig, Mode, ReachKind, encode
 from .levels import GameTag, ParseError
 from .plans import LurdError, validate_lurd
 from .solvers import BackendError, ExternalSolver
@@ -74,7 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("directory", type=Path)
     p_bench.add_argument("--mode", default=_env("MODE", "hybrid"),
                          choices=["full", "collapsed", "hybrid"])
-    p_bench.add_argument("--jobs", type=int, default=1)
     p_bench.add_argument("--all-reach", action="store_true",
                          help="run every reachability encoding, not just --reach")
     common(p_bench)
@@ -114,7 +113,7 @@ def cmd_solve(args) -> int:
 def cmd_bench(args) -> int:
     reaches = list(ReachKind) if args.all_reach else [ReachKind(args.reach)]
     report = run_bench(args.directory, reaches, args.mode, args.timeout,
-                       args.jobs, args.seed, _backend_from(args))
+                       args.seed, _backend_from(args))
     if not report.runs:
         print("warning: no level files found", file=sys.stderr)
     for run in report.runs:
@@ -132,7 +131,9 @@ def cmd_encode(args) -> int:
     level = load_level_file(args.level, _game_flag(args.game))
     config = EncodingConfig(Mode(args.mode), args.horizon,
                             ReachKind(args.reach))
-    text = encode(level, config).formula.to_dimacs()
+    encoding = encode(level, config)
+    encoding.formula.add_clause([encoding.goal])
+    text = encoding.formula.to_dimacs()
     if args.output is None:
         sys.stdout.write(text)
     else:

@@ -14,6 +14,7 @@ Registry name grammar (consumed by the plan decoder):
   actions    dir[D,t] and move/roll/push/pop[r,c,D,t]   (FULL; r,c = agent cell)
              roll/push/pop[r,c,D,t]                     (others; r,c = ball cell)
              jump[r,c,t]  noop[t]
+  goal       goal[T]   (assumed true: the goal holds at horizon T)
 where D is one of N,S,E,W. Reachability fragments use the graph-module names
 suffixed with ",t" (and ",jt" for the jump fragment, ",ck,t" for per-ball
 path copies).
@@ -53,9 +54,6 @@ class EncodingConfig:
     mode: Mode
     horizon: int
     reach: ReachKind = ReachKind.PATH
-    invariants_on: bool = True
-    assert_goal: bool = True
-    action_budget: int | None = None
 
     def __post_init__(self):
         if self.horizon < 0:
@@ -66,83 +64,44 @@ class EncodingConfig:
 class Encoding:
     """A compiled formula together with everything needed to decode models.
 
-    An incremental encoding keeps the builder that made it, so `encode` can
-    append later layers to the same formula; its goal at the horizon is then
-    switched on by the literal `goal` rather than asserted.
+    The goal at the horizon is switched on by the literal `goal` rather than
+    asserted, and the builder that made the formula is kept, so `encode` can
+    append later layers to the same formula.
     """
 
     formula: Formula
     level: Level
     config: EncodingConfig
     graph: reach.Graph
-    goal: int | None = None
-    builder: _Encoder | None = field(default=None, repr=False)
+    goal: int
+    builder: _Encoder = field(repr=False)
 
     def var(self, name: str) -> int:
         return self.formula.var(name)
 
 
-def encode(level: Level, config: EncodingConfig, extend: Encoding | None = None,
-           *, incremental: bool = False) -> Encoding:
+def encode(level: Level, config: EncodingConfig,
+           extend: Encoding | None = None) -> Encoding:
     """Compile a level up to `config.horizon`.
 
-    A one-shot encoding (the default) asserts the goal at the horizon. With
-    `incremental=True`, or when `extend` names an earlier incremental
-    encoding, the goal at the horizon is instead a set of clauses guarded by
-    a fresh `goal[T]` variable (`Encoding.goal`): solve under the assumption
-    `goal[T]`, and grow the same formula to a later horizon by passing the
-    result back as `extend`. Layers already in `extend` are not encoded
-    again, and the config may differ from its config in the horizon only.
+    The goal at the horizon is a set of clauses guarded by a fresh `goal[T]`
+    variable (`Encoding.goal`): solve under the assumption `goal[T]` for a
+    plan that reaches the goal at T, or without it for any T-step run. Pass
+    the result back as `extend` to grow the same formula to a later horizon;
+    layers already in `extend` are not encoded again, and the config may
+    differ from its config only in a higher horizon.
     """
     if extend is None:
         builder = _Encoder(level, config)
     else:
         builder = extend.builder
-        if builder is None:
-            raise ValueError("only an incremental encoding can be extended")
         if (level is not extend.level
+                or config.horizon <= extend.config.horizon
                 or replace(config, horizon=extend.config.horizon) != extend.config):
-            raise ValueError("an extension may change the horizon only")
-        incremental = True
-    if incremental and config.action_budget is not None:
-        raise ValueError("an action budget needs a one-shot encoding")
-    T = config.horizon
-    builder.grow(T)
-    if incremental:
-        goal = builder.guarded_goal(T) if config.assert_goal else None
-        return Encoding(builder.f, level, config, builder.graph, goal, builder)
-    if config.assert_goal:
-        builder.goal(T)
-    if config.action_budget is not None and config.mode is Mode.DESCEND:
-        builder.f.at_most_k([-n for n in builder.noops], config.action_budget)
-    return Encoding(builder.f, level, config, builder.graph)
-
-
-def encode_full(level: Level, T: int, *, invariants_on: bool = True,
-                assert_goal: bool = True) -> Encoding:
-    return encode(level, EncodingConfig(Mode.FULL, T, ReachKind.PATH,
-                                        invariants_on, assert_goal))
-
-
-def encode_collapsed(level: Level, T: int, reach_kind: ReachKind = ReachKind.PATH,
-                     *, invariants_on: bool = True,
-                     assert_goal: bool = True) -> Encoding:
-    return encode(level, EncodingConfig(Mode.COLLAPSED, T, reach_kind,
-                                        invariants_on, assert_goal))
-
-
-def encode_parallel(level: Level, T: int, reach_kind: ReachKind = ReachKind.TREE,
-                    *, invariants_on: bool = True,
-                    assert_goal: bool = True) -> Encoding:
-    return encode(level, EncodingConfig(Mode.PARALLEL, T, reach_kind,
-                                        invariants_on, assert_goal))
-
-
-def encode_descend(level: Level, T: int, reach_kind: ReachKind = ReachKind.PATH,
-                   action_budget: int | None = None, *,
-                   invariants_on: bool = True) -> Encoding:
-    return encode(level, EncodingConfig(Mode.DESCEND, T, reach_kind,
-                                        invariants_on, True, action_budget))
+            raise ValueError("an extension may only raise the horizon")
+    builder.grow(config.horizon)
+    goal = builder.goal(config.horizon)
+    return Encoding(builder.f, level, config, builder.graph, goal, builder)
 
 
 class _Encoder:
@@ -159,7 +118,7 @@ class _Encoder:
         self.vertex = {cell: i for i, cell in enumerate(self.graph.cell_of)}
         self.cells = sorted(level.floor)
         self.snowman = level.game is GameTag.SNOWMAN
-        self.noops: list[int] = []
+        self.last_noop: int | None = None
 
         # state variables, keyed (cell, t)
         self.snow: dict[tuple[Cell, int], int] = {}
@@ -194,7 +153,7 @@ class _Encoder:
         # implied by the frame axioms in FULL, but stated so the solver
         # propagates it
         self.f.exactly_one([self.agent[cell, t] for cell in self.cells])
-        if self.snowman and self.cfg.invariants_on:
+        if self.snowman:
             self._invariants(t)
 
     def _transition(self, t: int) -> None:
@@ -260,28 +219,23 @@ class _Encoder:
                 f.add_clause([self.box[cell, 0] if cell in self.level.boxes
                               else -self.box[cell, 0]])
 
-    def goal(self, T: int, guard: int | None = None) -> None:
-        """The goal at T, as clauses that hold only while `guard` is true
-        when a guard is given."""
+    def goal(self, T: int) -> int:
+        """A new variable goal[T], and the goal at T as clauses that hold
+        while it is true."""
         f = self.f
-        head = [] if guard is None else [-guard]
+        guard = f.new_var(f"goal[{T}]")
         if self.snowman:
             # no partial snowman anywhere: the three size flags agree per cell
             for cell in self.cells:
                 s, m, l = self.bs[cell, T], self.bm[cell, T], self.bl[cell, T]
-                f.add_clause(head + [-s, m])
-                f.add_clause(head + [-m, s])
-                f.add_clause(head + [-m, l])
-                f.add_clause(head + [-l, m])
+                f.add_clause([-guard, -s, m])
+                f.add_clause([-guard, -m, s])
+                f.add_clause([-guard, -m, l])
+                f.add_clause([-guard, -l, m])
         else:
             for cell in self.cells:
                 if cell not in self.level.goals:
-                    f.add_clause(head + [-self.box[cell, T]])
-
-    def guarded_goal(self, T: int) -> int:
-        """A new variable goal[T] that switches on the goal at T."""
-        guard = self.f.new_var(f"goal[{T}]")
-        self.goal(T, guard)
+                    f.add_clause([-guard, -self.box[cell, T]])
         return guard
 
     def _invariants(self, t: int) -> None:
@@ -579,9 +533,9 @@ class _Encoder:
                               self.agent[cell, t + 1]])
             f.exactly_one(avars + [noop])
             # once idle, stay idle: pushes all noops to the tail of the plan
-            if self.noops:
-                f.add_clause([-self.noops[-1], noop])
-            self.noops.append(noop)
+            if self.last_noop is not None:
+                f.add_clause([-self.last_noop, noop])
+            self.last_noop = noop
         else:
             f.exactly_one(avars)
         self._agent_effects_sequential(actions, t)

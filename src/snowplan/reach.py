@@ -73,7 +73,6 @@ def grid_graph(rows: int, cols: int, open_cells) -> Graph:
 class ReachFragment:
     reach: dict[int, int]
     aux: dict[str, dict] = field(default_factory=dict)
-    clause_range: tuple[int, int] = (0, 0)
 
 
 def bfs_reachable(graph: Graph, source: int, free: set[int] | None = None) -> set[int]:
@@ -121,7 +120,6 @@ def encode_dag(formula: Formula, graph: Graph, source: Endpoint,
     symmetrized.
     """
     n = graph.num_vertices
-    start = len(formula.clauses)
     arcs = sorted({(u, v) for u, v in graph.edges} |
                   ({(v, u) for u, v in graph.edges} if not graph.directed else set()))
     src = _source_lits(source, n)
@@ -163,8 +161,7 @@ def encode_dag(formula: Formula, graph: Graph, source: Endpoint,
             if w != u and w != v:
                 formula.add_clause([-e[(u, v)], -ordv[(v, w)], ordv[(u, w)]])
 
-    return ReachFragment(reach=r, aux={"edge": e, "ord": ordv},
-                         clause_range=(start, len(formula.clauses)))
+    return ReachFragment(reach=r, aux={"edge": e, "ord": ordv})
 
 
 def _at_least_two(formula: Formula, guard: list[int], lits: list[int]) -> None:
@@ -196,7 +193,6 @@ def encode_path(formula: Formula, graph: Graph, source: Endpoint, target: Endpoi
     if not graph.is_grid:
         raise ValueError("path encoding requires grid metadata")
     n = graph.num_vertices
-    start = len(formula.clauses)
     nbs = graph.neighbors()
     src = _source_lits(source, n)
     tgt = _source_lits(target, n)
@@ -225,9 +221,6 @@ def encode_path(formula: Formula, graph: Graph, source: Endpoint, target: Endpoi
             other = t_ind if s_ind is None else s_ind
             guard = [-p[v]] + ([other] if other else [])
             _exactly_one_guarded(formula, guard, pn)
-            if other:
-                # both endpoints here: no constraint (guard covers it)
-                pass
             continue
         guards_interior = [-p[v]]
         if s_ind:
@@ -241,8 +234,7 @@ def encode_path(formula: Formula, graph: Graph, source: Endpoint, target: Endpoi
         _at_least_two(formula, guards_interior, pn)
         _at_most_two(formula, guards_interior, pn)
 
-    return ReachFragment(reach=dict(p), aux={"path": p},
-                         clause_range=(start, len(formula.clauses)))
+    return ReachFragment(reach=dict(p), aux={"path": p})
 
 
 def encode_spanning_tree(formula: Formula, graph: Graph, source: Endpoint,
@@ -256,7 +248,6 @@ def encode_spanning_tree(formula: Formula, graph: Graph, source: Endpoint,
     if graph.directed:
         raise ValueError("spanning tree encoding requires an undirected graph")
     n = graph.num_vertices
-    start = len(formula.clauses)
     nbs = graph.neighbors()
     src = _source_lits(source, n)
 
@@ -327,5 +318,4 @@ def encode_spanning_tree(formula: Formula, graph: Graph, source: Endpoint,
             if gate is not None:
                 formula.add_clause([-t[(a, b)], gate[b]])
 
-    return ReachFragment(reach=r, aux={"tree": t},
-                         clause_range=(start, len(formula.clauses)))
+    return ReachFragment(reach=r, aux={"tree": t})

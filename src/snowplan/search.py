@@ -11,7 +11,8 @@ iteration.
 Every strategy run keeps one live formula and hands it to one backend, so
 an incremental backend keeps what it learnt from one horizon to the next:
 deepening appends a layer per horizon and assumes that horizon's goal
-literal, and descend encodes once and assumes noops at the tail.
+literal, and descend encodes once and assumes its goal literal and the
+noops at the tail.
 """
 
 from __future__ import annotations
@@ -100,8 +101,7 @@ def _deepen(level: Level, mode: Mode, reach: ReachKind, clock: _Clock,
     for T in range(clock.policy.horizon_cap + 1):
         if clock.exhausted:
             break
-        encoding = enc.encode(level, EncodingConfig(mode, T, reach), encoding,
-                              incremental=True)
+        encoding = enc.encode(level, EncodingConfig(mode, T, reach), encoding)
         outcome = solve(encoding.formula, clock.call_budget(), backend,
                         assumptions=[encoding.goal])
         times.append(outcome.elapsed)
@@ -222,9 +222,10 @@ def descend(level: Level, upper: int, reach: ReachKind = ReachKind.PATH,
 
     A satisfiable probe's non-noop action count becomes the new upper bound,
     which can therefore drop by more than one per iteration. One DESCEND
-    formula at horizon upper-1 serves every probe: the probe for a bound u
-    below it assumes noop[u-1], and since noops are forced to the tail, at
-    most u-1 actions remain. `clock` defaults to a fresh one for `policy`.
+    formula at horizon upper-1 serves every probe: each probe assumes its
+    goal literal, the probe for a bound u below it also assumes noop[u-1],
+    and since noops are forced to the tail, at most u-1 actions remain.
+    `clock` defaults to a fresh one for `policy`.
     """
     clock = clock or _Clock(policy)
     if backend is None:
@@ -242,7 +243,7 @@ def descend(level: Level, upper: int, reach: ReachKind = ReachKind.PATH,
                                                         reach))
         tail = [encoding.var(f"noop[{upper - 1}]")] if upper < top else []
         outcome = solve(encoding.formula, clock.call_budget(), backend,
-                        assumptions=tail)
+                        assumptions=[encoding.goal] + tail)
         times.append(outcome.elapsed)
         if outcome.status is Status.UNKNOWN:
             return Bounds(None, upper, BoundStatus.BOUNDED,

@@ -18,7 +18,7 @@ import pytest
 
 from snowplan.bench import BenchReport, BenchRun, par2_score, run_bench
 from snowplan.cnf import Formula
-from snowplan.encoder import Mode, ReachKind, encode_parallel
+from snowplan.encoder import EncodingConfig, Mode, ReachKind, encode
 from snowplan.fixtures import FIXTURE_DIR, gen_random_level, list_fixtures, load_fixture
 from snowplan.game import (ActionKind, Direction, GameState, classify,
                            initial_state, is_goal, run_plan)
@@ -216,7 +216,8 @@ def test_criterion_4_forall_step_serializability(backend):
             except Exception:
                 continue
             T = 1 + seed % 2
-            encoding = encode_parallel(level, T, assert_goal=False)
+            encoding = encode(level, EncodingConfig(Mode.PARALLEL, T,
+                                                    ReachKind.TREE))
             _cap_step_width(encoding, 3)
             outcome = solve(encoding.formula, backend=backend)
             if outcome.status is not Status.SAT:
@@ -253,14 +254,15 @@ def test_criterion_5_example_reconstructions(backend):
     with _verdict(5, "example reconstructions"):
         fx = load_fixture("snow_ring")
         pair = fx.flags["interference_pair"]
+        one_step = EncodingConfig(Mode.PARALLEL, 1, ReachKind.TREE)
         singles_ok = []
         for kind, r, c, d in pair:
-            enc = encode_parallel(fx.level, 1, assert_goal=False)
+            enc = encode(fx.level, one_step)
             enc.formula.add_clause([enc.var(f"{kind}[{r},{c},{d},0]")])
             singles_ok.append(
                 solve(enc.formula, backend=backend).status is Status.SAT)
         assert singles_ok == [True, True]
-        enc = encode_parallel(fx.level, 1, assert_goal=False)
+        enc = encode(fx.level, one_step)
         for kind, r, c, d in pair:
             enc.formula.add_clause([enc.var(f"{kind}[{r},{c},{d},0]")])
         assert solve(enc.formula, backend=backend).status is Status.UNSAT
@@ -268,10 +270,10 @@ def test_criterion_5_example_reconstructions(backend):
         fx = load_fixture("snow_selfblock")
         kind, r, c, d = fx.flags["self_block_action"]
         jr, jc = fx.flags["jump_cell"]
-        enc = encode_parallel(fx.level, 1, assert_goal=False)
+        enc = encode(fx.level, one_step)
         enc.formula.add_clause([enc.var(f"{kind}[{r},{c},{d},0]")])
         assert solve(enc.formula, backend=backend).status is Status.UNSAT
-        enc = encode_parallel(fx.level, 2, assert_goal=False)
+        enc = encode(fx.level, EncodingConfig(Mode.PARALLEL, 2, ReachKind.TREE))
         enc.formula.add_clause([enc.var(f"jump[{jr},{jc},0]")])
         enc.formula.add_clause([enc.var(f"{kind}[{r},{c},{d},1]")])
         assert solve(enc.formula, backend=backend).status is Status.SAT

@@ -83,11 +83,3 @@ def test_run_bench_directory(tmp_path, backend):
     assert by_name["bad"].error is not None
     assert report.summary()["tree"]["instances"] == 2
 
-
-def test_run_bench_parallel_jobs(tmp_path, backend):
-    (tmp_path / "one.xsb").write_text("######\n#@$-.#\n######\n")
-    (tmp_path / "two.xsb").write_text("######\n#@-$.#\n######\n")
-    report = run_bench(tmp_path, [ReachKind.TREE, ReachKind.PATH],
-                       jobs=2, backend=backend)
-    assert len(report.runs) == 4
-    assert all(run.solved for run in report.runs)

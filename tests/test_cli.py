@@ -5,8 +5,10 @@ import json
 import pytest
 
 from snowplan.cli import EXIT_BOUNDED, EXIT_ERROR, EXIT_OK, main
+from snowplan.cnf import Formula, parse_dimacs
 from snowplan.fixtures import FIXTURE_DIR
 from snowplan.plans import RunRecord
+from snowplan.solvers import InProcessSolver, Status
 
 CORRIDOR = str(FIXTURE_DIR / "soko_corridor.xsb")
 
@@ -67,6 +69,20 @@ def test_encode_writes_dimacs(tmp_path, capsys):
     assert out.read_text().startswith("p cnf ")
     assert main(["encode", CORRIDOR, "--horizon", "1"]) == EXIT_OK
     assert capsys.readouterr().out.startswith("p cnf ")
+
+
+@pytest.mark.parametrize("horizon, want", [(1, Status.UNSAT), (2, Status.SAT)])
+def test_encode_dimacs_asserts_goal(horizon, want, capsys):
+    """The emitted formula means "reach the goal at T": the corridor's
+    collapsed optimum is 2."""
+    assert main(["encode", CORRIDOR, "--horizon", str(horizon)]) == EXIT_OK
+    num_vars, clauses = parse_dimacs(capsys.readouterr().out)
+    formula = Formula()
+    for _ in range(num_vars):
+        formula.new_var()
+    for clause in clauses:
+        formula.add_clause(clause)
+    assert InProcessSolver().solve(formula).status is want
 
 
 def test_bench_summary(tmp_path, capsys):

@@ -3,9 +3,7 @@ across reachability encodings, and the descend/noop machinery behaves."""
 
 import pytest
 
-from snowplan.encoder import (EncodingConfig, Mode, ReachKind, encode,
-                              encode_collapsed, encode_descend, encode_full,
-                              encode_parallel)
+from snowplan.encoder import EncodingConfig, Mode, ReachKind, _Encoder, encode
 from snowplan.fixtures import load_fixture
 from snowplan.game import Direction, is_goal, run_plan
 from snowplan.plans import decode
@@ -15,47 +13,56 @@ from snowplan.solvers import Status, solve
 REACHES = list(ReachKind)
 
 
-def _status(encoding, backend):
-    return solve(encoding.formula, backend=backend).status
+def _solve(encoding, backend, goal=True):
+    """Solve under the encoding's goal literal, or with no goal at all."""
+    return solve(encoding.formula, backend=backend,
+                 assumptions=[encoding.goal] if goal else [])
 
 
-def _sat(encoding, backend):
-    return _status(encoding, backend) is Status.SAT
+def _status(encoding, backend, goal=True):
+    return _solve(encoding, backend, goal).status
+
+
+def _sat(encoding, backend, goal=True):
+    return _status(encoding, backend, goal) is Status.SAT
 
 
 def _min_horizon(encode_at, opt, backend):
     """Check UNSAT strictly below opt and SAT at opt."""
     for T in range(opt):
         assert _status(encode_at(T), backend) is Status.UNSAT, T
-    outcome = solve(encode_at(opt).formula, backend=backend)
+    outcome = _solve(encode_at(opt), backend)
     assert outcome.status is Status.SAT
     return outcome
 
 
 def test_horizon_zero_solved_level(backend):
     fx = load_fixture("snow_done")
-    for make in (encode_full, lambda l, T: encode_collapsed(l, T)):
-        assert _sat(make(fx.level, 0), backend)
+    for mode in (Mode.FULL, Mode.COLLAPSED):
+        assert _sat(encode(fx.level, EncodingConfig(mode, 0)), backend)
 
 
 def test_horizon_zero_unsolved_level(backend):
     fx = load_fixture("snow_pop")
-    assert _status(encode_full(fx.level, 0), backend) is Status.UNSAT
-    assert _status(encode_collapsed(fx.level, 0), backend) is Status.UNSAT
+    for mode in (Mode.FULL, Mode.COLLAPSED):
+        encoding = encode(fx.level, EncodingConfig(mode, 0))
+        assert _status(encoding, backend) is Status.UNSAT
 
 
 @pytest.mark.parametrize("name", ["snow_pop", "soko_corridor"])
 def test_full_minimal_horizon_is_oracle_moves(name, backend):
     fx = load_fixture(name)
-    _min_horizon(lambda T: encode_full(fx.level, T), fx.moves_optimal, backend)
+    _min_horizon(lambda T: encode(fx.level, EncodingConfig(Mode.FULL, T)),
+                 fx.moves_optimal, backend)
 
 
 @pytest.mark.parametrize("name", ["snow_pop", "soko_corridor", "soko_l"])
 @pytest.mark.parametrize("reach", REACHES)
 def test_collapsed_minimal_horizon_is_oracle_actions(name, reach, backend):
     fx = load_fixture(name)
-    _min_horizon(lambda T: encode_collapsed(fx.level, T, reach),
-                 fx.object_actions_optimal, backend)
+    _min_horizon(
+        lambda T: encode(fx.level, EncodingConfig(Mode.COLLAPSED, T, reach)),
+        fx.object_actions_optimal, backend)
 
 
 @pytest.mark.parametrize("reach", REACHES)
@@ -64,9 +71,10 @@ def test_parallel_packs_independent_actions(reach, backend):
     fx = load_fixture("soko_pair")
     assert fx.object_actions_optimal == 2
     outcome = _min_horizon(
-        lambda T: encode_parallel(fx.level, T, reach), 1, backend)
-    encoding = encode_parallel(fx.level, 1, reach)
-    plan = decode(encoding, solve(encoding.formula, backend=backend).model)
+        lambda T: encode(fx.level, EncodingConfig(Mode.PARALLEL, T, reach)),
+        1, backend)
+    encoding = encode(fx.level, EncodingConfig(Mode.PARALLEL, 1, reach))
+    plan = decode(encoding, _solve(encoding, backend).model)
     assert plan.object_action_count == 2
     assert len(plan.steps) == 1
 
@@ -77,40 +85,36 @@ def test_parallel_never_beats_collapsed(reach, backend):
     opt = fx.object_actions_optimal
     parallel_min = next(
         T for T in range(opt + 1)
-        if _sat(encode_parallel(fx.level, T, reach), backend))
+        if _sat(encode(fx.level, EncodingConfig(Mode.PARALLEL, T, reach)),
+                backend))
     assert parallel_min <= opt
 
 
 def test_descend_probes(backend):
-    """At the optimum: SAT with no noops. Below: UNSAT. Padded: trailing
-    noops keep the non-noop count at the optimum."""
+    """At the optimum: SAT with no noops. Below: UNSAT. Padded: with
+    noop[opt] assumed, the surplus steps become trailing noops and the
+    non-noop count stays at the optimum; with noop[opt-1] it is UNSAT."""
     fx = load_fixture("snow_pop")
     opt = fx.object_actions_optimal
-    outcome = solve(encode_descend(fx.level, opt).formula, backend=backend)
+    encoding = encode(fx.level, EncodingConfig(Mode.DESCEND, opt))
+    outcome = _solve(encoding, backend)
     assert outcome.status is Status.SAT
-    encoding = encode_descend(fx.level, opt)
-    plan = decode(encoding, solve(encoding.formula, backend=backend).model)
+    plan = decode(encoding, outcome.model)
     assert plan.object_action_count == opt
 
-    assert _status(encode_descend(fx.level, opt - 1), backend) is Status.UNSAT
+    below = encode(fx.level, EncodingConfig(Mode.DESCEND, opt - 1))
+    assert _status(below, backend) is Status.UNSAT
 
-    # a padded horizon stays satisfiable even when the action count is
-    # capped at the optimum: the surplus steps become trailing noops
-    padded = encode_descend(fx.level, opt + 2, action_budget=opt)
-    out = solve(padded.formula, backend=backend)
+    padded = encode(fx.level, EncodingConfig(Mode.DESCEND, opt + 2))
+    out = solve(padded.formula, backend=backend,
+                assumptions=[padded.goal, padded.var(f"noop[{opt}]")])
     assert out.status is Status.SAT
     plan = decode(padded, out.model)
     assert plan.object_action_count == opt
     assert len(plan.steps) == opt      # the two noop steps were skipped
-
-
-def test_descend_action_budget(backend):
-    fx = load_fixture("snow_pop")
-    opt = fx.object_actions_optimal
-    tight = encode_descend(fx.level, opt + 2, action_budget=opt)
-    assert _sat(tight, backend)
-    too_tight = encode_descend(fx.level, opt + 2, action_budget=opt - 1)
-    assert not _sat(too_tight, backend)
+    out = solve(padded.formula, backend=backend,
+                assumptions=[padded.goal, padded.var(f"noop[{opt - 1}]")])
+    assert out.status is Status.UNSAT
 
 
 def _action_var(encoding, kind, cell, direction, t):
@@ -122,14 +126,15 @@ def test_interference_pair_not_parallelizable(backend):
     one's destination blocks the other's pushing-cell approach."""
     fx = load_fixture("snow_ring")
     (k1, r1, c1, d1), (k2, r2, c2, d2) = fx.flags["interference_pair"]
+    config = EncodingConfig(Mode.PARALLEL, 1, ReachKind.TREE)
     for kind, r, c, d in ((k1, r1, c1, d1), (k2, r2, c2, d2)):
-        enc = encode_parallel(fx.level, 1, assert_goal=False)
+        enc = encode(fx.level, config)
         enc.formula.add_clause([_action_var(enc, kind, (r, c), d, 0)])
-        assert _sat(enc, backend)
-    enc = encode_parallel(fx.level, 1, assert_goal=False)
+        assert _sat(enc, backend, goal=False)
+    enc = encode(fx.level, config)
     enc.formula.add_clause([_action_var(enc, k1, (r1, c1), d1, 0)])
     enc.formula.add_clause([_action_var(enc, k2, (r2, c2), d2, 0)])
-    assert not _sat(enc, backend)
+    assert not _sat(enc, backend, goal=False)
 
 
 def test_interference_pair_matches_simulator():
@@ -160,14 +165,14 @@ def test_self_blocking_action_needs_jump(backend):
     kind, r, c, d = fx.flags["self_block_action"]
     jr, jc = fx.flags["jump_cell"]
 
-    enc = encode_parallel(fx.level, 1, assert_goal=False)
+    enc = encode(fx.level, EncodingConfig(Mode.PARALLEL, 1, ReachKind.TREE))
     enc.formula.add_clause([_action_var(enc, kind, (r, c), d, 0)])
-    assert not _sat(enc, backend)
+    assert not _sat(enc, backend, goal=False)
 
-    enc = encode_parallel(fx.level, 2, assert_goal=False)
+    enc = encode(fx.level, EncodingConfig(Mode.PARALLEL, 2, ReachKind.TREE))
     enc.formula.add_clause([enc.var(f"jump[{jr},{jc},0]")])
     enc.formula.add_clause([_action_var(enc, kind, (r, c), d, 1)])
-    assert _sat(enc, backend)
+    assert _sat(enc, backend, goal=False)
 
 
 @pytest.mark.parametrize("reach", REACHES)
@@ -177,52 +182,64 @@ def test_reach_kinds_agree_on_status(reach, backend):
     opt = fx.object_actions_optimal
     for T in (opt - 1, opt):
         want = T >= opt
-        assert _sat(encode_collapsed(fx.level, T, reach), backend) is want
+        encoding = encode(fx.level, EncodingConfig(Mode.COLLAPSED, T, reach))
+        assert _sat(encoding, backend) is want
 
 
-def test_invariants_do_not_change_status(backend):
+def test_invariants_do_not_change_status(backend, monkeypatch):
+    """The snowball-count invariants prune no plan: with them patched out,
+    the minimal horizons stay the same."""
     fx = load_fixture("snow_pop")
-    opt = fx.object_actions_optimal
-    for T, want in ((opt - 1, False), (opt, True)):
-        enc = encode_collapsed(fx.level, T, invariants_on=False)
-        assert _sat(enc, backend) is want
-    opt = fx.moves_optimal
-    for invariants_on in (True, False):
+    cases = ((Mode.COLLAPSED, fx.object_actions_optimal),
+             (Mode.FULL, fx.moves_optimal))
+    with_invariants = {}
+    for mode, opt in cases:
+        with_invariants[mode] = encode(fx.level, EncodingConfig(mode, opt))
         for T, want in ((opt - 1, False), (opt, True)):
-            enc = encode_full(fx.level, T, invariants_on=invariants_on)
-            assert _sat(enc, backend) is want, (invariants_on, T)
+            enc = encode(fx.level, EncodingConfig(mode, T))
+            assert _sat(enc, backend) is want, (mode, T)
+    monkeypatch.setattr(_Encoder, "_invariants", lambda self, t: None)
+    for mode, opt in cases:
+        bare = encode(fx.level, EncodingConfig(mode, opt))
+        assert (len(bare.formula.clauses)
+                < len(with_invariants[mode].formula.clauses))
+        for T, want in ((opt - 1, False), (opt, True)):
+            enc = encode(fx.level, EncodingConfig(mode, T))
+            assert _sat(enc, backend) is want, (mode, T)
 
 
 @pytest.mark.parametrize("mode", list(Mode))
 def test_extension_appends_layers_once(mode, backend):
-    """An incremental encoding grown horizon by horizon holds the one-shot
-    encoding's variables plus one goal[T] per horizon, and under goal[T]
-    answers like the one-shot encoding at T."""
+    """An encoding grown horizon by horizon holds a fresh encoding's
+    variables plus the goal[t] of each earlier horizon t, and under goal[T]
+    answers like a fresh encoding at T."""
     fx = load_fixture("snow_pop")
     opt = fx.moves_optimal if mode is Mode.FULL else fx.object_actions_optimal
     encoding = None
     for T in range(opt + 1):
-        encoding = encode(fx.level, EncodingConfig(mode, T), encoding,
-                          incremental=True)
+        encoding = encode(fx.level, EncodingConfig(mode, T), encoding)
         assert encoding.goal == encoding.var(f"goal[{T}]")
-        one_shot = encode(fx.level, EncodingConfig(mode, T))
-        assert encoding.formula.num_vars == one_shot.formula.num_vars + T + 1
-        out = solve(encoding.formula, backend=backend,
-                    assumptions=[encoding.goal])
-        assert out.status is _status(one_shot, backend)
+        fresh = encode(fx.level, EncodingConfig(mode, T))
+        assert encoding.formula.num_vars == fresh.formula.num_vars + T
+        out = _solve(encoding, backend)
+        assert out.status is _status(fresh, backend)
     plan = decode(encoding, out.model)
     moves = plan.moves if mode is Mode.FULL else serialize(fx.level, plan)
     assert is_goal(fx.level, run_plan(fx.level, moves).state)
 
 
 def test_extension_rejects_other_configs():
+    """Any encoding can be grown to a later horizon, but not to the same
+    or an earlier one, nor to another mode or reach."""
     level = load_fixture("snow_pop").level
-    one_shot = encode(level, EncodingConfig(Mode.COLLAPSED, 1))
+    fresh = encode(level, EncodingConfig(Mode.COLLAPSED, 1))
+    grown = encode(level, EncodingConfig(Mode.COLLAPSED, 2), fresh)
+    assert grown.formula is fresh.formula
+    assert grown.goal == grown.var("goal[2]")
+    for horizon in (1, 2):
+        with pytest.raises(ValueError):
+            encode(level, EncodingConfig(Mode.COLLAPSED, horizon), grown)
     with pytest.raises(ValueError):
-        encode(level, EncodingConfig(Mode.COLLAPSED, 2), one_shot)
-    grown = encode(level, EncodingConfig(Mode.COLLAPSED, 1), incremental=True)
+        encode(level, EncodingConfig(Mode.COLLAPSED, 3, ReachKind.DAG), grown)
     with pytest.raises(ValueError):
-        encode(level, EncodingConfig(Mode.COLLAPSED, 2, ReachKind.DAG), grown)
-    with pytest.raises(ValueError):
-        encode(level, EncodingConfig(Mode.DESCEND, 2, action_budget=1),
-               incremental=True)
+        encode(level, EncodingConfig(Mode.DESCEND, 3), grown)

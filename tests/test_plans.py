@@ -2,7 +2,7 @@
 
 import pytest
 
-from snowplan.encoder import encode_collapsed, encode_full, encode_parallel
+from snowplan.encoder import EncodingConfig, Mode, ReachKind, encode
 from snowplan.fixtures import load_fixture
 from snowplan.game import Direction
 from snowplan.plans import (LurdError, ObjectAction, ParallelPlan, RunRecord,
@@ -27,8 +27,8 @@ def test_object_action_geometry():
 
 def test_decode_full_model(backend):
     fx = load_fixture("soko_corridor")
-    encoding = encode_full(fx.level, fx.moves_optimal)
-    out = solve(encoding.formula, backend=backend)
+    encoding = encode(fx.level, EncodingConfig(Mode.FULL, fx.moves_optimal))
+    out = solve(encoding.formula, backend=backend, assumptions=[encoding.goal])
     assert out.status is Status.SAT
     plan = decode(encoding, out.model)
     assert isinstance(plan, SequentialPlan)
@@ -38,8 +38,9 @@ def test_decode_full_model(backend):
 
 def test_decode_collapsed_model(backend):
     fx = load_fixture("snow_pop")
-    encoding = encode_collapsed(fx.level, fx.object_actions_optimal)
-    out = solve(encoding.formula, backend=backend)
+    encoding = encode(fx.level, EncodingConfig(Mode.COLLAPSED,
+                                               fx.object_actions_optimal))
+    out = solve(encoding.formula, backend=backend, assumptions=[encoding.goal])
     plan = decode(encoding, out.model)
     assert isinstance(plan, ParallelPlan)
     assert all(len(step.actions) == 1 for step in plan.steps)
@@ -48,16 +49,17 @@ def test_decode_collapsed_model(backend):
 
 def test_decode_parallel_model(backend):
     fx = load_fixture("soko_pair")
-    encoding = encode_parallel(fx.level, 1)
-    out = solve(encoding.formula, backend=backend)
+    encoding = encode(fx.level, EncodingConfig(Mode.PARALLEL, 1, ReachKind.TREE))
+    out = solve(encoding.formula, backend=backend, assumptions=[encoding.goal])
     plan = decode(encoding, out.model)
     assert plan.object_action_count == 2
 
 
 def test_decode_zero_horizon(backend):
     fx = load_fixture("snow_done")
-    encoding = encode_collapsed(fx.level, 0)
-    plan = decode(encoding, solve(encoding.formula, backend=backend).model)
+    encoding = encode(fx.level, EncodingConfig(Mode.COLLAPSED, 0))
+    out = solve(encoding.formula, backend=backend, assumptions=[encoding.goal])
+    plan = decode(encoding, out.model)
     assert plan.steps == []
 
 

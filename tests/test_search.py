@@ -158,12 +158,15 @@ def test_hybrid_records_phase_times(backend):
                          + [(Mode.PARALLEL, r) for r in ReachKind])
 def test_incremental_deepening_matches_one_shot(name, mode, reach):
     """Growing one formula under goal assumptions finds the same minimal
-    horizon as a fresh one-shot encoding and solver per horizon."""
+    horizon as a one-shot solve of a fresh encoding and solver per horizon."""
     level = load_fixture(name).level
-    one_shot = next(
-        T for T in range(FAST.horizon_cap + 1)
-        if solve(encode(level, EncodingConfig(mode, T, reach)).formula,
-                 backend=InProcessSolver()).status is Status.SAT)
+
+    def sat_at(T):
+        fresh = encode(level, EncodingConfig(mode, T, reach))
+        return solve(fresh.formula, backend=InProcessSolver(),
+                     assumptions=[fresh.goal]).status is Status.SAT
+
+    one_shot = next(T for T in range(FAST.horizon_cap + 1) if sat_at(T))
     bounds, plan = _deepen(level, mode, reach, _Clock(FAST), InProcessSolver())
     assert bounds.status is BoundStatus.OPTIMAL
     assert bounds.upper == one_shot
