@@ -15,7 +15,8 @@ from pathlib import Path
 from .encoder import Mode, ReachKind
 from .levels import GameTag, Level, parse_level
 from .plans import RunRecord, SequentialPlan, to_lurd
-from .search import Bounds, BoundStatus, BudgetPolicy, solve_hybrid, solve_sequential
+from .search import (Bounds, BoundStatus, BudgetPolicy, serialize, solve_hybrid,
+                     solve_sequential)
 
 LEVEL_SUFFIXES = {".snw": GameTag.SNOWMAN, ".xsb": GameTag.SOKOBAN}
 
@@ -99,8 +100,6 @@ def _dispatch(level: Level, instance: str, reach: ReachKind, mode,
                                      backend=backend)
         lurd = None if moves is None else to_lurd(level, SequentialPlan(moves))
     else:
-        from .search import serialize
-
         bounds, plan = solve_sequential(level, Mode(mode_name), reach, policy,
                                         backend)
         lurd = None
@@ -130,13 +129,13 @@ def run_bench(directory: Path, reaches: list[ReachKind],
     """Run every (instance, reach) pair; failures are recorded, not fatal."""
     report = BenchReport(limit=limit)
     for path, game in discover_levels(directory):
+        try:
+            level = parse_level(path.read_text(), game)
+        except Exception as exc:  # noqa: BLE001
+            report.runs.extend(BenchRun(path.stem, reach.value, False, 0.0,
+                                        error=str(exc)) for reach in reaches)
+            continue
         for reach in reaches:
-            try:
-                level = parse_level(path.read_text(), game)
-            except Exception as exc:  # noqa: BLE001
-                report.runs.append(BenchRun(path.stem, reach.value, False, 0.0,
-                                            error=str(exc)))
-                continue
             report.runs.append(run_instance(level, path.stem, reach, mode,
                                             limit, seed, backend))
     return report

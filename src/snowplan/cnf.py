@@ -21,43 +21,71 @@ class Formula:
         self.num_vars = 0
         self.clauses: list[list[int]] = []
         self.name_to_var: dict[str, int] = {}
-        self.var_to_name: dict[int, str] = {}
-        self._aux_count = 0
 
     def new_var(self, name: str | None = None) -> int:
         """Allocate a fresh variable, optionally registered under `name`."""
-        if name is None:
-            self._aux_count += 1
-            name = f"_aux{self._aux_count}"
-        if name in self.name_to_var:
-            raise RegistryError(f"variable name already registered: {name!r}")
+        if name is not None:
+            if name in self.name_to_var:
+                raise RegistryError(f"variable name already registered: {name!r}")
+            self.name_to_var[name] = self.num_vars + 1
         self.num_vars += 1
-        self.name_to_var[name] = self.num_vars
-        self.var_to_name[self.num_vars] = name
         return self.num_vars
 
     def var(self, name: str) -> int:
         return self.name_to_var[name]
 
+    def _check(self, *lit_lists) -> None:
+        n = self.num_vars
+        for lits in lit_lists:
+            for lit in lits:
+                if lit == 0 or abs(lit) > n:
+                    raise ValueError(f"literal {lit} outside allocated variables")
+
     def add_clause(self, lits: list[int]) -> None:
-        for lit in lits:
-            if lit == 0 or abs(lit) > self.num_vars:
-                raise ValueError(f"literal {lit} outside allocated variables")
+        self._check(lits)
         self.clauses.append(list(lits))
 
     def force_unsat(self) -> None:
         """Append the empty clause, marking the formula as trivially UNSAT."""
         self.clauses.append([])
 
-    # -- cardinality ----------------------------------------------------
+    # -- gadgets ----------------------------------------------------------
+    # Each gadget checks its literals once, then appends its clauses. Every
+    # clause starts with `guard`, so a gadget binds only while each guard
+    # literal is false. Clauses are built by list concatenation, which sizes
+    # them exactly; star-unpacking would over-allocate every clause.
 
-    def exactly_one(self, lits: list[int]) -> None:
-        """Pairwise exactly-one: one ALO clause plus k(k-1)/2 AMO clauses."""
-        if not lits:
+    def exactly_one(self, lits: list[int], guard=()) -> None:
+        """Pairwise exactly-one: one ALO clause plus k(k-1)/2 AMO clauses;
+        with no literals, the clause `guard` (which must not be empty)."""
+        if not lits and not guard:
             raise ValueError("exactly_one over an empty literal list")
-        self.add_clause(list(lits))
-        for a, b in combinations(lits, 2):
-            self.add_clause([-a, -b])
+        self._check(guard, lits)
+        head = list(guard)
+        self.clauses.append(head + lits)
+        self._pairwise(lits, head)
+
+    def at_most_one(self, lits: list[int], guard=()) -> None:
+        """Pairwise at-most-one: k(k-1)/2 binary clauses under the guard."""
+        self._check(guard, lits)
+        self._pairwise(lits, list(guard))
+
+    def _pairwise(self, lits: list[int], head: list[int]) -> None:
+        self.clauses.extend(head + [-a, -b] for a, b in combinations(lits, 2))
+
+    def define_or(self, y: int, lits: list[int]) -> None:
+        """y <-> OR(lits): [-l, y] per literal, then [-y] + lits."""
+        self._check((y,), lits)
+        self.clauses.extend([-lit, y] for lit in lits)
+        self.clauses.append([-y] + lits)
+
+    def define_and(self, y: int, lits: list[int]) -> None:
+        """y <-> AND(lits): [-y, l] per literal, then the negated lits + [y]."""
+        self._check((y,), lits)
+        self.clauses.extend([-y, lit] for lit in lits)
+        self.clauses.append([-lit for lit in lits] + [y])
+
+    # -- cardinality ----------------------------------------------------
 
     def at_most_k(self, lits: list[int], k: int) -> None:
         """Sequential-counter at-most-k (unit negations for k=0)."""

@@ -17,7 +17,9 @@ Registry name grammar (consumed by the plan decoder):
   goal       goal[T]   (assumed true: the goal holds at horizon T)
 where D is one of N,S,E,W. Reachability fragments use the graph-module names
 suffixed with ",t" (and ",jt" for the jump fragment, ",ck,t" for per-ball
-path copies).
+path copies). A PATH fragment with suffix S also owns the source copy
+src[v S] (src[v,ck,t] for the copies, src[v,jt] for the jump path); each
+copy has the targets tgt[v,ck,t] and the selector sel[ck,t].
 """
 
 from __future__ import annotations
@@ -114,7 +116,7 @@ class _Encoder:
         self.cfg = config
         self.T = -1             # last layer built
         self.f = Formula()
-        self.graph = lv.grid_graph(level)
+        self.graph = reach.grid_graph(level.floor)
         self.vertex = {cell: i for i, cell in enumerate(self.graph.cell_of)}
         self.cells = sorted(level.floor)
         self.snowman = level.game is GameTag.SNOWMAN
@@ -194,12 +196,9 @@ class _Encoder:
         f = self.f
         for (r, c) in self.cells:
             cell = (r, c)
-            flags = self._flags(cell, t)
             fv = f.new_var(f"free[{r},{c},{t}]")
             self.free[cell, t] = fv
-            for flag in flags:
-                f.add_clause([-fv, -flag])
-            f.add_clause([fv] + flags)
+            f.define_or(-fv, self._flags(cell, t))
 
     def _initial_state(self) -> None:
         f = self.f
@@ -251,9 +250,7 @@ class _Encoder:
         """Ball at l advances to the empty cell b, growing on snow."""
         f = self.f
         bs, bm, bl, sn = self.bs, self.bm, self.bl, self.snow
-        f.add_clause([-a] + self._flags(l, t))
-        for x, y in combinations(self._flags(l, t), 2):
-            f.add_clause([-a, -x, -y])
+        f.exactly_one(self._flags(l, t), [-a])
         for flag in self._flags(b, t):
             f.add_clause([-a, -flag])
         for flag in self._flags(l, t + 1):
@@ -465,62 +462,56 @@ class _Encoder:
         return self.vertex[(l[0] - dr, l[1] - dc)]
 
     def _attach_reach(self, actions, t: int, gate: dict[int, int]) -> None:
-        """Require each action's pushing cell reachable from the agent."""
-        f = self.f
-        source = self._reach_source(t)
-        if self.cfg.reach is ReachKind.DAG:
-            frag = reach.encode_dag(f, self.graph, source, gate, tag=f",{t}")
-        elif self.cfg.reach is ReachKind.TREE:
-            frag = reach.encode_spanning_tree(f, self.graph, source, gate,
-                                              tag=f",{t}")
-        else:
-            self._attach_reach_path(actions, t, gate, source)
-            return
-        for kind, l, d, a in actions:
-            f.add_clause([-a, frag.reach[self._pushing_vertex(l, d)]])
+        """Require each action's pushing cell reachable from the agent.
 
-    def _selected_source(self, source: dict[int, int], sel: int, name: str,
-                         tag: str) -> dict[int, int]:
-        """A copy of the reach source that is empty unless `sel` holds."""
-        f = self.f
-        out = {}
-        for v, ind in source.items():
-            lit = f.new_var(f"{name}[{v},{tag}]")
-            f.add_clause([-lit, ind])
-            f.add_clause([-lit, sel])
-            f.add_clause([-ind, -sel, lit])
-            out[v] = lit
-        return out
-
-    def _attach_reach_path(self, actions, t: int, gate: dict[int, int],
-                           source: dict[int, int]) -> None:
-        """Path encoding needs explicit targets: aim one copy per ball at
-        each acting step's pushing cell. Sequential modes use one copy;
-        PARALLEL replicates per ball. A copy with no target is released
-        entirely through its selector literal (noop steps have no target).
+        DAG and TREE give every cell a reach variable. PATH needs explicit
+        targets: one copy per ball aims at each acting step's pushing cell
+        (sequential modes use one copy, PARALLEL one per ball), and a copy
+        with no target is released through its selector literal (noop steps
+        have no target).
         """
         f = self.f
-        if self.cfg.mode is Mode.PARALLEL:
-            balls = sum(len(s) for _, s in self.level.stacks)
-            copies = max(1, balls or len(self.level.boxes))
+        source = self._reach_source(t)
+        if self.cfg.reach is not ReachKind.PATH:
+            by_copy = [self._reach_vars(source, gate, f",{t}")]
         else:
             copies = 1
-        n = self.graph.num_vertices
-        by_copy = []
-        for k in range(copies):
-            tgt = {v: f.new_var(f"tgt[{v},c{k},{t}]") for v in range(n)}
-            for x, y in combinations(tgt.values(), 2):
-                f.add_clause([-x, -y])
-            sel = f.new_var(f"sel[c{k},{t}]")
-            for v in tgt.values():
-                f.add_clause([-v, sel])
-            f.add_clause([-sel] + list(tgt.values()))
-            src = self._selected_source(source, sel, "src", f"c{k},{t}")
-            reach.encode_path(f, self.graph, src, tgt, gate, tag=f",c{k},{t}")
-            by_copy.append(tgt)
+            if self.cfg.mode is Mode.PARALLEL:
+                balls = sum(len(s) for _, s in self.level.stacks)
+                copies = max(1, balls or len(self.level.boxes))
+            by_copy = []
+            for k in range(copies):
+                tag = f",c{k},{t}"
+                tgt = {v: f.new_var(f"tgt[{v}{tag}]")
+                       for v in range(self.graph.num_vertices)}
+                f.at_most_one(list(tgt.values()))
+                sel = f.new_var(f"sel[c{k},{t}]")
+                f.define_or(sel, list(tgt.values()))
+                self._path_to(source, sel, tgt, gate, tag)
+                by_copy.append(tgt)
         for kind, l, d, a in actions:
             p = self._pushing_vertex(l, d)
             f.add_clause([-a] + [tgt[p] for tgt in by_copy])
+
+    def _reach_vars(self, source: dict[int, int], gate: dict[int, int],
+                    tag: str) -> dict[int, int]:
+        """DAG/TREE: a reach variable per vertex, true only if the vertex is
+        reachable from the source through gated cells."""
+        encode_reach = (reach.encode_dag if self.cfg.reach is ReachKind.DAG
+                        else reach.encode_spanning_tree)
+        return encode_reach(self.f, self.graph, source, gate, tag=tag).reach
+
+    def _path_to(self, source: dict[int, int], sel: int,
+                 target: dict[int, int], gate: dict[int, int],
+                 tag: str) -> None:
+        """PATH: a path from the source to the target while `sel` holds; the
+        source copy src[v{tag}] is empty otherwise."""
+        f = self.f
+        src = {}
+        for v, ind in source.items():
+            src[v] = f.new_var(f"src[{v}{tag}]")
+            f.define_and(src[v], [ind, sel])
+        reach.encode_path(f, self.graph, src, target, gate, tag=tag)
 
     def _collapsed_step(self, t: int) -> None:
         f = self.f
@@ -557,12 +548,9 @@ class _Encoder:
         # exclusive jump action under the plain time-t gate
         jumps = {cell: f.new_var(f"jump[{cell[0]},{cell[1]},{t}]")
                  for cell in self.cells}
-        for x, y in combinations(jumps.values(), 2):
-            f.add_clause([-x, -y])
+        f.at_most_one(list(jumps.values()))
         jumping = f.new_var(f"jumping[{t}]")
-        for j in jumps.values():
-            f.add_clause([-j, jumping])
-        f.add_clause([-jumping] + list(jumps.values()))
+        f.define_or(jumping, list(jumps.values()))
         for a in avars:
             f.add_clause([-jumping, -a])
         f.add_clause(avars + list(jumps.values()))  # no idle steps
@@ -575,9 +563,7 @@ class _Encoder:
         gate = {}
         for cell in self.cells:
             g = f.new_var(f"gate[{cell[0]},{cell[1]},{t}]")
-            f.add_clause([-g, self.free[cell, t]])
-            f.add_clause([-g, self.free[cell, t + 1]])
-            f.add_clause([g, -self.free[cell, t], -self.free[cell, t + 1]])
+            f.define_and(g, [self.free[cell, t], self.free[cell, t + 1]])
             gate[self.vertex[cell]] = g
         self._attach_reach(actions, t, gate)
         # the jump destination is reachable under the time-t gate
@@ -585,20 +571,12 @@ class _Encoder:
                  for cell in self.cells}
         source = self._reach_source(t)
         jtgt = {self.vertex[cell]: j for cell, j in jumps.items()}
+        tag = f",j{t}"
         if self.cfg.reach is ReachKind.PATH:
             # non-jump steps have no target; release the path through
             # the jumping indicator
-            jsrc = self._selected_source(source, jumping, "jsrc", str(t))
-            reach.encode_path(f, self.graph, jsrc, jtgt, jgate,
-                              tag=f",j{t}")
-        elif self.cfg.reach is ReachKind.TREE:
-            frag = reach.encode_spanning_tree(f, self.graph, source, jgate,
-                                              tag=f",j{t}")
-            for v, j in jtgt.items():
-                f.add_clause([-j, frag.reach[v]])
+            self._path_to(source, jumping, jtgt, jgate, tag)
         else:
-            frag = reach.encode_dag(f, self.graph, source, jgate,
-                                    tag=f",j{t}")
+            r = self._reach_vars(source, jgate, tag)
             for v, j in jtgt.items():
-                f.add_clause([-j, frag.reach[v]])
-
+                f.add_clause([-j, r[v]])

@@ -12,8 +12,6 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 
-from . import reach
-
 Cell = tuple[int, int]
 
 
@@ -276,8 +274,3 @@ def parse_level(text: str, game: GameTag) -> Level:
     if game is GameTag.SNOWMAN:
         return parse_snowman(text)
     return parse_sokoban_xsb(text)
-
-
-def grid_graph(level: Level) -> reach.Graph:
-    """Undirected grid graph with one vertex per floor cell."""
-    return reach.grid_graph(level.rows, level.cols, level.floor)

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 
 from .encoder import Encoding, Mode
-from .game import ActionKind, Direction, classify, initial_state, run_plan
+from .game import ActionKind, Direction, classify, initial_state, is_goal, run_plan
 from .levels import Cell, Level
 
 _LETTER = {Direction.W: "l", Direction.N: "u", Direction.E: "r", Direction.S: "d"}
@@ -185,8 +185,6 @@ def validate_lurd(level: Level, text: str) -> dict:
     Returns a summary dict; raises LurdError on rejection or a case
     mismatch against the simulator's action classification.
     """
-    from .game import is_goal
-
     parsed = parse_lurd(text)
     moves = [d for d, _ in parsed]
     result = run_plan(level, moves)

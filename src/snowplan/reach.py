@@ -30,8 +30,6 @@ class Graph:
     num_vertices: int
     edges: tuple[tuple[int, int], ...]
     directed: bool = False
-    rows: int | None = None
-    cols: int | None = None
     cell_of: tuple[tuple[int, int], ...] | None = None  # vertex -> (row, col)
 
     def __post_init__(self):
@@ -55,7 +53,7 @@ class Graph:
         return [sorted(s) for s in out]
 
 
-def grid_graph(rows: int, cols: int, open_cells) -> Graph:
+def grid_graph(open_cells) -> Graph:
     """Undirected grid graph over the given open (row, col) cells."""
     cells = sorted(set(open_cells))
     index = {c: i for i, c in enumerate(cells)}
@@ -66,7 +64,7 @@ def grid_graph(rows: int, cols: int, open_cells) -> Graph:
             if j is not None:
                 edges.append((i, j))
     return Graph(len(cells), tuple(edges), directed=False,
-                 rows=rows, cols=cols, cell_of=tuple(cells))
+                 cell_of=tuple(cells))
 
 
 @dataclass
@@ -177,12 +175,6 @@ def _at_most_two(formula: Formula, guard: list[int], lits: list[int]) -> None:
         formula.add_clause(guard + [-a for a in trip])
 
 
-def _exactly_one_guarded(formula: Formula, guard: list[int], lits: list[int]) -> None:
-    formula.add_clause(guard + lits)
-    for a, b in combinations(lits, 2):
-        formula.add_clause(guard + [-a, -b])
-
-
 def encode_path(formula: Formula, graph: Graph, source: Endpoint, target: Endpoint,
                 gate: Gate = None, tag: str = "") -> ReachFragment:
     """Grid path-membership encoding: endpoints degree one, interior degree two.
@@ -220,7 +212,7 @@ def encode_path(formula: Formula, graph: Graph, source: Endpoint, target: Endpoi
             # fixed endpoint (and the other endpoint is not fixed here)
             other = t_ind if s_ind is None else s_ind
             guard = [-p[v]] + ([other] if other else [])
-            _exactly_one_guarded(formula, guard, pn)
+            formula.exactly_one(pn, guard)
             continue
         guards_interior = [-p[v]]
         if s_ind:
@@ -228,9 +220,9 @@ def encode_path(formula: Formula, graph: Graph, source: Endpoint, target: Endpoi
         if t_ind:
             guards_interior.append(t_ind)
         if s_ind:
-            _exactly_one_guarded(formula, [-p[v], -s_ind] + ([t_ind] if t_ind else []), pn)
+            formula.exactly_one(pn, [-p[v], -s_ind] + ([t_ind] if t_ind else []))
         if t_ind:
-            _exactly_one_guarded(formula, [-p[v], -t_ind] + ([s_ind] if s_ind else []), pn)
+            formula.exactly_one(pn, [-p[v], -t_ind] + ([s_ind] if s_ind else []))
         _at_least_two(formula, guards_interior, pn)
         _at_most_two(formula, guards_interior, pn)
 
@@ -288,8 +280,7 @@ def encode_spanning_tree(formula: Formula, graph: Graph, source: Endpoint,
             clause = [-r[v]] + parents + ([ind] if ind else [])
             formula.add_clause(clause)
         # (5) at most one parent; the source has none
-        for a, b in combinations(parents, 2):
-            formula.add_clause([-a, -b])
+        formula.at_most_one(parents)
         if ind is None:
             for u in nbs[v]:
                 formula.add_clause([-t[(u, v)]])

@@ -103,7 +103,8 @@ class ExternalSolver:
             handle.write(formula.to_dimacs())
             path = handle.name
         try:
-            cmd = self.command_template.format(input=path)
+            # not str.format: other braces in the template stay as written
+            cmd = self.command_template.replace("{input}", path)
             try:
                 # a session of its own, so a timeout can end the shell and
                 # every process it started

@@ -54,7 +54,7 @@ def _random_small_graph(rng):
                  if rng.random() < 0.85]
         if not cells:
             continue
-        g = grid_graph(rows, cols, cells)
+        g = grid_graph(cells)
         if g.num_vertices <= 12:
             break
     free = {v for v in range(g.num_vertices) if rng.random() < 0.75}
@@ -108,7 +108,7 @@ def test_criterion_2_size_bounds():
     with _verdict(2, "encoding size bounds"):
         for size in range(2, 9):
             cells = [(r, c) for r in range(size) for c in range(size)]
-            g = grid_graph(size, size, cells)
+            g = grid_graph(cells)
             n, m = g.num_vertices, len(g.edges)
 
             f = Formula()

@@ -4,12 +4,13 @@ from pathlib import Path
 
 import pytest
 
+from snowplan import bench
 from snowplan.bench import (BenchReport, BenchRun, discover_levels,
                             load_level_file, par2_score, run_bench,
                             run_instance)
 from snowplan.encoder import ReachKind
 from snowplan.fixtures import FIXTURE_DIR, load_fixture
-from snowplan.levels import GameTag
+from snowplan.levels import GameTag, parse_level
 
 
 def test_par2_arithmetic():
@@ -83,3 +84,22 @@ def test_run_bench_directory(tmp_path, backend):
     assert by_name["bad"].error is not None
     assert report.summary()["tree"]["instances"] == 2
 
+
+def test_run_bench_parses_each_level_once(tmp_path, backend, monkeypatch):
+    """One parse per file; a parse error is one failed run per reach."""
+    (tmp_path / "one.xsb").write_text("######\n#@$-.#\n######\n")
+    (tmp_path / "bad.snw").write_text("not a level")
+    parsed = []
+
+    def counting_parse(text, game):
+        parsed.append(game)
+        return parse_level(text, game)
+
+    monkeypatch.setattr(bench, "parse_level", counting_parse)
+    reaches = [ReachKind.TREE, ReachKind.DAG]
+    report = run_bench(tmp_path, reaches, backend=backend)
+    assert len(parsed) == 2
+    bad = [run for run in report.runs if run.instance == "bad"]
+    assert sorted(run.reach for run in bad) == ["dag", "tree"]
+    assert all(not run.solved and run.error for run in bad)
+    assert all(run.solved for run in report.runs if run.instance == "one")

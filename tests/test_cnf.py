@@ -68,6 +68,80 @@ def test_exactly_one_empty_rejected():
         Formula().exactly_one([])
 
 
+def test_gadget_clauses_start_with_guard():
+    f = Formula()
+    lits = [f.new_var() for _ in range(4)]
+    guard = [-f.new_var(), f.new_var()]
+    f.exactly_one(lits, guard)
+    assert len(f.clauses) == 1 + 6
+    assert f.clauses[0] == guard + lits
+    f.at_most_one(lits, guard)
+    assert len(f.clauses) == 1 + 6 + 6
+    assert all(clause[:2] == guard for clause in f.clauses)
+    assert sorted(sorted(c[2:]) for c in f.clauses[1:7]) == sorted(
+        sorted([-a, -b]) for a, b in combinations(lits, 2))
+
+
+def test_exactly_one_empty_with_guard_is_guard_clause():
+    f = Formula()
+    g = f.new_var()
+    f.exactly_one([], [-g])
+    assert f.clauses == [[-g]]
+
+
+def test_at_most_one_unguarded_is_pairwise():
+    f = Formula()
+    lits = [f.new_var() for _ in range(3)]
+    f.at_most_one(lits)
+    assert f.clauses == [[-a, -b] for a, b in combinations(lits, 2)]
+    f.at_most_one(lits[:1])
+    f.at_most_one([])
+    assert len(f.clauses) == 3
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("gadget,truth", [("define_or", any), ("define_and", all)])
+def test_definitions_match_truth_table(gadget, truth, k):
+    """Every assignment of y and the k inputs satisfies the clauses iff
+    y equals OR (or AND) of the inputs; a negated input counts negated."""
+    from itertools import product
+
+    f = Formula()
+    y = f.new_var()
+    xs = [f.new_var() for _ in range(k)]
+    lits = [-x if i % 2 else x for i, x in enumerate(xs)]
+    getattr(f, gadget)(y, lits)
+    for bits in product([False, True], repeat=k + 1):
+        value = dict(zip([y] + xs, bits))
+
+        def holds(lit):
+            return value[abs(lit)] == (lit > 0)
+
+        sat = all(any(holds(lit) for lit in clause) for clause in f.clauses)
+        assert sat == (holds(y) == truth(holds(lit) for lit in lits)), bits
+
+
+@pytest.mark.parametrize("call", [
+    lambda f: f.exactly_one([1, 2], [-3]),
+    lambda f: f.exactly_one([1, 3], [-2]),
+    lambda f: f.exactly_one([1, 0]),
+    lambda f: f.at_most_one([1, 2], [3]),
+    lambda f: f.at_most_one([-3, 1]),
+    lambda f: f.define_or(3, [1, 2]),
+    lambda f: f.define_or(1, [2, -3]),
+    lambda f: f.define_and(-3, [1]),
+    lambda f: f.define_and(1, [0, 2]),
+])
+def test_gadget_rejects_out_of_range_literal(call):
+    f = Formula()
+    f.new_var()
+    f.new_var()
+    f.add_clause([1, 2])
+    with pytest.raises(ValueError):
+        call(f)
+    assert f.clauses == [[1, 2]]
+
+
 def test_at_most_zero_is_unit_negations():
     f = Formula()
     x, y = f.new_var("x"), f.new_var("y")

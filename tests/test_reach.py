@@ -72,14 +72,14 @@ def test_dag_model_reach_subset_of_bfs():
 
 
 def test_path_source_equals_target():
-    g = grid_graph(1, 3, [(0, 0), (0, 1), (0, 2)])
+    g = grid_graph([(0, 0), (0, 1), (0, 2)])
     f = Formula()
     encode_path(f, g, 0, 0)
     assert _sat(f)
 
 
 def test_path_corridor_unique_assignment():
-    g = grid_graph(1, 3, [(0, 0), (0, 1), (0, 2)])
+    g = grid_graph([(0, 0), (0, 1), (0, 2)])
     f = Formula()
     frag = encode_path(f, g, 0, 2)
     out = _solve(f)
@@ -89,7 +89,7 @@ def test_path_corridor_unique_assignment():
 
 def test_path_gated_column_unsat():
     cells = [(r, c) for r in range(3) for c in range(3)]
-    g = grid_graph(3, 3, cells)
+    g = grid_graph(cells)
     f = Formula()
     gate = {}
     middle = {i for i, (r, c) in enumerate(g.cell_of) if c == 1}
@@ -154,7 +154,7 @@ def _random_gated_instance(rng):
     rows, cols = rng.randint(2, 3), rng.randint(2, 4)
     cells = [(r, c) for r in range(rows) for c in range(cols)]
     keep = [c for c in cells if rng.random() < 0.85] or cells[:1]
-    g = grid_graph(rows, cols, keep)
+    g = grid_graph(keep)
     free = {v for v in range(g.num_vertices) if rng.random() < 0.75}
     source = rng.randrange(g.num_vertices)
     free.add(source)
@@ -205,7 +205,7 @@ def test_dag_and_path_agree_with_bfs_random():
 
 
 def test_bfs_oracle_basics():
-    g = grid_graph(1, 3, [(0, 0), (0, 1), (0, 2)])
+    g = grid_graph([(0, 0), (0, 1), (0, 2)])
     assert bfs_reachable(g, 0) == {0, 1, 2}
     assert bfs_reachable(Graph(1, ()), 0) == {0}
     with pytest.raises(ValueError):
@@ -217,7 +217,7 @@ def test_bfs_oracle_basics():
 
 def _counts(encoder, size):
     cells = [(r, c) for r in range(size) for c in range(size)]
-    g = grid_graph(size, size, cells)
+    g = grid_graph(cells)
     f = Formula()
     if encoder is encode_path:
         encoder(f, g, 0, g.num_vertices - 1)

@@ -116,6 +116,16 @@ def test_external_sat_output_parsed(tmp_path):
     assert out.model == {1: True, 2: False}
 
 
+def test_external_template_keeps_other_braces(tmp_path):
+    """Only {input} is substituted; any other brace field reaches the
+    solver unchanged."""
+    cmd = _script_solver(
+        tmp_path, 'test "$1" = "{seed}" && test -s "$2" && echo "s UNSATISFIABLE"\n')
+    cmd = cmd.replace(" {input}", " {seed} {input}")
+    out = ExternalSolver(cmd).solve(_tiny([[1], [-1]], 1))
+    assert out.status is Status.UNSAT
+
+
 def test_external_unsat_output_parsed(tmp_path):
     cmd = _script_solver(tmp_path, 'echo "s UNSATISFIABLE"\n')
     out = ExternalSolver(cmd).solve(_tiny([[1], [-1]], 1))
