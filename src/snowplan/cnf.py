@@ -51,8 +51,8 @@ class Formula:
 
     # -- gadgets ----------------------------------------------------------
     # Each gadget checks its literals once, then appends its clauses. Every
-    # clause starts with `guard`, so a gadget binds only while each guard
-    # literal is false. Clauses are built by list concatenation, which sizes
+    # clause of `exactly_one` starts with `guard`, so it binds only while
+    # each guard literal is false. Clauses are built by list concatenation, which sizes
     # them exactly; star-unpacking would over-allocate every clause.
 
     def exactly_one(self, lits: list[int], guard=()) -> None:
@@ -65,10 +65,10 @@ class Formula:
         self.clauses.append(head + lits)
         self._pairwise(lits, head)
 
-    def at_most_one(self, lits: list[int], guard=()) -> None:
-        """Pairwise at-most-one: k(k-1)/2 binary clauses under the guard."""
-        self._check(guard, lits)
-        self._pairwise(lits, list(guard))
+    def at_most_one(self, lits: list[int]) -> None:
+        """Pairwise at-most-one: k(k-1)/2 binary clauses."""
+        self._check(lits)
+        self._pairwise(lits, [])
 
     def _pairwise(self, lits: list[int], head: list[int]) -> None:
         self.clauses.extend(head + [-a, -b] for a, b in combinations(lits, 2))

@@ -75,8 +75,6 @@ def test_gadget_clauses_start_with_guard():
     f.exactly_one(lits, guard)
     assert len(f.clauses) == 1 + 6
     assert f.clauses[0] == guard + lits
-    f.at_most_one(lits, guard)
-    assert len(f.clauses) == 1 + 6 + 6
     assert all(clause[:2] == guard for clause in f.clauses)
     assert sorted(sorted(c[2:]) for c in f.clauses[1:7]) == sorted(
         sorted([-a, -b]) for a, b in combinations(lits, 2))
@@ -125,7 +123,6 @@ def test_definitions_match_truth_table(gadget, truth, k):
     lambda f: f.exactly_one([1, 2], [-3]),
     lambda f: f.exactly_one([1, 3], [-2]),
     lambda f: f.exactly_one([1, 0]),
-    lambda f: f.at_most_one([1, 2], [3]),
     lambda f: f.at_most_one([-3, 1]),
     lambda f: f.define_or(3, [1, 2]),
     lambda f: f.define_or(1, [2, -3]),

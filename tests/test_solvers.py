@@ -117,11 +117,13 @@ def test_external_sat_output_parsed(tmp_path):
 
 
 def test_external_template_keeps_other_braces(tmp_path):
-    """Only {input} is substituted; any other brace field reaches the
-    solver unchanged."""
+    """Only {input} is substituted; any other brace field, and a doubled
+    brace, reaches the solver unchanged."""
     cmd = _script_solver(
-        tmp_path, 'test "$1" = "{seed}" && test -s "$2" && echo "s UNSATISFIABLE"\n')
-    cmd = cmd.replace(" {input}", " {seed} {input}")
+        tmp_path,
+        'test "$1" = "{seed}" && test "$2" = "{{x}}" && test -s "$3"'
+        ' && echo "s UNSATISFIABLE"\n')
+    cmd = cmd.replace(" {input}", " {seed} '{{x}}' {input}")
     out = ExternalSolver(cmd).solve(_tiny([[1], [-1]], 1))
     assert out.status is Status.UNSAT
 
