@@ -45,10 +45,6 @@ class Formula:
         self._check(lits)
         self.clauses.append(list(lits))
 
-    def force_unsat(self) -> None:
-        """Append the empty clause, marking the formula as trivially UNSAT."""
-        self.clauses.append([])
-
     # -- gadgets ----------------------------------------------------------
     # Each gadget checks its literals once, then appends its clauses. Every
     # clause of `exactly_one` starts with `guard`, so it binds only while
@@ -114,12 +110,9 @@ class Formula:
 
     def at_least_k(self, lits: list[int], k: int) -> None:
         """One clause for k=1, else the dual of at_most_k via negation."""
-        if k < 0:
-            raise ValueError("at_least_k with negative bound")
+        if not 0 <= k <= len(lits):
+            raise ValueError(f"at_least_k bound {k} outside 0..{len(lits)}")
         if k == 0:
-            return
-        if k > len(lits):
-            self.force_unsat()
             return
         if k == 1:
             self.add_clause(list(lits))

@@ -499,7 +499,7 @@ class _Encoder:
         reachable from the source through gated cells."""
         encode_reach = (reach.encode_dag if self.cfg.reach is ReachKind.DAG
                         else reach.encode_spanning_tree)
-        return encode_reach(self.f, self.graph, source, gate, tag=tag).reach
+        return encode_reach(self.f, self.graph, source, gate, tag=tag)
 
     def _path_to(self, source: dict[int, int], sel: int,
                  target: dict[int, int], gate: dict[int, int],

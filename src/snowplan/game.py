@@ -37,9 +37,6 @@ class Metric(enum.Enum):
     OBJECT_ACTIONS = "object_actions"
 
 
-OBJECT_KINDS = (ActionKind.ROLL, ActionKind.PUSH, ActionKind.POP)
-
-
 @dataclass(frozen=True)
 class GameState:
     agent: Cell

@@ -9,6 +9,7 @@ floor, 'P' agent on snow. Sokoban levels use the community XSB convention.
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -220,8 +221,6 @@ def parse_sokoban_xsb(text: str) -> Level:
 
 
 def _exterior_cells(rows: int, cols: int, walls: set[Cell]) -> set[Cell]:
-    from collections import deque
-
     seen: set[Cell] = set()
     queue: deque[Cell] = deque()
     for r in range(rows):

@@ -71,10 +71,6 @@ class Step:
 class SequentialPlan:
     moves: list[Direction]
 
-    @property
-    def move_count(self) -> int:
-        return len(self.moves)
-
 
 @dataclass
 class ParallelPlan:
@@ -173,10 +169,6 @@ def parse_lurd(text: str) -> list[tuple[Direction, bool]]:
             raise LurdError(f"bad character {ch!r} at index {i}")
         out.append((_DIRECTION[ch.lower()], ch.isupper()))
     return out
-
-
-def lurd_moves(text: str) -> list[Direction]:
-    return [d for d, _ in parse_lurd(text)]
 
 
 def validate_lurd(level: Level, text: str) -> dict:

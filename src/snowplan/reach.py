@@ -1,7 +1,7 @@
 """Graph reachability CNF encodings: DAG, grid path, and spanning tree.
 
-All three encoders append to a caller-owned Formula and return a
-ReachFragment mapping each vertex to its reachability variable. Cells can be
+Graphs are undirected. All three encoders append to a caller-owned Formula
+and return a dict mapping each vertex to its reach literal. Cells can be
 disabled dynamically through a Gate of per-vertex "free" literals; the source
 is always constrained to be free. Sources (and the path encoding's target)
 may be a fixed vertex or a map vertex -> indicator literal, for use inside
@@ -14,7 +14,7 @@ Registry naming: "r[v{tag}]", "edge[u,v{tag}]", "ord[u,v{tag}]",
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .cnf import Formula
@@ -29,7 +29,6 @@ Gate = dict[int, int] | None
 class Graph:
     num_vertices: int
     edges: tuple[tuple[int, int], ...]
-    directed: bool = False
     cell_of: tuple[tuple[int, int], ...] | None = None  # vertex -> (row, col)
 
     def __post_init__(self):
@@ -44,12 +43,11 @@ class Graph:
         return self.cell_of is not None
 
     def neighbors(self) -> list[list[int]]:
-        """Out-neighbours (directed) or neighbours (undirected), deduplicated."""
+        """Neighbours of each vertex, deduplicated and sorted."""
         out: list[set[int]] = [set() for _ in range(self.num_vertices)]
         for u, v in self.edges:
             out[u].add(v)
-            if not self.directed:
-                out[v].add(u)
+            out[v].add(u)
         return [sorted(s) for s in out]
 
 
@@ -63,14 +61,7 @@ def grid_graph(open_cells) -> Graph:
             j = index.get(nb)
             if j is not None:
                 edges.append((i, j))
-    return Graph(len(cells), tuple(edges), directed=False,
-                 cell_of=tuple(cells))
-
-
-@dataclass
-class ReachFragment:
-    reach: dict[int, int]
-    aux: dict[str, dict] = field(default_factory=dict)
+    return Graph(len(cells), tuple(edges), cell_of=tuple(cells))
 
 
 def bfs_reachable(graph: Graph, source: int, free: set[int] | None = None) -> set[int]:
@@ -109,17 +100,16 @@ def _assert_endpoint_free(formula: Formula, ends: dict[int, int | None], gate: G
 
 
 def encode_dag(formula: Formula, graph: Graph, source: Endpoint,
-               gate: Gate = None, tag: str = "") -> ReachFragment:
+               gate: Gate = None, tag: str = "") -> dict[int, int]:
     """Acyclic-justification reachability (edge selection + strict partial order).
 
     Sound for st-queries: with a unit r[t] asserted, the formula is SAT iff t
     is reachable from the source through free cells; in every model the
-    true-r set is a subset of the reachable set. Undirected graphs are
-    symmetrized.
+    true-r set is a subset of the reachable set. Each edge gives two arcs,
+    one per direction, each with its own edge variable.
     """
     n = graph.num_vertices
-    arcs = sorted({(u, v) for u, v in graph.edges} |
-                  ({(v, u) for u, v in graph.edges} if not graph.directed else set()))
+    arcs = sorted(set(graph.edges) | {(v, u) for u, v in graph.edges})
     src = _source_lits(source, n)
 
     r = {v: formula.new_var(f"r[{v}{tag}]") for v in range(n)}
@@ -159,7 +149,7 @@ def encode_dag(formula: Formula, graph: Graph, source: Endpoint,
             if w != u and w != v:
                 formula.add_clause([-e[(u, v)], -ordv[(v, w)], ordv[(u, w)]])
 
-    return ReachFragment(reach=r, aux={"edge": e, "ord": ordv})
+    return r
 
 
 def _at_least_two(formula: Formula, guard: list[int], lits: list[int]) -> None:
@@ -176,7 +166,7 @@ def _at_most_two(formula: Formula, guard: list[int], lits: list[int]) -> None:
 
 
 def encode_path(formula: Formula, graph: Graph, source: Endpoint, target: Endpoint,
-                gate: Gate = None, tag: str = "") -> ReachFragment:
+                gate: Gate = None, tag: str = "") -> dict[int, int]:
     """Grid path-membership encoding: endpoints degree one, interior degree two.
 
     SAT iff the target is reachable from the source through free cells.
@@ -226,19 +216,17 @@ def encode_path(formula: Formula, graph: Graph, source: Endpoint, target: Endpoi
         _at_least_two(formula, guards_interior, pn)
         _at_most_two(formula, guards_interior, pn)
 
-    return ReachFragment(reach=dict(p), aux={"path": p})
+    return p
 
 
 def encode_spanning_tree(formula: Formula, graph: Graph, source: Endpoint,
-                         gate: Gate = None, tag: str = "") -> ReachFragment:
+                         gate: Gate = None, tag: str = "") -> dict[int, int]:
     """Spanning-tree reachability: exact in every model.
 
     Each model's true-r set equals the source's connected component within
     the free cells: a tree of parent edges rooted at the source covers every
     reachable vertex, and unreachability propagates into disconnected areas.
     """
-    if graph.directed:
-        raise ValueError("spanning tree encoding requires an undirected graph")
     n = graph.num_vertices
     nbs = graph.neighbors()
     src = _source_lits(source, n)
@@ -309,4 +297,4 @@ def encode_spanning_tree(formula: Formula, graph: Graph, source: Endpoint,
             if gate is not None:
                 formula.add_clause([-t[(a, b)], gate[b]])
 
-    return ReachFragment(reach=r, aux={"tree": t})
+    return r

@@ -24,7 +24,6 @@ import shutil
 import signal
 import subprocess
 import tempfile
-import threading
 import time
 import weakref
 from dataclasses import dataclass, field
@@ -172,8 +171,7 @@ class InProcessSolver:
     and loads only the clauses appended since the last call, so a formula
     grown between calls keeps everything learnt so far. Formulas must only
     grow: variables and clauses are appended, never changed or removed.
-    Threads may share one solver as long as each formula is solved by one
-    thread at a time.
+    One thread at a time uses an InProcessSolver.
     """
 
     incremental = True
@@ -181,7 +179,6 @@ class InProcessSolver:
     def __init__(self) -> None:
         self._states: weakref.WeakKeyDictionary[Formula, _CDCL] = (
             weakref.WeakKeyDictionary())
-        self._lock = threading.Lock()
 
     def __repr__(self) -> str:
         return "InProcessSolver()"
@@ -198,10 +195,9 @@ class InProcessSolver:
         for lit in assumptions:
             if lit == 0 or abs(lit) > formula.num_vars:
                 raise ValueError(f"assumption {lit} outside allocated variables")
-        with self._lock:
-            cdcl = self._states.get(formula)
-            if cdcl is None:
-                cdcl = self._states[formula] = _CDCL()
+        cdcl = self._states.get(formula)
+        if cdcl is None:
+            cdcl = self._states[formula] = _CDCL()
         cdcl.load(formula)
         result = cdcl.run(assumptions, deadline)
         elapsed = time.monotonic() - start

@@ -86,15 +86,14 @@ def test_criterion_1_reachability_exact():
                 want = target in reachable
                 fd = Formula()
                 frag = encode_dag(fd, g, source, _gate(fd, free, n))
-                fd.add_clause([frag.reach[target]])
+                fd.add_clause([frag[target]])
                 assert (solver.solve(fd).status is Status.SAT) == want
                 fp = Formula()
                 encode_path(fp, g, source, target, _gate(fp, free, n))
                 assert (solver.solve(fp).status is Status.SAT) == want
                 ft = Formula()
                 frag = encode_spanning_tree(ft, g, source, _gate(ft, free, n))
-                ft.add_clause([-frag.reach[target]] if want
-                              else [frag.reach[target]])
+                ft.add_clause([-frag[target]] if want else [frag[target]])
                 assert solver.solve(ft).status is Status.UNSAT
         print("[acceptance]   200 random graphs, 3 encodings, all exact")
 

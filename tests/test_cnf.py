@@ -214,6 +214,8 @@ def test_negative_bounds_rejected():
         f.at_most_k([x], -1)
     with pytest.raises(ValueError):
         f.at_least_k([x], -1)
+    with pytest.raises(ValueError):
+        f.at_least_k([x], 2)
 
 
 def test_dimacs_format():
@@ -252,11 +254,4 @@ def test_pigeonhole_unsat():
         f.exactly_one([cell[p, h] for h in range(3)])
     for h in range(3):
         f.at_most_k([cell[p, h] for p in range(4)], 1)
-    assert InProcessSolver().solve(f).status is Status.UNSAT
-
-
-def test_force_unsat():
-    f = Formula()
-    f.new_var("x")
-    f.force_unsat()
     assert InProcessSolver().solve(f).status is Status.UNSAT

@@ -6,7 +6,7 @@ from snowplan.encoder import EncodingConfig, Mode, ReachKind, encode
 from snowplan.fixtures import load_fixture
 from snowplan.game import Direction
 from snowplan.plans import (LurdError, ObjectAction, ParallelPlan, RunRecord,
-                            SequentialPlan, Step, lurd_moves, parse_lurd,
+                            SequentialPlan, Step, parse_lurd,
                             to_lurd, validate_lurd, decode)
 from snowplan.solvers import Status, solve
 
@@ -32,7 +32,7 @@ def test_decode_full_model(backend):
     assert out.status is Status.SAT
     plan = decode(encoding, out.model)
     assert isinstance(plan, SequentialPlan)
-    assert plan.move_count == fx.moves_optimal
+    assert len(plan.moves) == fx.moves_optimal
     assert to_lurd(fx.level, plan) == "RR"
 
 
@@ -67,8 +67,6 @@ def test_parse_lurd_round_trip():
     parsed = parse_lurd("lUrD")
     assert parsed == [(Direction.W, False), (Direction.N, True),
                       (Direction.E, False), (Direction.S, True)]
-    assert lurd_moves("lurd") == [Direction.W, Direction.N,
-                                  Direction.E, Direction.S]
 
 
 def test_parse_lurd_rejects_garbage():

@@ -24,31 +24,30 @@ def _solve(formula):
 
 
 def test_dag_isolated_vertices_unsat():
-    g = Graph(2, (), directed=True)
+    g = Graph(2, ())
     f = Formula()
-    frag = encode_dag(f, g, 0)
-    f.add_clause([frag.reach[1]])
+    reach = encode_dag(f, g, 0)
+    f.add_clause([reach[1]])
     assert not _sat(f)
 
 
 def test_dag_path_graph_model():
-    g = Graph(3, ((0, 1), (1, 2)), directed=True)
+    g = Graph(3, ((0, 1), (1, 2)))
     f = Formula()
-    frag = encode_dag(f, g, 0)
-    f.add_clause([frag.reach[2]])
+    reach = encode_dag(f, g, 0)
+    f.add_clause([reach[2]])
     out = _solve(f)
     assert out.status is Status.SAT
-    assert out.model[frag.reach[0]] and out.model[frag.reach[1]]
-    assert out.model[frag.aux["edge"][(0, 1)]]
-    assert out.model[frag.aux["edge"][(1, 2)]]
+    assert out.model[reach[0]] and out.model[reach[1]]
+    assert out.model[f.var("edge[0,1]")] and out.model[f.var("edge[1,2]")]
 
 
 def test_dag_disconnected_cycle_unsat():
-    """A 2-cycle component cannot justify itself without the source."""
-    g = Graph(3, ((1, 2), (2, 1)), directed=True)
+    """A component without the source cannot justify itself."""
+    g = Graph(3, ((1, 2),))
     f = Formula()
-    frag = encode_dag(f, g, 0)
-    f.add_clause([frag.reach[1]])
+    reach = encode_dag(f, g, 0)
+    f.add_clause([reach[1]])
     assert not _sat(f)
 
 
@@ -59,13 +58,16 @@ def test_dag_model_reach_subset_of_bfs():
         edges = tuple({(rng.randrange(n), rng.randrange(n))
                        for _ in range(rng.randint(1, 2 * n))} -
                       {(v, v) for v in range(n)})
-        g = Graph(n, tuple(edges), directed=True)
-        f = Formula()
-        frag = encode_dag(f, g, 0)
-        out = _solve(f)
-        assert out.status is Status.SAT
-        truthy = {v for v in range(n) if out.model[frag.reach[v]]}
-        assert truthy <= bfs_reachable(g, 0)
+        g = Graph(n, edges)
+        reachable = bfs_reachable(g, 0)
+        for target in range(n):
+            f = Formula()
+            reach = encode_dag(f, g, 0)
+            f.add_clause([reach[target]])
+            out = _solve(f)
+            assert (out.status is Status.SAT) == (target in reachable)
+            if out.status is Status.SAT:
+                assert {v for v in range(n) if out.model[reach[v]]} <= reachable
 
 
 # -- path ---------------------------------------------------------------
@@ -81,10 +83,10 @@ def test_path_source_equals_target():
 def test_path_corridor_unique_assignment():
     g = grid_graph([(0, 0), (0, 1), (0, 2)])
     f = Formula()
-    frag = encode_path(f, g, 0, 2)
+    reach = encode_path(f, g, 0, 2)
     out = _solve(f)
     assert out.status is Status.SAT
-    assert all(out.model[frag.reach[v]] for v in range(3))
+    assert all(out.model[reach[v]] for v in range(3))
 
 
 def test_path_gated_column_unsat():
@@ -115,38 +117,32 @@ def test_path_requires_grid_metadata():
 def test_tree_single_vertex():
     g = Graph(1, ())
     f = Formula()
-    frag = encode_spanning_tree(f, g, 0)
+    reach = encode_spanning_tree(f, g, 0)
     out = _solve(f)
     assert out.status is Status.SAT
-    assert out.model[frag.reach[0]]
+    assert out.model[reach[0]]
 
 
 def test_tree_path_graph_every_model_full():
     g = Graph(3, ((0, 1), (1, 2)))
     f = Formula()
-    frag = encode_spanning_tree(f, g, 0)
+    encode_spanning_tree(f, g, 0)
     # no model may mark any vertex unreachable
     for v in range(3):
         probe = Formula()
-        frag2 = encode_spanning_tree(probe, g, 0)
-        probe.add_clause([-frag2.reach[v]])
+        reach = encode_spanning_tree(probe, g, 0)
+        probe.add_clause([-reach[v]])
         assert not _sat(probe)
     out = _solve(f)
-    assert out.model[frag.aux["tree"][(0, 1)]]
-    assert out.model[frag.aux["tree"][(1, 2)]]
-
-
-def test_tree_rejects_directed():
-    with pytest.raises(ValueError):
-        encode_spanning_tree(Formula(), Graph(2, ((0, 1),), directed=True), 0)
+    assert out.model[f.var("tree[0,1]")] and out.model[f.var("tree[1,2]")]
 
 
 def test_tree_two_components_never_reach():
     g = Graph(4, ((0, 1), (2, 3)))
     f = Formula()
-    frag = encode_spanning_tree(f, g, 0)
+    reach = encode_spanning_tree(f, g, 0)
     for v in (2, 3):
-        f.add_clause([frag.reach[v]])
+        f.add_clause([reach[v]])
     assert not _sat(f)
 
 
@@ -177,14 +173,14 @@ def test_tree_exactness_random_gated_graphs():
         g, source, free = _random_gated_instance(rng)
         reachable = bfs_reachable(g, source, free)
         base = Formula()
-        frag = encode_spanning_tree(base, g, source, _const_gate(base, free, g.num_vertices))
+        encode_spanning_tree(base, g, source, _const_gate(base, free, g.num_vertices))
         assert _sat(base)
         for v in range(g.num_vertices):
             probe = Formula()
-            frag = encode_spanning_tree(
+            reach = encode_spanning_tree(
                 probe, g, source, _const_gate(probe, free, g.num_vertices))
             want = v in reachable
-            probe.add_clause([-frag.reach[v]] if want else [frag.reach[v]])
+            probe.add_clause([-reach[v]] if want else [reach[v]])
             assert not _sat(probe), (g, source, free, v)
 
 
@@ -195,12 +191,12 @@ def test_dag_and_path_agree_with_bfs_random():
         reachable = bfs_reachable(g, source, free)
         for target in range(g.num_vertices):
             fd = Formula()
-            frag = encode_dag(fd, g, source, _const_gate(fd, free, g.num_vertices))
-            fd.add_clause([frag.reach[target]])
+            reach = encode_dag(fd, g, source, _const_gate(fd, free, g.num_vertices))
+            fd.add_clause([reach[target]])
             assert _sat(fd) == (target in reachable)
             fp = Formula()
-            frag = encode_path(fp, g, source, target,
-                               _const_gate(fp, free, g.num_vertices))
+            encode_path(fp, g, source, target,
+                        _const_gate(fp, free, g.num_vertices))
             assert _sat(fp) == (target in reachable)
 
 

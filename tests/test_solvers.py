@@ -1,10 +1,9 @@
 """Solver backends: bundled CDCL, external process contract, verification."""
 
+import gc
 import os
 import random
 import stat
-import sys
-import threading
 import time
 from pathlib import Path
 
@@ -296,32 +295,21 @@ def test_one_shot_backend_gets_assumptions_as_units():
         _agrees(f, out, assumptions)
 
 
-def test_threads_share_one_incremental_solver():
-    """Threads solving their own formulas through one solver each get the
-    answers enumeration gives."""
+def test_one_state_per_formula_until_collected():
+    """Calls on one formula share one state, which honours the clauses
+    appended between them; another formula gets its own state, and a
+    collected formula's state goes with it."""
     solver = InProcessSolver()
-    failures = []
-
-    def work(seed):
-        rng = random.Random(seed)
-        try:
-            for _ in range(15):
-                n = rng.randint(2, 8)
-                f = _tiny([_random_clause(rng, n) for _ in range(3 * n)], n)
-                lit = rng.choice([-1, 1]) * rng.randint(1, n)
-                _agrees(f, solver.solve(f, assumptions=[lit]), [lit])
-        except AssertionError as exc:
-            failures.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert not failures
+    f = _tiny([[1, 2]], 2)
+    assert solver.solve(f).status is Status.SAT
+    state = solver._states[f]
+    f.add_clause([-1])
+    f.add_clause([-2])
+    assert solver.solve(f).status is Status.UNSAT
+    assert solver._states[f] is state and len(solver._states) == 1
+    g = _tiny([[1]], 1)
+    assert solver.solve(g).status is Status.SAT
+    assert len(solver._states) == 2
+    del f
+    gc.collect()
+    assert len(solver._states) == 1
