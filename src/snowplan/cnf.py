@@ -5,6 +5,17 @@ from __future__ import annotations
 from itertools import combinations
 
 
+# An at-most-one over this many literals or more is a Sinz ladder (3k-4
+# clauses, k-1 fresh variables); a narrower one stays pairwise (k(k-1)/2
+# clauses, no variables). Measured: from 64 only the per-step object-action
+# choices of wide levels (k = 84-121 on the 60-cell rooms and six snowman
+# fixtures) become ladders, which halves encode time on those rooms and
+# leaves every FULL formula as it was. A ladder from k = 8 also caught
+# FULL's per-step agent exactly-one (k = 10-26 on the fixtures) and doubled
+# FULL deepening time, almost all of it on soko_three (k = 24).
+LADDER_MIN = 64
+
+
 class RegistryError(Exception):
     """A semantic variable name was registered twice."""
 
@@ -52,22 +63,27 @@ class Formula:
     # them exactly; star-unpacking would over-allocate every clause.
 
     def exactly_one(self, lits: list[int], guard=()) -> None:
-        """Pairwise exactly-one: one ALO clause plus k(k-1)/2 AMO clauses;
-        with no literals, the clause `guard` (which must not be empty)."""
+        """Exactly-one: one ALO clause, then the at-most-one of
+        `at_most_one`; with no literals, the clause `guard` (which must not
+        be empty)."""
         if not lits and not guard:
             raise ValueError("exactly_one over an empty literal list")
         self._check(guard, lits)
         head = list(guard)
         self.clauses.append(head + lits)
-        self._pairwise(lits, head)
+        self._at_most_one(lits, head)
 
     def at_most_one(self, lits: list[int]) -> None:
-        """Pairwise at-most-one: k(k-1)/2 binary clauses."""
+        """At-most-one: k(k-1)/2 binary clauses below LADDER_MIN literals,
+        else a Sinz ladder of 3k-4 clauses over k-1 unnamed variables."""
         self._check(lits)
-        self._pairwise(lits, [])
+        self._at_most_one(lits, [])
 
-    def _pairwise(self, lits: list[int], head: list[int]) -> None:
-        self.clauses.extend(head + [-a, -b] for a, b in combinations(lits, 2))
+    def _at_most_one(self, lits: list[int], head: list[int]) -> None:
+        if len(lits) >= LADDER_MIN:
+            self._counter(lits, 1, head)
+        else:
+            self.clauses.extend(head + [-a, -b] for a, b in combinations(lits, 2))
 
     def define_or(self, y: int, lits: list[int]) -> None:
         """y <-> OR(lits): [-l, y] per literal, then [-y] + lits."""
@@ -87,26 +103,35 @@ class Formula:
         """Sequential-counter at-most-k (unit negations for k=0)."""
         if k < 0:
             raise ValueError("at_most_k with negative bound")
-        n = len(lits)
-        if k >= n:
+        if k >= len(lits):
             return
+        self._check(lits)
         if k == 0:
-            for lit in lits:
-                self.add_clause([-lit])
-            return
-        # Sinz counter: reg[i][j] <=> at least j+1 of lits[0..i] are true.
-        reg = [[self.new_var() for _ in range(k)] for _ in range(n - 1)]
-        self.add_clause([-lits[0], reg[0][0]])
-        for j in range(1, k):
-            self.add_clause([-reg[0][j]])
+            self.clauses.extend([-lit] for lit in lits)
+        else:
+            self._counter(lits, k, [])
+
+    def _counter(self, lits: list[int], k: int, head: list[int]) -> None:
+        """Sinz's sequential counter (CP 2005) for at most k of 1 <= k <
+        len(lits) literals, each clause prefixed by `head`. reg[i][j] is a
+        fresh unnamed variable implied when at least j+1 of lits[0..i] are
+        true."""
+        n = len(lits)
+        base = self.num_vars + 1
+        self.num_vars += (n - 1) * k
+        reg = [range(base + i * k, base + (i + 1) * k) for i in range(n - 1)]
+        out = self.clauses
+        out.append(head + [-lits[0], reg[0][0]])
+        out.extend(head + [-reg[0][j]] for j in range(1, k))
         for i in range(1, n - 1):
-            self.add_clause([-lits[i], reg[i][0]])
-            self.add_clause([-reg[i - 1][0], reg[i][0]])
+            lit, prev, cur = -lits[i], reg[i - 1], reg[i]
+            out.append(head + [lit, cur[0]])
+            out.append(head + [-prev[0], cur[0]])
             for j in range(1, k):
-                self.add_clause([-lits[i], -reg[i - 1][j - 1], reg[i][j]])
-                self.add_clause([-reg[i - 1][j], reg[i][j]])
-            self.add_clause([-lits[i], -reg[i - 1][k - 1]])
-        self.add_clause([-lits[n - 1], -reg[n - 2][k - 1]])
+                out.append(head + [lit, -prev[j - 1], cur[j]])
+                out.append(head + [-prev[j], cur[j]])
+            out.append(head + [lit, -prev[k - 1]])
+        out.append(head + [-lits[n - 1], -reg[n - 2][k - 1]])
 
     def at_least_k(self, lits: list[int], k: int) -> None:
         """One clause for k=1, else the dual of at_most_k via negation."""
@@ -122,9 +147,11 @@ class Formula:
     # -- serialization --------------------------------------------------
 
     def to_dimacs(self) -> str:
+        pos = [str(v) for v in range(self.num_vars + 1)]
+        neg = ["-" + text for text in pos]
         lines = [f"p cnf {self.num_vars} {len(self.clauses)}"]
-        for clause in self.clauses:
-            lines.append(" ".join(str(lit) for lit in clause) + " 0")
+        lines += [" ".join([pos[lit] if lit > 0 else neg[-lit] for lit in clause])
+                  + " 0" for clause in self.clauses]
         return "\n".join(lines) + "\n"
 
 

@@ -5,7 +5,9 @@ from itertools import combinations
 
 import pytest
 
-from snowplan.cnf import Formula, RegistryError, parse_dimacs
+from snowplan.cnf import LADDER_MIN, Formula, RegistryError, parse_dimacs
+from snowplan.encoder import EncodingConfig, Mode, ReachKind, encode
+from snowplan.fixtures import load_fixture
 from snowplan.solvers import InProcessSolver, Status
 
 from conftest import brute_force_models
@@ -95,6 +97,60 @@ def test_at_most_one_unguarded_is_pairwise():
     f.at_most_one(lits[:1])
     f.at_most_one([])
     assert len(f.clauses) == 3
+
+
+def test_exactly_one_below_ladder_is_pairwise():
+    k = LADDER_MIN - 1
+    f = Formula()
+    lits = [f.new_var() for _ in range(k)]
+    f.exactly_one(lits)
+    assert f.num_vars == k
+    assert f.clauses == [lits] + [[-a, -b] for a, b in combinations(lits, 2)]
+    assert len(f.clauses) == 1 + 63 * 62 // 2
+
+
+@pytest.mark.parametrize("guard", [(), (-1, 2)])
+def test_exactly_one_from_ladder_min_is_a_ladder(guard):
+    k = LADDER_MIN
+    f = Formula()
+    f.new_var("g")
+    f.new_var("h")
+    lits = [f.new_var() for _ in range(k)]
+    f.exactly_one(lits, list(guard))
+    assert f.num_vars == 2 + k + (k - 1)
+    assert sorted(f.name_to_var.values()) == [1, 2]
+    assert len(f.clauses) == 1 + 3 * k - 4
+    assert f.clauses[0] == list(guard) + lits
+    assert all(clause[:len(guard)] == list(guard) for clause in f.clauses)
+
+    counter = Formula()
+    counter.new_var("g")
+    counter.new_var("h")
+    counter.at_most_k([counter.new_var() for _ in range(k)], 1)
+    assert [c[len(guard):] for c in f.clauses[1:]] == counter.clauses
+    assert counter.num_vars == f.num_vars
+
+
+@pytest.mark.parametrize("k", [LADDER_MIN, LADDER_MIN + 1])
+def test_guarded_ladder_semantics(k):
+    """A guard literal g prefixes every clause: with g false exactly one of
+    the literals holds; with g true any assignment of them extends."""
+    f = Formula()
+    g = f.new_var("g")
+    lits = [f.new_var() for _ in range(k)]
+    f.exactly_one(lits, [g])
+    solver = InProcessSolver()
+
+    def status(true_lits, guard_lit):
+        pinned = [lit if lit in true_lits else -lit for lit in lits]
+        return solver.solve(f, assumptions=[guard_lit] + pinned).status
+
+    for lit in lits:
+        assert status({lit}, -g) is Status.SAT
+    assert status(set(), -g) is Status.UNSAT
+    for i, j in [(0, 1), (0, k - 1), (k - 2, k - 1), (k // 2, k - 1), (1, k // 2)]:
+        assert status({lits[i], lits[j]}, -g) is Status.UNSAT, (i, j)
+    assert status(set(lits), g) is Status.SAT
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
@@ -228,6 +284,9 @@ def test_dimacs_format():
 
 def test_dimacs_empty():
     assert Formula().to_dimacs() == "p cnf 0 0\n"
+    f = Formula()
+    f.add_clause([])
+    assert f.to_dimacs() == "p cnf 0 1\n 0\n"
 
 
 def test_dimacs_round_trip():
@@ -244,6 +303,15 @@ def test_dimacs_round_trip():
         num_vars, clauses = parse_dimacs(f.to_dimacs())
         assert num_vars == f.num_vars
         assert sorted(map(tuple, clauses)) == sorted(map(tuple, f.clauses))
+
+
+def test_dimacs_round_trip_of_a_fixture_encoding():
+    """A COLLAPSED encoding with ladders comes back clause for clause."""
+    level = load_fixture("snow_tiny1").level
+    f = encode(level, EncodingConfig(Mode.COLLAPSED, 2, ReachKind.PATH)).formula
+    lits = [lit for clause in f.clauses for lit in clause]
+    assert min(lits) < 0 and max(map(abs, lits)) == f.num_vars
+    assert parse_dimacs(f.to_dimacs()) == (f.num_vars, f.clauses)
 
 
 def test_pigeonhole_unsat():
