@@ -8,11 +8,11 @@ from itertools import combinations
 # An at-most-one over this many literals or more is a Sinz ladder (3k-4
 # clauses, k-1 fresh variables); a narrower one stays pairwise (k(k-1)/2
 # clauses, no variables). Measured: from 64 only the per-step object-action
-# choices of wide levels (k = 84-121 on the 60-cell rooms and six snowman
-# fixtures) become ladders, which halves encode time on those rooms and
-# leaves every FULL formula as it was. A ladder from k = 8 also caught
-# FULL's per-step agent exactly-one (k = 10-26 on the fixtures) and doubled
-# FULL deepening time, almost all of it on soko_three (k = 24).
+# choices of wide levels become ladders (k = 84-121 on six snowman
+# fixtures, 152-457 on 60-cell rooms), which halves encode time on those
+# rooms and leaves every FULL formula as it was. A ladder from k = 8 also
+# caught FULL's per-step agent exactly-one (k = 10-26 on the fixtures) and
+# doubled FULL deepening time, almost all of it on soko_three (k = 24).
 LADDER_MIN = 64
 
 
@@ -112,10 +112,10 @@ class Formula:
             self._counter(lits, k, [])
 
     def _counter(self, lits: list[int], k: int, head: list[int]) -> None:
-        """Sinz's sequential counter (CP 2005) for at most k of 1 <= k <
-        len(lits) literals, each clause prefixed by `head`. reg[i][j] is a
-        fresh unnamed variable implied when at least j+1 of lits[0..i] are
-        true."""
+        """Sinz's sequential counter (CP 2005): at most k of `lits`, for
+        1 <= k < len(lits), each clause prefixed by `head`. reg[i][j] is a
+        fresh unnamed variable, implied when at least j+1 of lits[0..i]
+        are true."""
         n = len(lits)
         base = self.num_vars + 1
         self.num_vars += (n - 1) * k
