@@ -119,6 +119,7 @@ def _dispatch(level: Level, instance: str, reach: ReachKind, mode,
         seed=seed,
         backend=repr(backend) if backend is not None else "default",
         lurd=lurd,
+        phase_times={k: round(x, 6) for k, x in bounds.phase_times.items()},
     )
     return bounds, record
 

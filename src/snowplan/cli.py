@@ -41,6 +41,17 @@ def _backend_from(args):
     return None  # library default: env template, PATH probe, bundled CDCL
 
 
+def _timeout(args) -> float:
+    """The --timeout flag, else SNOWPLAN_TIMEOUT, else 300 seconds."""
+    if args.timeout is not None:
+        return args.timeout
+    value = _env("TIMEOUT", "300")
+    try:
+        return float(value)
+    except ValueError:
+        raise ValueError(f"SNOWPLAN_TIMEOUT is not a number: {value!r}") from None
+
+
 def _game_flag(value: str | None) -> GameTag | None:
     return None if value is None else GameTag(value)
 
@@ -56,8 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="level format (default: infer from file suffix)")
         p.add_argument("--reach", default=_env("REACH", "path"),
                        choices=[r.value for r in ReachKind])
-        p.add_argument("--timeout", type=float,
-                       default=float(_env("TIMEOUT", "300")))
+        p.add_argument("--timeout", type=float, default=None,
+                       help="seconds per run (default: SNOWPLAN_TIMEOUT, else 300)")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--solver-cmd", default=os.environ.get("SNOWPLAN_SOLVER_CMD"),
                        help="backend command template with {input} placeholder")
@@ -97,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_solve(args) -> int:
     level = load_level_file(args.level, _game_flag(args.game))
     run = run_instance(level, args.level.stem, ReachKind(args.reach),
-                       args.mode, args.timeout, args.seed,
+                       args.mode, _timeout(args), args.seed,
                        _backend_from(args))
     if run.error is not None:
         print(f"error: {run.error}", file=sys.stderr)
@@ -112,7 +123,7 @@ def cmd_solve(args) -> int:
 
 def cmd_bench(args) -> int:
     reaches = list(ReachKind) if args.all_reach else [ReachKind(args.reach)]
-    report = run_bench(args.directory, reaches, args.mode, args.timeout,
+    report = run_bench(args.directory, reaches, args.mode, _timeout(args),
                        args.seed, _backend_from(args))
     if not report.runs:
         print("warning: no level files found", file=sys.stderr)

@@ -197,10 +197,10 @@ def validate_lurd(level: Level, text: str) -> dict:
 # -- run records --------------------------------------------------------
 
 RECORD_FIELDS = ("instance", "game", "mode", "reach", "lb", "ub", "status",
-                 "horizon_times", "seed", "backend", "lurd")
+                 "horizon_times", "seed", "backend", "lurd", "phase_times")
 
 # timing fields are excluded when comparing records for determinism
-TIMING_FIELDS = ("horizon_times",)
+TIMING_FIELDS = ("horizon_times", "phase_times")
 
 
 @dataclass
@@ -218,6 +218,7 @@ class RunRecord:
     seed: int | None = None
     backend: str = ""
     lurd: str | None = None
+    phase_times: dict[str, float] = field(default_factory=dict)  # seconds per phase
 
     def to_json(self) -> str:
         return json.dumps({k: getattr(self, k) for k in RECORD_FIELDS},
@@ -227,6 +228,7 @@ class RunRecord:
     def from_json(cls, line: str) -> "RunRecord":
         data = json.loads(line)
         data.setdefault("horizon_times", [])
+        data.setdefault("phase_times", {})
         return cls(**{k: data.get(k) for k in RECORD_FIELDS})
 
     def stable_key(self) -> str:

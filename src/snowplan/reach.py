@@ -7,14 +7,24 @@ is always constrained to be free. Sources (and the path encoding's target)
 may be a fixed vertex or a map vertex -> indicator literal, for use inside
 planning encodings where the agent position is itself a variable.
 
-Registry naming: "r[v{tag}]", "edge[u,v{tag}]", "ord[u,v{tag}]",
-"tree[u,v{tag}]", "path[v{tag}]" where tag carries e.g. the timestep.
+DAG and TREE forbid cycles with one vertex-elimination gadget (Rankooh &
+Rintanen, AAAI 2022): order variables exist only on the edges of a chordal
+completion of the graph, and transitivity is stated only on its triangles.
+Their size is at most the number of vertices times d^2, d the most later
+neighbours any vertex has at its elimination (1-4 on the fixtures, 7 on a
+60-cell room), where the all-pairs order was quadratic in the vertices.
+
+Registry naming, where tag carries e.g. the timestep: "r[v{tag}]",
+"path[v{tag}]"; "edge[u,v{tag}]" and "tree[u,v{tag}]" on each arc (u, v), that
+is each edge in either direction; "ord[u,v{tag}]" on each chordal-completion
+edge in either direction (see `Graph.elimination`).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .cnf import Formula
@@ -42,13 +52,39 @@ class Graph:
     def is_grid(self) -> bool:
         return self.cell_of is not None
 
-    def neighbors(self) -> list[list[int]]:
+    @cached_property
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
         """Neighbours of each vertex, deduplicated and sorted."""
         out: list[set[int]] = [set() for _ in range(self.num_vertices)]
         for u, v in self.edges:
             out[u].add(v)
             out[v].add(u)
-        return [sorted(s) for s in out]
+        return tuple(tuple(sorted(s)) for s in out)
+
+    @cached_property
+    def elimination(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """Min-degree elimination order, each vertex with its later neighbours.
+
+        Eliminating a vertex joins its remaining neighbours pairwise (fill
+        edges) and removes it. The pairs (v, u), u a later neighbour of v,
+        are the edges of a chordal completion of the graph, each listed once,
+        and the later neighbours of every v form a clique in it. Ties break
+        toward the lower vertex index, so the order never varies.
+        """
+        adj = [set(nb) for nb in self.neighbors]
+        remaining = set(range(self.num_vertices))
+        order = []
+        while remaining:
+            v = min(remaining, key=lambda x: (len(adj[x]), x))
+            later = tuple(sorted(adj[v]))
+            for a, b in combinations(later, 2):
+                adj[a].add(b)
+                adj[b].add(a)
+            for u in later:
+                adj[u].discard(v)
+            remaining.discard(v)
+            order.append((v, later))
+        return tuple(order)
 
 
 def grid_graph(open_cells) -> Graph:
@@ -68,7 +104,7 @@ def bfs_reachable(graph: Graph, source: int, free: set[int] | None = None) -> se
     """Exact set of vertices reachable from source through free vertices."""
     if free is not None and source not in free:
         raise ValueError("source vertex is not free")
-    nbs = graph.neighbors()
+    nbs = graph.neighbors
     seen = {source}
     queue = deque([source])
     while queue:
@@ -99,23 +135,69 @@ def _assert_endpoint_free(formula: Formula, ends: dict[int, int | None], gate: G
             formula.add_clause([-ind, gate[v]])
 
 
+def _arcs(graph: Graph) -> list[tuple[int, int]]:
+    """Each edge in both directions, deduplicated and sorted."""
+    return [(u, v) for u, nb in enumerate(graph.neighbors) for v in nb]
+
+
+def _acyclic(formula: Formula, graph: Graph, arc_lits: dict[tuple[int, int], int],
+             tag: str) -> None:
+    """Forbid every directed cycle among the arcs whose literal is true.
+
+    Vertex elimination: a strict order `ord` on the edges of the graph's
+    chordal completion, with `ord[u,v] -> not ord[v,u]`, `arc -> ord`, and,
+    when v is eliminated, `ord[u,v] & ord[v,w] -> ord[u,w]` for each ordered
+    pair (u, w) of its later neighbours. Each chordal edge costs two
+    variables and one clause, each eliminated vertex with d later neighbours
+    d(d-1) clauses.
+
+    Sound: a cycle of true arcs is a cycle of true `ord` pairs. Let v be its
+    first-eliminated vertex, u -> v -> w. Then u and w are later neighbours
+    of v, so (u, w) is a chordal edge and transitivity sets `ord[u,w]`: the
+    shortcut u -> w is a shorter cycle of true `ord` pairs. Shortcutting
+    down to length two contradicts `ord[u,w] -> not ord[w,u]`. Complete: if
+    the true arcs are acyclic, `ord` set from one topological order of all
+    vertices satisfies every clause.
+    """
+    ordv: dict[tuple[int, int], int] = {}
+    for v, later in graph.elimination:
+        for u in later:
+            ordv[v, u] = formula.new_var(f"ord[{v},{u}{tag}]")
+            ordv[u, v] = formula.new_var(f"ord[{u},{v}{tag}]")
+            formula.add_clause([-ordv[v, u], -ordv[u, v]])
+    for arc, lit in arc_lits.items():
+        formula.add_clause([-lit, ordv[arc]])
+    for v, later in graph.elimination:
+        for u in later:
+            into = -ordv[u, v]
+            for w in later:
+                if w != u:
+                    formula.add_clause([into, -ordv[v, w], ordv[u, w]])
+
+
 def encode_dag(formula: Formula, graph: Graph, source: Endpoint,
                gate: Gate = None, tag: str = "") -> dict[int, int]:
-    """Acyclic-justification reachability (edge selection + strict partial order).
+    """Acyclic-justification reachability: edge selection with no cycle.
+
+    Each edge gives two arcs, one per direction, each with its own edge
+    variable. Every reached non-source vertex selects an incoming arc from
+    a reached vertex, and `_acyclic` forbids a cycle of selected arcs, so
+    following selected arcs backwards from any reached vertex ends at the
+    source through free cells. (A selected cycle would force `ord` around
+    it; shortcutting it at its first-eliminated vertex, whose two cycle
+    neighbours share a chordal edge, leaves a shorter forced cycle, down
+    to the 2-cycle that `ord`'s antisymmetry forbids.)
 
     Sound for st-queries: with a unit r[t] asserted, the formula is SAT iff t
     is reachable from the source through free cells; in every model the
-    true-r set is a subset of the reachable set. Each edge gives two arcs,
-    one per direction, each with its own edge variable.
+    true-r set is a subset of the reachable set.
     """
     n = graph.num_vertices
-    arcs = sorted(set(graph.edges) | {(v, u) for u, v in graph.edges})
+    arcs = _arcs(graph)
     src = _source_lits(source, n)
 
     r = {v: formula.new_var(f"r[{v}{tag}]") for v in range(n)}
     e = {(u, v): formula.new_var(f"edge[{u},{v}{tag}]") for u, v in arcs}
-    ordv = {(u, v): formula.new_var(f"ord[{u},{v}{tag}]")
-            for u in range(n) for v in range(n) if u != v}
 
     _assert_endpoint_free(formula, src, gate)
     incoming: dict[int, list[int]] = {v: [] for v in range(n)}
@@ -141,13 +223,9 @@ def encode_dag(formula: Formula, graph: Graph, source: Endpoint,
 
     for u, v in arcs:
         formula.add_clause([-e[(u, v)], r[u]])
-        formula.add_clause([-e[(u, v)], ordv[(u, v)]])
-        formula.add_clause([-e[(u, v)], -ordv[(v, u)]])
         if gate is not None:
             formula.add_clause([-e[(u, v)], gate[v]])
-        for w in range(n):
-            if w != u and w != v:
-                formula.add_clause([-e[(u, v)], -ordv[(v, w)], ordv[(u, w)]])
+    _acyclic(formula, graph, e, tag)
 
     return r
 
@@ -175,7 +253,7 @@ def encode_path(formula: Formula, graph: Graph, source: Endpoint, target: Endpoi
     if not graph.is_grid:
         raise ValueError("path encoding requires grid metadata")
     n = graph.num_vertices
-    nbs = graph.neighbors()
+    nbs = graph.neighbors
     src = _source_lits(source, n)
     tgt = _source_lits(target, n)
 
@@ -224,27 +302,28 @@ def encode_spanning_tree(formula: Formula, graph: Graph, source: Endpoint,
     """Spanning-tree reachability: exact in every model.
 
     Each model's true-r set equals the source's connected component within
-    the free cells: a tree of parent edges rooted at the source covers every
+    the free cells: a tree of parent arcs rooted at the source covers every
     reachable vertex, and unreachability propagates into disconnected areas.
+    `tree[u,v]` says u is the parent of v and exists only on arcs. Every
+    reached non-source vertex has a parent, and `_acyclic` forbids a cycle
+    of parent arcs, so following parents from any reached vertex ends at
+    the source through free cells. (A cycle of parent arcs is ruled out by
+    the shortcut argument given in `encode_dag` and `_acyclic`.)
     """
     n = graph.num_vertices
-    nbs = graph.neighbors()
+    nbs = graph.neighbors
+    arcs = _arcs(graph)
     src = _source_lits(source, n)
 
     r = {v: formula.new_var(f"r[{v}{tag}]") for v in range(n)}
-    t = {(u, v): formula.new_var(f"tree[{u},{v}{tag}]")
-         for u in range(n) for v in range(n) if u != v}
+    t = {(u, v): formula.new_var(f"tree[{u},{v}{tag}]") for u, v in arcs}
 
     _assert_endpoint_free(formula, src, gate)
-
-    def free(v: int) -> int | None:
-        return None if gate is None else gate[v]
 
     # (1) the source is reachable
     for v, ind in src.items():
         formula.add_clause([r[v]] if ind is None else [-ind, r[v]])
 
-    arcs = [(u, v) for u, v in graph.edges] + [(v, u) for u, v in graph.edges]
     for u, v in arcs:
         # (2) reachability propagates across edges, gated on the destination
         clause = [-r[u], r[v]]
@@ -278,23 +357,14 @@ def encode_spanning_tree(formula: Formula, graph: Graph, source: Endpoint,
         if gate is not None:
             formula.add_clause([-r[v], gate[v]])
 
-    # (6) transitivity of tree paths, and no cycles (w == u forbids 2-cycles)
-    for u, v in arcs:
-        for w in range(n):
-            if w == v:
-                continue
-            if w == u:
-                formula.add_clause([-t[(u, v)], -t[(v, u)]])
-            else:
-                formula.add_clause([-t[(u, v)], -t[(v, w)], t[(u, w)]])
-                formula.add_clause([-t[(u, v)], -t[(v, w)], -t[(w, u)]])
+    # (6) no cycle of parent arcs
+    _acyclic(formula, graph, t, tag)
 
-    # (7) any vertex on a tree path is reachable
-    for u, v in graph.edges:
-        for a, b in ((u, v), (v, u)):
-            formula.add_clause([-t[(a, b)], r[u]])
-            formula.add_clause([-t[(a, b)], r[v]])
-            if gate is not None:
-                formula.add_clause([-t[(a, b)], gate[b]])
+    # (7) both ends of a parent arc are reachable, and the child is free
+    for u, v in arcs:
+        formula.add_clause([-t[(u, v)], r[u]])
+        formula.add_clause([-t[(u, v)], r[v]])
+        if gate is not None:
+            formula.add_clause([-t[(u, v)], gate[v]])
 
     return r

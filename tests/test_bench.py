@@ -1,5 +1,7 @@
 """Benchmark harness: discovery, PAR-2 scoring, and error isolation."""
 
+import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ from snowplan.bench import (BenchReport, BenchRun, discover_levels,
 from snowplan.encoder import ReachKind
 from snowplan.fixtures import FIXTURE_DIR, load_fixture
 from snowplan.levels import GameTag, parse_level
+from snowplan.plans import RunRecord
 
 
 def test_par2_arithmetic():
@@ -59,6 +62,22 @@ def test_run_instance_produces_record(backend):
     assert record.status == "optimal"
     assert record.ub == fx.object_actions_optimal
     assert record.lurd == "RR"
+
+
+def test_hybrid_record_carries_phase_times(backend):
+    """A hybrid record holds its ascend and descend seconds as a timing
+    field: stable_key leaves them out, and old lines without them load."""
+    fx = load_fixture("soko_pair")
+    record = run_instance(fx.level, "soko_pair", ReachKind.DAG,
+                          backend=backend).record
+    assert set(record.phase_times) == {"ascend", "descend"}
+    assert all(t >= 0 for t in record.phase_times.values())
+    assert RunRecord.from_json(record.to_json()) == record
+    assert record.stable_key() == replace(record, phase_times={}).stable_key()
+    assert "phase_times" not in json.loads(record.stable_key())
+    old = json.loads(record.to_json())
+    del old["phase_times"]
+    assert RunRecord.from_json(json.dumps(old)).phase_times == {}
 
 
 def test_run_instance_isolates_errors():

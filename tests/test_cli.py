@@ -114,6 +114,18 @@ def test_env_defaults_feed_parser(monkeypatch, capsys):
     assert record.reach == "tree"
 
 
+def test_bad_timeout_env_fails_only_where_used(monkeypatch, capsys):
+    monkeypatch.setenv("SNOWPLAN_TIMEOUT", "abc")
+    assert main(["validate", CORRIDOR, "RR"]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["solve", CORRIDOR]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "SNOWPLAN_TIMEOUT" in err
+    assert err.count("\n") == 1
+    # an explicit flag wins over the variable
+    assert main(["solve", CORRIDOR, "--timeout", "30", "--emit", "lurd"]) == EXIT_OK
+
+
 def test_solve_records_are_deterministic(capsys):
     keys = []
     for _ in range(2):

@@ -1,12 +1,13 @@
 """Reachability encodings: soundness, exactness, equivalence, size bounds."""
 
 import random
+from itertools import combinations
 
 import pytest
 
 from snowplan.cnf import Formula
-from snowplan.reach import (Graph, bfs_reachable, encode_dag, encode_path,
-                            encode_spanning_tree, grid_graph)
+from snowplan.reach import (Graph, _acyclic, _arcs, bfs_reachable, encode_dag,
+                            encode_path, encode_spanning_tree, grid_graph)
 from snowplan.solvers import InProcessSolver, Status
 
 SOLVER = InProcessSolver()
@@ -68,6 +69,112 @@ def test_dag_model_reach_subset_of_bfs():
             assert (out.status is Status.SAT) == (target in reachable)
             if out.status is Status.SAT:
                 assert {v for v in range(n) if out.model[reach[v]]} <= reachable
+
+
+# -- acyclicity gadget --------------------------------------------------
+
+
+def _has_cycle(n, arcs):
+    """Depth-first search for a directed cycle."""
+    out = {v: [] for v in range(n)}
+    for u, v in arcs:
+        out[u].append(v)
+    state = [0] * n  # 0 unvisited, 1 on the stack, 2 done
+
+    def visit(v):
+        state[v] = 1
+        for w in out[v]:
+            if state[w] == 1 or (state[w] == 0 and visit(w)):
+                return True
+        state[v] = 2
+        return False
+
+    return any(state[v] == 0 and visit(v) for v in range(n))
+
+
+def _acyclic_formula(g):
+    f = Formula()
+    lits = {(u, v): f.new_var(f"arc[{u},{v}]") for u, v in _arcs(g)}
+    _acyclic(f, g, lits, "")
+    return f, lits
+
+
+def _arc_subsets(g, rng, samples):
+    """Every arc subset of a graph with at most 12 arcs, else a seeded
+    sample: half uniform at density p, half acyclic (forward arcs of a
+    random vertex ranking) plus at most one backward arc."""
+    arcs = _arcs(g)
+    if len(arcs) <= 12:
+        for mask in range(1 << len(arcs)):
+            yield [a for i, a in enumerate(arcs) if mask >> i & 1]
+        return
+    for _ in range(samples):
+        if rng.random() < 0.5:
+            p = rng.random()
+            yield [a for a in arcs if rng.random() < p]
+            continue
+        rank = list(range(g.num_vertices))
+        rng.shuffle(rank)
+        forward = [a for a in arcs if rank[a[0]] < rank[a[1]] and rng.random() < 0.8]
+        backward = [a for a in arcs if rank[a[0]] > rank[a[1]]]
+        yield forward + rng.sample(backward, min(len(backward), rng.randint(0, 1)))
+
+
+def _first_disagreement(g, f, lits, rng, samples=300):
+    """The first arc subset where forcing its arcs true is SAT although DFS
+    finds a cycle, or UNSAT although it finds none; None if all agree."""
+    for subset in _arc_subsets(g, rng, samples):
+        out = SOLVER.solve(f, assumptions=[lits[a] for a in subset])
+        if (out.status is Status.SAT) == _has_cycle(g.num_vertices, subset):
+            return subset
+    return None
+
+
+C6 = Graph(6, tuple((i, (i + 1) % 6) for i in range(6)))
+K4 = Graph(4, tuple(combinations(range(4), 2)))
+WHEEL = Graph(6, tuple((0, i) for i in range(1, 6))
+              + tuple((i, i % 5 + 1) for i in range(1, 6)))
+GRID3 = grid_graph([(r, c) for r in range(3) for c in range(3)])
+
+
+@pytest.mark.parametrize("g", [C6, GRID3, K4, WHEEL], ids=["c6", "grid3", "k4", "wheel"])
+def test_acyclic_gadget_sat_iff_no_cycle(g):
+    f, lits = _acyclic_formula(g)
+    assert _first_disagreement(g, f, lits, random.Random(7)) is None
+
+
+def test_acyclic_gadget_fill_edges():
+    """Min-degree elimination fills these graphs, except the complete K4."""
+    for g in (C6, GRID3, WHEEL):
+        assert sum(len(later) for _, later in g.elimination) > len(g.edges)
+    assert sum(len(later) for _, later in K4.elimination) == len(K4.edges)
+    # ties break by vertex index: C6 eliminates 0 first and joins 1 to 5
+    assert C6.elimination[0] == (0, (1, 5))
+
+
+def test_acyclic_gadget_random_graphs():
+    rng = random.Random(17)
+    for _ in range(30):
+        n = rng.randint(2, 6)
+        edges = tuple({tuple(sorted(rng.sample(range(n), 2)))
+                       for _ in range(rng.randint(1, 2 * n))})
+        g = Graph(n, edges)
+        f, lits = _acyclic_formula(g)
+        assert _first_disagreement(g, f, lits, rng, samples=100) is None, edges
+
+
+def test_acyclic_gadget_needs_every_triangle_clause():
+    """Deleting any one transitivity clause from a copy of the C6 formula
+    lets some directed cycle through, and the check above catches it."""
+    f, lits = _acyclic_formula(C6)
+    triangles = [i for i, clause in enumerate(f.clauses) if len(clause) == 3]
+    assert len(triangles) == 8
+    for drop in triangles:
+        mutant = Formula()
+        mutant.num_vars = f.num_vars
+        mutant.clauses = [c for i, c in enumerate(f.clauses) if i != drop]
+        subset = _first_disagreement(C6, mutant, lits, random.Random(7))
+        assert subset is not None and _has_cycle(6, subset), drop
 
 
 # -- path ---------------------------------------------------------------
@@ -237,6 +344,34 @@ def test_quadratic_family_size_bounds(encoder):
     # the smallest
     assert ratios_c[-1] <= 2 * ratios_c[0]
     assert ratios_v[-1] <= 2 * ratios_v[0]
+
+
+ROOM = grid_graph([(r, c) for r in range(7) for c in range(9)
+                   if (r, c) not in {(2, 2), (2, 6), (4, 4)}])
+
+
+@pytest.mark.parametrize("encoder", [encode_dag, encode_spanning_tree])
+def test_dag_tree_linear_size_bound(encoder):
+    """`ord` variables and clauses per call stay under a flat constant times
+    n on the 7x9 three-pillar room and on k x k grids, k = 4..12.
+
+    The ratios still rise slowly with k: a k x k grid has treewidth k, so
+    every elimination order leaves cliques of about k vertices. An
+    all-pairs order has n - 1 `ord` variables per vertex (143 at k = 12)
+    and breaks the bound from k = 4.
+    """
+    graphs = [ROOM] + [grid_graph([(r, c) for r in range(k) for c in range(k)])
+                       for k in range(4, 13)]
+    for g in graphs:
+        n = g.num_vertices
+        f = Formula()
+        encoder(f, g, 0)
+        ords = sum(1 for name in f.name_to_var if name.startswith("ord["))
+        assert ords <= 13 * n, (n, ords)
+        assert len(f.clauses) <= 72 * n, (n, len(f.clauses))
+    f = Formula()
+    encoder(f, ROOM, 0)
+    assert sum(1 for name in f.name_to_var if name.startswith("ord[")) == 430
 
 
 def test_path_linear_size_bound():
