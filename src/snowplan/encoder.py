@@ -14,6 +14,10 @@ Registry name grammar (consumed by the plan decoder):
   actions    dir[D,t] and move/roll/push/pop[r,c,D,t]   (FULL; r,c = agent cell)
              roll/push/pop[r,c,D,t]                     (others; r,c = ball cell)
              jump[r,c,t]  noop[t]
+  In COLLAPSED, PARALLEL and DESCEND an object-action name exists only for
+  a live slot: a ball cell r,c that some ball or box can reach in t pushes
+  (`_Encoder._ball_cells`). Decoders and tests must not assume a
+  roll/push/pop[r,c,D,t] for every floor cell.
   goal       goal[T]   (assumed true: the goal holds at horizon T)
 where D is one of N,S,E,W. Reachability fragments use the graph-module names
 suffixed with ",t" (and ",jt" for the jump fragment, ",ck,t" for per-ball
@@ -121,6 +125,9 @@ class _Encoder:
         self.cells = sorted(level.floor)
         self.snowman = level.game is GameTag.SNOWMAN
         self.last_noop: int | None = None
+        # ball_layers[t]: the cells a ball or box can occupy at step t
+        self.ball_layers = [frozenset(cell for cell, _ in level.stacks)
+                            | level.boxes]
 
         # state variables, keyed (cell, t)
         self.snow: dict[tuple[Cell, int], int] = {}
@@ -416,23 +423,47 @@ class _Encoder:
 
     # -- collapsed-family modes -----------------------------------------
 
+    def _pushes(self, l: Cell) -> list[tuple[Direction, Cell]]:
+        """The directions d a ball at l can be pushed in, with the cell
+        b = l + d it heads to: b and the pushing cell l - d are floor."""
+        out = []
+        for d in Direction:
+            b = self._dest(l, d)
+            dr, dc = d.value
+            if b is not None and not self.level.is_wall((l[0] - dr, l[1] - dc)):
+                out.append((d, b))
+        return out
+
+    def _ball_cells(self, t: int) -> frozenset[Cell]:
+        """B_t, the cells some ball or box can occupy at step t: the start
+        cells, then each layer adds every cell one push away from the last
+        (relaxed reachability as in GraphPlan's planning graph). Layers are
+        computed on demand, so a formula grown layer by layer sees the
+        same sets as a fresh one."""
+        layers = self.ball_layers
+        while len(layers) <= t:
+            last = layers[-1]
+            layers.append(last.union(
+                b for l in last for _, b in self._pushes(l)))
+        return layers[t]
+
     def _object_actions(self, t: int) -> list[tuple[str, Cell, Direction, int]]:
         """Create this step's object-action variables and their clauses.
 
         Actions are named by the ball cell l; the agent acts from the pushing
         cell p = l - d and the ball heads to b = l + d (all three on floor).
+        Only cells in B_t get actions: no ball can be anywhere else yet, and
+        each action needs a ball at l.
         """
         f = self.f
         out = []
         kinds = OBJECT_ACTION_NAMES if self.snowman else ("roll",)
+        live = self._ball_cells(t)
         for l in self.cells:
+            if l not in live:
+                continue
             r, c = l
-            for d in Direction:
-                b = self._dest(l, d)
-                dr, dc = d.value
-                p = (r - dr, c - dc)
-                if b is None or self.level.is_wall(p):
-                    continue
+            for d, b in self._pushes(l):
                 for kind in kinds:
                     a = f.new_var(f"{kind}[{r},{c},{d.name},{t}]")
                     if kind == "roll":
@@ -527,8 +558,10 @@ class _Encoder:
             if self.last_noop is not None:
                 f.add_clause([-self.last_noop, noop])
             self.last_noop = noop
-        else:
+        elif avars:
             f.exactly_one(avars)
+        else:
+            f.add_clause([])    # no ball can move: no step is possible
         self._agent_effects_sequential(actions, t)
         gate = {self.vertex[cell]: self.free[cell, t] for cell in self.cells}
         self._attach_reach(actions, t, gate)

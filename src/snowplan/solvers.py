@@ -54,9 +54,21 @@ class SolveOutcome:
 
 
 def check_model(formula: Formula, model: dict[int, bool]) -> bool:
-    """True iff the (total) assignment satisfies every clause."""
+    """True iff the assignment satisfies every clause; a variable the model
+    leaves out is false."""
+    n = formula.num_vars
+    # value[lit] for every literal of the formula: +v at slot v, -v at
+    # slot 2n+1-v, as in _CDCL
+    value = [False] * (n + 1) + [True] * n
+    for v, b in model.items():
+        if b and 0 < v <= n:
+            value[v] = True
+            value[-v] = False
     for clause in formula.clauses:
-        if not any(model.get(abs(lit), False) == (lit > 0) for lit in clause):
+        for lit in clause:
+            if value[lit]:
+                break
+        else:
             return False
     return True
 

@@ -1,11 +1,14 @@
 """Encoder correctness: minimal horizons match the oracle, modes agree
 across reachability encodings, and the descend/noop machinery behaves."""
 
+import re
+
 import pytest
 
 from snowplan.encoder import EncodingConfig, Mode, ReachKind, _Encoder, encode
-from snowplan.fixtures import load_fixture
-from snowplan.game import Direction, is_goal, run_plan
+from snowplan.fixtures import gen_random_level, list_fixtures, load_fixture
+from snowplan.game import Direction, Metric, is_goal, oracle_optimal, run_plan
+from snowplan.levels import GameTag, parse_level
 from snowplan.plans import decode
 from snowplan.search import serialize
 from snowplan.solvers import Status, solve
@@ -243,3 +246,120 @@ def test_extension_rejects_other_configs():
         encode(level, EncodingConfig(Mode.COLLAPSED, 3, ReachKind.DAG), grown)
     with pytest.raises(ValueError):
         encode(level, EncodingConfig(Mode.DESCEND, 3), grown)
+
+
+# -- action slots pruned to the cells a ball can reach ---------------------
+
+_ACTION_NAME = re.compile(r"^(roll|push|pop)\[")
+PRUNED_MODES = (Mode.COLLAPSED, Mode.PARALLEL, Mode.DESCEND)
+
+
+def _every_floor_cell(self, t):
+    return frozenset(self.cells)
+
+
+def _random_draws(count=20):
+    """Open 6x6 rooms, snowman (three balls) on odd seeds and Sokoban (two
+    boxes) on even ones, with their oracle optima."""
+    draws = []
+    for seed in range(1, count + 1):
+        game = GameTag.SNOWMAN if seed % 2 else GameTag.SOKOBAN
+        level = gen_random_level(seed, dims=(6, 6), density=0.0, game=game,
+                                 objects=3 if seed % 2 else 2)
+        draws.append(pytest.param(
+            level, oracle_optimal(level, Metric.OBJECT_ACTIONS),
+            id=f"random{seed}"))
+    return draws
+
+
+def _soundness_cases():
+    fixtures = [load_fixture(name) for name in list_fixtures()]
+    return [pytest.param(fx.level, fx.object_actions_optimal, id=fx.name)
+            for fx in fixtures] + _random_draws()
+
+
+def _statuses(level, mode, reach, top, backend, unpruned, monkeypatch):
+    """Status at T = 0..top of one formula grown layer by layer, each with
+    and without goal[T]."""
+    out = []
+    encoding = None
+    with monkeypatch.context() as m:
+        if unpruned:
+            m.setattr(_Encoder, "_ball_cells", _every_floor_cell)
+        for T in range(top + 1):
+            encoding = encode(level, EncodingConfig(mode, T, reach), encoding)
+            out.append((_status(encoding, backend),
+                        _status(encoding, backend, goal=False)))
+    return out
+
+
+@pytest.mark.parametrize("level,opt", _soundness_cases())
+def test_pruning_keeps_every_status(level, opt, backend, monkeypatch):
+    """Pruned and unpruned formulas (every floor cell live) agree on
+    SAT/UNSAT at T = 0..opt (0..3 with no optimum) in every pruned mode and
+    reach encoding, with and without the goal."""
+    top = 3 if opt is None else opt
+    for mode in PRUNED_MODES:
+        for reach in REACHES:
+            pruned = _statuses(level, mode, reach, top, backend, False,
+                               monkeypatch)
+            full = _statuses(level, mode, reach, top, backend, True,
+                             monkeypatch)
+            assert pruned == full, (mode, reach)
+
+
+def _formula(level, config):
+    encoding = encode(level, config)
+    return encoding.formula.clauses, encoding.formula.name_to_var
+
+
+@pytest.mark.parametrize("name", list_fixtures())
+def test_full_formulas_ignore_ball_cells(name, monkeypatch):
+    level = load_fixture(name).level
+    configs = [EncodingConfig(Mode.FULL, T) for T in range(3)]
+    pruned = [_formula(level, config) for config in configs]
+    monkeypatch.setattr(_Encoder, "_ball_cells", _every_floor_cell)
+    assert [_formula(level, config) for config in configs] == pruned
+
+
+def _action_count(encoding):
+    return sum(1 for name in encoding.formula.name_to_var
+               if _ACTION_NAME.match(name))
+
+
+def test_actions_only_on_live_ball_cells(monkeypatch):
+    """soko_pair PARALLEL at T=2: four rolls at step 0 (two boxes, two
+    directions each), eight at step 1, instead of one per floor cell."""
+    level = load_fixture("soko_pair").level
+    config = EncodingConfig(Mode.PARALLEL, 2)
+    assert _action_count(encode(level, config)) == 12
+    monkeypatch.setattr(_Encoder, "_ball_cells", _every_floor_cell)
+    assert _action_count(encode(level, config)) > 12
+
+
+def test_ball_cells_grow_one_push_per_step():
+    """soko_corridor (#@$-.#): the box can go one cell west or east at
+    step 0, one more east at step 1, and then no further (the west cell has
+    no pushing cell behind it, the east end is a wall)."""
+    level = load_fixture("soko_corridor").level
+    builder = encode(level, EncodingConfig(Mode.COLLAPSED, 0)).builder
+    row = [frozenset((1, c) for c in cols)
+           for cols in ([2], [1, 2, 3], [1, 2, 3, 4], [1, 2, 3, 4])]
+    assert [builder._ball_cells(t) for t in range(4)] == row
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_level_without_movable_object(mode, backend):
+    """With no box, no object action is live. COLLAPSED then has no step at
+    all (an empty clause, not an exception); FULL walks, PARALLEL jumps and
+    DESCEND idles. The goal holds from T = 0."""
+    level = parse_level("#####\n#@  #\n#####", GameTag.SOKOBAN)
+    encoding = None
+    for T in range(3):
+        encoding = encode(level, EncodingConfig(mode, T), encoding)
+        fresh = encode(level, EncodingConfig(mode, T))
+        want = Status.SAT if T == 0 or mode is not Mode.COLLAPSED else Status.UNSAT
+        assert _status(fresh, backend) is want, T
+        assert _status(fresh, backend, goal=False) is want, T
+        assert _status(encoding, backend, goal=False) is want, T
+        assert _action_count(fresh) == 0 or mode is Mode.FULL
