@@ -303,9 +303,9 @@ def test_pruning_keeps_every_status(level, opt, backend, monkeypatch):
         for reach in REACHES:
             pruned = _statuses(level, mode, reach, top, backend, False,
                                monkeypatch)
-            full = _statuses(level, mode, reach, top, backend, True,
-                             monkeypatch)
-            assert pruned == full, (mode, reach)
+            every_cell = _statuses(level, mode, reach, top, backend, True,
+                                   monkeypatch)
+            assert pruned == every_cell, (mode, reach)
 
 
 def _formula(level, config):
