@@ -76,9 +76,10 @@ def load_level_file(path: Path, game: GameTag | None = None) -> Level:
 
 
 def run_instance(level: Level, instance: str, reach: ReachKind,
-                 mode: Mode | str = "hybrid", limit: float = 60.0,
+                 mode: str = "hybrid", limit: float = 60.0,
                  seed: int | None = None, backend=None) -> BenchRun:
-    """Solve one instance under the limit, returning a scored run."""
+    """Solve one instance under the limit, returning a scored run. `mode`
+    is "hybrid", "full" or "collapsed"."""
     policy = BudgetPolicy(solve_budget=limit, total_budget=limit)
     start = time.monotonic()
     try:
@@ -92,15 +93,14 @@ def run_instance(level: Level, instance: str, reach: ReachKind,
     return BenchRun(instance, reach.value, solved, runtime, record)
 
 
-def _dispatch(level: Level, instance: str, reach: ReachKind, mode,
+def _dispatch(level: Level, instance: str, reach: ReachKind, mode: str,
               policy: BudgetPolicy, seed, backend) -> tuple[Bounds, RunRecord]:
-    mode_name = mode.value if isinstance(mode, Mode) else str(mode)
-    if mode_name == "hybrid":
+    if mode == "hybrid":
         bounds, moves = solve_hybrid(level, ascend_reach=reach, policy=policy,
                                      backend=backend)
         lurd = None if moves is None else to_lurd(level, SequentialPlan(moves))
     else:
-        bounds, plan = solve_sequential(level, Mode(mode_name), reach, policy,
+        bounds, plan = solve_sequential(level, Mode(mode), reach, policy,
                                         backend)
         lurd = None
         if plan is not None:
@@ -110,7 +110,7 @@ def _dispatch(level: Level, instance: str, reach: ReachKind, mode,
     record = RunRecord(
         instance=instance,
         game=level.game.value,
-        mode=mode_name,
+        mode=mode,
         reach=reach.value,
         lb=bounds.lower,
         ub=bounds.upper,
@@ -125,7 +125,7 @@ def _dispatch(level: Level, instance: str, reach: ReachKind, mode,
 
 
 def run_bench(directory: Path, reaches: list[ReachKind],
-              mode: Mode | str = "hybrid", limit: float = 60.0,
+              mode: str = "hybrid", limit: float = 60.0,
               seed: int | None = None, backend=None) -> BenchReport:
     """Run every (instance, reach) pair; failures are recorded, not fatal."""
     report = BenchReport(limit=limit)

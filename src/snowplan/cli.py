@@ -3,7 +3,9 @@
 Config precedence is flags > SNOWPLAN_* environment variables > defaults.
 Recognized variables: SNOWPLAN_SOLVER_CMD (backend command template with an
 {input} placeholder, also honored by the library), SNOWPLAN_TIMEOUT,
-SNOWPLAN_MODE, SNOWPLAN_REACH.
+SNOWPLAN_MODE, SNOWPLAN_REACH. With --seed, a {seed} in the solver template
+(from --solver-cmd or SNOWPLAN_SOLVER_CMD) becomes the seed; only the CLI
+does this.
 
 Exit codes: 0 for an optimal result (and for a valid solution in
 `validate`), 2 when only bounds were obtained, 1 on errors.

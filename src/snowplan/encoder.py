@@ -8,7 +8,8 @@ object actions per step under forall-step semantics (any ordering of a step
 serializes), plus an exclusive jump action. DESCEND is COLLAPSED with a noop
 action so horizons below a known upper bound can be probed.
 
-Registry name grammar (consumed by the plan decoder):
+Registry name grammar (for tests and debugging; the plan decoder reads the
+builder's per-step action lists instead):
   state      snow[r,c,t]  bs[r,c,t]  bm[r,c,t]  bl[r,c,t]
              agent[r,c,t]  box[r,c,t]  free[r,c,t]
   actions    dir[D,t] and move/roll/push/pop[r,c,D,t]   (FULL; r,c = agent cell)
@@ -72,13 +73,13 @@ class Encoding:
 
     The goal at the horizon is switched on by the literal `goal` rather than
     asserted, and the builder that made the formula is kept, so `encode` can
-    append later layers to the same formula.
+    append later layers to the same formula and decoders can read its
+    per-step action lists.
     """
 
     formula: Formula
     level: Level
     config: EncodingConfig
-    graph: reach.Graph
     goal: int
     builder: _Encoder = field(repr=False)
 
@@ -107,13 +108,17 @@ def encode(level: Level, config: EncodingConfig,
             raise ValueError("an extension may only raise the horizon")
     builder.grow(config.horizon)
     goal = builder.goal(config.horizon)
-    return Encoding(builder.f, level, config, builder.graph, goal, builder)
+    return Encoding(builder.f, level, config, goal, builder)
 
 
 class _Encoder:
     """Builds the formula one time layer at a time: layer t holds the state
     variables at t and, for t > 0, the transition t-1 -> t with its frame
-    axioms. Goals are added on request, after the layers they refer to."""
+    axioms. Goals are added on request, after the layers they refer to.
+
+    Each transition appends the action literals a plan is read from to the
+    lists of its mode: `dirs` (FULL), `actions` (the others, as
+    `_object_actions` returns them), `jumps` (PARALLEL), `noops` (DESCEND)."""
 
     def __init__(self, level: Level, config: EncodingConfig):
         self.level = level
@@ -124,7 +129,11 @@ class _Encoder:
         self.vertex = {cell: i for i, cell in enumerate(self.graph.cell_of)}
         self.cells = sorted(level.floor)
         self.snowman = level.game is GameTag.SNOWMAN
-        self.last_noop: int | None = None
+        self.kinds = OBJECT_ACTION_NAMES if self.snowman else ("roll",)
+        self.dirs: list[dict[Direction, int]] = []
+        self.actions: list[list[tuple[str, Cell, Direction, int]]] = []
+        self.jumps: list[dict[Cell, int]] = []
+        self.noops: list[int] = []
         # ball_layers[t]: the cells a ball or box can occupy at step t
         self.ball_layers = [frozenset(cell for cell, _ in level.stacks)
                             | level.boxes]
@@ -253,10 +262,35 @@ class _Encoder:
 
     # -- object-action effect tables ------------------------------------
 
+    def _object_action(self, kind: str, at: Cell, l: Cell, d: Direction,
+                       t: int, needs=()) -> int:
+        """A new `kind` variable named by cell `at`, implying each literal
+        of `needs`, then the effects of moving the ball at l one cell in d."""
+        f = self.f
+        r, c = at
+        a = f.new_var(f"{kind}[{r},{c},{d.name},{t}]")
+        for lit in needs:
+            f.add_clause([-a, lit])
+        getattr(self, f"_{kind}_clauses")(a, l, d.apply(l), t)
+        return a
+
+    def _land(self, a: int, b: Cell, t: int, table) -> None:
+        """The ball landing on the empty cell b: each row (pre, out) of the
+        table says that, while a and every literal of pre hold, the size
+        flag `out` is the only one set at b at t+1."""
+        f = self.f
+        for pre, out in table:
+            head = [-a] + [-p for p in pre]
+            f.add_clause(head + [out[b, t + 1]])
+            for other in (self.bs, self.bm, self.bl):
+                if other is not out:
+                    f.add_clause(head + [-other[b, t + 1]])
+
     def _roll_clauses(self, a: int, l: Cell, b: Cell, t: int) -> None:
         """Ball at l advances to the empty cell b, growing on snow."""
         f = self.f
         bs, bm, bl, sn = self.bs, self.bm, self.bl, self.snow
+        self._record_move_licensors(a, l, b, t)
         f.exactly_one(self._flags(l, t), [-a])
         for flag in self._flags(b, t):
             f.add_clause([-a, -flag])
@@ -264,22 +298,15 @@ class _Encoder:
             f.add_clause([-a, -flag])
         if not self.snowman:
             f.add_clause([-a, self.box[b, t + 1]])
-            self._record_move_licensors(a, l, b, t)
             return
         f.add_clause([-a, -sn[b, t + 1]])
-        for pre, out in (
+        self._land(a, b, t, (
             ([bs[l, t], sn[b, t]], bm),
             ([bs[l, t], -sn[b, t]], bs),
             ([bm[l, t], sn[b, t]], bl),
             ([bm[l, t], -sn[b, t]], bm),
             ([bl[l, t]], bl),
-        ):
-            head = [-a] + [-p for p in pre]
-            f.add_clause(head + [out[b, t + 1]])
-            for other in (bs, bm, bl):
-                if other is not out:
-                    f.add_clause(head + [-other[b, t + 1]])
-        self._record_move_licensors(a, l, b, t)
+        ))
 
     def _push_clauses(self, a: int, l: Cell, b: Cell, t: int) -> None:
         """Single ball at l stacks onto the strictly-bigger top at b."""
@@ -322,20 +349,13 @@ class _Encoder:
         f.add_clause([-a, bs[l, t], -bm[l, t + 1]])
         f.add_clause([-a, -bs[l, t], -bm[l, t], bm[l, t + 1]])
         f.add_clause([-a, -bl[l, t], bl[l, t + 1]])
-        for pre, out in (
+        self._land(a, b, t, (
             ([bs[l, t], sn[b, t]], bm),
             ([bs[l, t], -sn[b, t]], bs),
             ([-bs[l, t], sn[b, t]], bl),
             ([-bs[l, t], -sn[b, t]], bm),
-        ):
-            head = [-a] + [-p for p in pre]
-            f.add_clause(head + [out[b, t + 1]])
-            for other in (bs, bm, bl):
-                if other is not out:
-                    f.add_clause(head + [-other[b, t + 1]])
-        self._lic(self.ball_leave, l, t, a)
-        self._lic(self.ball_arrive, b, t, a)
-        self._lic(self.snow_clear, b, t, a)
+        ))
+        self._record_move_licensors(a, l, b, t)
 
     def _record_move_licensors(self, a: int, l: Cell, b: Cell, t: int) -> None:
         self._lic(self.ball_leave, l, t, a)
@@ -345,29 +365,30 @@ class _Encoder:
 
     # -- frame axioms ---------------------------------------------------
 
+    def _frame(self, now: int, nxt: int, rise: list[int],
+               fall: list[int]) -> None:
+        """A flag true at t+1 but not at t needs a literal of `rise`; one
+        true at t but not at t+1 needs a literal of `fall`."""
+        self.f.add_clause([now, -nxt] + rise)
+        self.f.add_clause([-now, nxt] + fall)
+
     def _frame_axioms(self, t: int) -> None:
         """A state flip between t and t+1 needs a licensing action at t."""
-        f = self.f
         for cell in self.cells:
             arrive = self.ball_arrive.get((cell, t), [])
             leave = self.ball_leave.get((cell, t), [])
             if self.snowman:
-                sn = self.snow
-                f.add_clause([sn[cell, t], -sn[cell, t + 1]])
-                f.add_clause([-sn[cell, t], sn[cell, t + 1]]
-                             + self.snow_clear.get((cell, t), []))
+                self._frame(self.snow[cell, t], self.snow[cell, t + 1], [],
+                            self.snow_clear.get((cell, t), []))
             for now, nxt in zip(self._flags(cell, t),
                                 self._flags(cell, t + 1)):
-                f.add_clause([now, -nxt] + arrive)
-                f.add_clause([-now, nxt] + leave)
+                self._frame(now, nxt, arrive, leave)
 
     def _agent_frame_axioms(self, t: int) -> None:
-        f = self.f
         for cell in self.cells:
-            f.add_clause([self.agent[cell, t], -self.agent[cell, t + 1]]
-                         + self.agent_in.get((cell, t), []))
-            f.add_clause([-self.agent[cell, t], self.agent[cell, t + 1]]
-                         + self.agent_out.get((cell, t), []))
+            self._frame(self.agent[cell, t], self.agent[cell, t + 1],
+                        self.agent_in.get((cell, t), []),
+                        self.agent_out.get((cell, t), []))
 
     # -- FULL mode ------------------------------------------------------
 
@@ -375,9 +396,17 @@ class _Encoder:
         nxt = d.apply(cell)
         return None if self.level.is_wall(nxt) else nxt
 
+    def _agent_steps(self, a: int, cell: Cell, m: Cell, t: int) -> None:
+        """Under a, the agent steps from cell to m."""
+        self.f.add_clause([-a, -self.agent[cell, t + 1]])
+        self.f.add_clause([-a, self.agent[m, t + 1]])
+        self._lic(self.agent_out, cell, t, a)
+        self._lic(self.agent_in, m, t, a)
+
     def _full_step(self, t: int) -> None:
         f = self.f
         dirs = {d: f.new_var(f"dir[{d.name},{t}]") for d in Direction}
+        self.dirs.append(dirs)
         f.exactly_one(list(dirs.values()))
         for cell in self.cells:
             r, c = cell
@@ -387,37 +416,22 @@ class _Encoder:
                     # wall straight ahead: this direction is unavailable
                     f.add_clause([-self.agent[cell, t], -dirs[d]])
                     continue
-                cases = []
+                here = (self.agent[cell, t], dirs[d])
                 mo = f.new_var(f"move[{r},{c},{d.name},{t}]")
-                cases.append(mo)
-                f.add_clause([-mo, self.agent[cell, t]])
-                f.add_clause([-mo, dirs[d]])
-                f.add_clause([-mo, -self.agent[cell, t + 1]])
-                f.add_clause([-mo, self.agent[m, t + 1]])
+                cases = [mo]
+                for lit in here:
+                    f.add_clause([-mo, lit])
+                self._agent_steps(mo, cell, m, t)
                 for flag in self._flags(m, t):
                     f.add_clause([-mo, -flag])
-                self._lic(self.agent_out, cell, t, mo)
-                self._lic(self.agent_in, m, t, mo)
-                b = self._dest(m, d)
-                if b is not None:
-                    kinds = OBJECT_ACTION_NAMES if self.snowman else ("roll",)
-                    for kind in kinds:
-                        a = f.new_var(f"{kind}[{r},{c},{d.name},{t}]")
+                if self._dest(m, d) is not None:
+                    for kind in self.kinds:
+                        a = self._object_action(kind, cell, m, d, t, here)
                         cases.append(a)
-                        f.add_clause([-a, self.agent[cell, t]])
-                        f.add_clause([-a, dirs[d]])
                         if kind == "pop":
-                            self._pop_clauses(a, m, b, t)
                             f.add_clause([-a, self.agent[cell, t + 1]])
                         else:
-                            if kind == "roll":
-                                self._roll_clauses(a, m, b, t)
-                            else:
-                                self._push_clauses(a, m, b, t)
-                            f.add_clause([-a, -self.agent[cell, t + 1]])
-                            f.add_clause([-a, self.agent[m, t + 1]])
-                            self._lic(self.agent_out, cell, t, a)
-                            self._lic(self.agent_in, m, t, a)
+                            self._agent_steps(a, cell, m, t)
                 # acting here in this direction requires one of the cases
                 f.add_clause([-self.agent[cell, t], -dirs[d]] + cases)
 
@@ -455,24 +469,16 @@ class _Encoder:
         Only cells in B_t get actions: no ball can be anywhere else yet, and
         each action needs a ball at l.
         """
-        f = self.f
         out = []
-        kinds = OBJECT_ACTION_NAMES if self.snowman else ("roll",)
         live = self._ball_cells(t)
         for l in self.cells:
             if l not in live:
                 continue
-            r, c = l
-            for d, b in self._pushes(l):
-                for kind in kinds:
-                    a = f.new_var(f"{kind}[{r},{c},{d.name},{t}]")
-                    if kind == "roll":
-                        self._roll_clauses(a, l, b, t)
-                    elif kind == "push":
-                        self._push_clauses(a, l, b, t)
-                    else:
-                        self._pop_clauses(a, l, b, t)
-                    out.append((kind, l, d, a))
+            for d, _ in self._pushes(l):
+                for kind in self.kinds:
+                    out.append((kind, l, d,
+                                self._object_action(kind, l, l, d, t)))
+        self.actions.append(out)
         return out
 
     def _agent_effects_sequential(self, actions, t: int) -> None:
@@ -555,9 +561,9 @@ class _Encoder:
                               self.agent[cell, t + 1]])
             f.exactly_one(avars + [noop])
             # once idle, stay idle: pushes all noops to the tail of the plan
-            if self.last_noop is not None:
-                f.add_clause([-self.last_noop, noop])
-            self.last_noop = noop
+            if self.noops:
+                f.add_clause([-self.noops[-1], noop])
+            self.noops.append(noop)
         elif avars:
             f.exactly_one(avars)
         else:
@@ -581,6 +587,7 @@ class _Encoder:
         # exclusive jump action under the plain time-t gate
         jumps = {cell: f.new_var(f"jump[{cell[0]},{cell[1]},{t}]")
                  for cell in self.cells}
+        self.jumps.append(jumps)
         f.at_most_one(list(jumps.values()))
         jumping = f.new_var(f"jumping[{t}]")
         f.define_or(jumping, list(jumps.values()))

@@ -13,7 +13,6 @@ is assigned by re-simulation, never trusted from the model.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
 
 from .encoder import Encoding, Mode
@@ -23,14 +22,11 @@ from .levels import Cell, Level
 _LETTER = {Direction.W: "l", Direction.N: "u", Direction.E: "r", Direction.S: "d"}
 _DIRECTION = {v: k for k, v in _LETTER.items()}
 
-_ACTION_RE = re.compile(r"^(roll|push|pop)\[(\d+),(\d+),([NSEW]),(\d+)\]$")
-_JUMP_RE = re.compile(r"^jump\[(\d+),(\d+),(\d+)\]$")
-_DIR_RE = re.compile(r"^dir\[([NSEW]),(\d+)\]$")
-_NOOP_RE = re.compile(r"^noop\[(\d+)\]$")
-
 
 class DecodeError(Exception):
-    """The model's action variables are inconsistent with the registry."""
+    """The model sets a step's action literals in a way no plan step can
+    take: two directions, two jumps, a jump or noop with object actions,
+    several actions in a sequential step, or nothing at all."""
 
 
 class LurdError(Exception):
@@ -85,60 +81,46 @@ Plan = SequentialPlan | ParallelPlan
 
 
 def decode(encoding: Encoding, model: dict[int, bool]) -> Plan:
-    """Read the true action literals back out of a verified model."""
+    """Read the true action literals of steps 0..T-1 back out of a verified
+    model, from the encoder's per-step action lists."""
     if encoding.config.mode is Mode.FULL:
         return _decode_full(encoding, model)
     return _decode_object_plan(encoding, model)
 
 
 def _decode_full(encoding: Encoding, model: dict[int, bool]) -> SequentialPlan:
-    by_t: dict[int, Direction] = {}
-    for name, var in encoding.formula.name_to_var.items():
-        match = _DIR_RE.match(name)
-        if match and model[var]:
-            t = int(match.group(2))
-            if t in by_t:
-                raise DecodeError(f"two directions set at step {t}")
-            by_t[t] = Direction[match.group(1)]
-    T = encoding.config.horizon
-    if sorted(by_t) != list(range(T)):
-        raise DecodeError(f"direction variables do not cover steps 0..{T - 1}")
-    return SequentialPlan([by_t[t] for t in range(T)])
+    moves = []
+    for t, dirs in enumerate(encoding.builder.dirs[:encoding.config.horizon]):
+        chosen = [d for d, var in dirs.items() if model[var]]
+        if len(chosen) != 1:
+            raise DecodeError(f"{len(chosen)} directions set at step {t}")
+        moves.append(chosen[0])
+    return SequentialPlan(moves)
 
 
 def _decode_object_plan(encoding: Encoding, model: dict[int, bool]) -> ParallelPlan:
-    actions: dict[int, set[ObjectAction]] = {}
-    jumps: dict[int, Cell] = {}
-    noops: set[int] = set()
-    for name, var in encoding.formula.name_to_var.items():
-        if not model[var]:
-            continue
-        if match := _ACTION_RE.match(name):
-            kind, r, c, d, t = match.groups()
-            actions.setdefault(int(t), set()).add(
-                ObjectAction(kind, (int(r), int(c)), Direction[d]))
-        elif match := _JUMP_RE.match(name):
-            r, c, t = match.groups()
-            t = int(t)
-            if t in jumps:
-                raise DecodeError(f"two jump destinations at step {t}")
-            jumps[t] = (int(r), int(c))
-        elif match := _NOOP_RE.match(name):
-            noops.add(int(match.group(1)))
+    builder, mode = encoding.builder, encoding.config.mode
     steps: list[Step] = []
     for t in range(encoding.config.horizon):
-        if t in noops:
-            if t in actions or t in jumps:
+        actions = frozenset(ObjectAction(kind, cell, d)
+                            for kind, cell, d, var in builder.actions[t]
+                            if model[var])
+        jumps = ([cell for cell, var in builder.jumps[t].items() if model[var]]
+                 if mode is Mode.PARALLEL else [])
+        if mode is Mode.DESCEND and model[builder.noops[t]]:
+            if actions:
                 raise DecodeError(f"noop step {t} also carries actions")
             continue
-        if t in jumps:
-            if t in actions:
+        if len(jumps) > 1:
+            raise DecodeError(f"two jump destinations at step {t}")
+        if jumps:
+            if actions:
                 raise DecodeError(f"jump step {t} also carries object actions")
-            steps.append(Step(jump=jumps[t]))
-        elif t in actions:
-            if encoding.config.mode is not Mode.PARALLEL and len(actions[t]) > 1:
+            steps.append(Step(jump=jumps[0]))
+        elif actions:
+            if mode is not Mode.PARALLEL and len(actions) > 1:
                 raise DecodeError(f"sequential step {t} has multiple actions")
-            steps.append(Step(actions=frozenset(actions[t])))
+            steps.append(Step(actions=actions))
         else:
             raise DecodeError(f"step {t} has no action, jump, or noop")
     return ParallelPlan(steps)

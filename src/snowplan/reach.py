@@ -4,8 +4,9 @@ Graphs are undirected. All three encoders append to a caller-owned Formula
 and return a dict mapping each vertex to its reach literal. Cells can be
 disabled dynamically through a Gate of per-vertex "free" literals; the source
 is always constrained to be free. Sources (and the path encoding's target)
-may be a fixed vertex or a map vertex -> indicator literal, for use inside
-planning encodings where the agent position is itself a variable.
+are maps vertex -> indicator literal, as inside planning encodings where the
+agent position is itself a variable; a fixed vertex v is accepted too, and
+becomes {v: lit} with a fresh literal lit fixed true.
 
 DAG and TREE forbid cycles with one vertex-elimination gadget (Rankooh &
 Rintanen, AAAI 2022): order variables exist only on the edges of a chordal
@@ -116,23 +117,24 @@ def bfs_reachable(graph: Graph, source: int, free: set[int] | None = None) -> se
     return seen
 
 
-def _source_lits(source: Endpoint, num_vertices: int) -> dict[int, int | None]:
-    """Normalize an endpoint: vertex -> literal, True for a fixed vertex."""
-    if isinstance(source, int):
-        if not 0 <= source < num_vertices:
-            raise ValueError(f"endpoint vertex {source} out of range")
-        return {source: None}  # None marks "constant true"
-    return dict(source)
+def _endpoint_lits(formula: Formula, end: Endpoint, num_vertices: int) -> dict[int, int]:
+    """An endpoint as vertex -> indicator literal. A fixed vertex gets a
+    fresh literal fixed true; callers allocate it after their own variables,
+    so a map endpoint adds nothing."""
+    if not isinstance(end, int):
+        return end
+    if not 0 <= end < num_vertices:
+        raise ValueError(f"endpoint vertex {end} out of range")
+    lit = formula.new_var()
+    formula.add_clause([lit])
+    return {end: lit}
 
 
-def _assert_endpoint_free(formula: Formula, ends: dict[int, int | None], gate: Gate) -> None:
+def _assert_endpoint_free(formula: Formula, ends: dict[int, int], gate: Gate) -> None:
     if gate is None:
         return
     for v, ind in ends.items():
-        if ind is None:
-            formula.add_clause([gate[v]])
-        else:
-            formula.add_clause([-ind, gate[v]])
+        formula.add_clause([-ind, gate[v]])
 
 
 def _arcs(graph: Graph) -> list[tuple[int, int]]:
@@ -194,10 +196,10 @@ def encode_dag(formula: Formula, graph: Graph, source: Endpoint,
     """
     n = graph.num_vertices
     arcs = _arcs(graph)
-    src = _source_lits(source, n)
 
     r = {v: formula.new_var(f"r[{v}{tag}]") for v in range(n)}
     e = {(u, v): formula.new_var(f"edge[{u},{v}{tag}]") for u, v in arcs}
+    src = _endpoint_lits(formula, source, n)
 
     _assert_endpoint_free(formula, src, gate)
     incoming: dict[int, list[int]] = {v: [] for v in range(n)}
@@ -205,19 +207,11 @@ def encode_dag(formula: Formula, graph: Graph, source: Endpoint,
         incoming[v].append(e[(u, v)])
 
     for v in range(n):
-        ind = src.get(v, False)
-        if ind is None:
-            formula.add_clause([r[v]])
-        elif ind:
+        ind = src.get(v)
+        if ind:
             formula.add_clause([-ind, r[v]])
         # justification: r_v -> some selected incoming edge (or being source)
-        clause = [-r[v]] + incoming[v]
-        if ind is None:
-            clause = None  # source needs no justification
-        elif ind:
-            clause = clause + [ind]
-        if clause is not None:
-            formula.add_clause(clause)
+        formula.add_clause([-r[v]] + incoming[v] + ([ind] if ind else []))
         if gate is not None:
             formula.add_clause([-r[v], gate[v]])
 
@@ -254,45 +248,31 @@ def encode_path(formula: Formula, graph: Graph, source: Endpoint, target: Endpoi
         raise ValueError("path encoding requires grid metadata")
     n = graph.num_vertices
     nbs = graph.neighbors
-    src = _source_lits(source, n)
-    tgt = _source_lits(target, n)
 
     p = {v: formula.new_var(f"path[{v}{tag}]") for v in range(n)}
+    src = _endpoint_lits(formula, source, n)
+    tgt = _endpoint_lits(formula, target, n)
     _assert_endpoint_free(formula, src, gate)
     _assert_endpoint_free(formula, tgt, gate)
 
     for ends in (src, tgt):
         for v, ind in ends.items():
-            if ind is None:
-                formula.add_clause([p[v]])
-            else:
-                formula.add_clause([-ind, p[v]])
+            formula.add_clause([-ind, p[v]])
 
     for v in range(n):
         if gate is not None:
             formula.add_clause([-p[v], gate[v]])
-        s_ind = src.get(v, False)
-        t_ind = tgt.get(v, False)
+        s_ind, t_ind = src.get(v), tgt.get(v)
         pn = [p[w] for w in nbs[v]]
-        if s_ind is None and t_ind is None:
-            continue  # fixed source == target: no degree constraint
-        if s_ind is None or t_ind is None:
-            # fixed endpoint (and the other endpoint is not fixed here)
-            other = t_ind if s_ind is None else s_ind
-            guard = [-p[v]] + ([other] if other else [])
-            formula.exactly_one(pn, guard)
-            continue
-        guards_interior = [-p[v]]
-        if s_ind:
-            guards_interior.append(s_ind)
-        if t_ind:
-            guards_interior.append(t_ind)
+        # degree one at one endpoint, two inside the path, and free at a
+        # vertex that is both source and target
         if s_ind:
             formula.exactly_one(pn, [-p[v], -s_ind] + ([t_ind] if t_ind else []))
         if t_ind:
             formula.exactly_one(pn, [-p[v], -t_ind] + ([s_ind] if s_ind else []))
-        _at_least_two(formula, guards_interior, pn)
-        _at_most_two(formula, guards_interior, pn)
+        interior = [-p[v]] + [ind for ind in (s_ind, t_ind) if ind]
+        _at_least_two(formula, interior, pn)
+        _at_most_two(formula, interior, pn)
 
     return p
 
@@ -313,16 +293,16 @@ def encode_spanning_tree(formula: Formula, graph: Graph, source: Endpoint,
     n = graph.num_vertices
     nbs = graph.neighbors
     arcs = _arcs(graph)
-    src = _source_lits(source, n)
 
     r = {v: formula.new_var(f"r[{v}{tag}]") for v in range(n)}
     t = {(u, v): formula.new_var(f"tree[{u},{v}{tag}]") for u, v in arcs}
+    src = _endpoint_lits(formula, source, n)
 
     _assert_endpoint_free(formula, src, gate)
 
     # (1) the source is reachable
     for v, ind in src.items():
-        formula.add_clause([r[v]] if ind is None else [-ind, r[v]])
+        formula.add_clause([-ind, r[v]])
 
     for u, v in arcs:
         # (2) reachability propagates across edges, gated on the destination
@@ -331,27 +311,19 @@ def encode_spanning_tree(formula: Formula, graph: Graph, source: Endpoint,
             clause = [-r[u], -gate[v], r[v]]
         formula.add_clause(clause)
         # (3) the source parents each of its free neighbours
-        ind = src.get(u, False)
-        head = [] if ind is None else [-ind]
-        if ind is not False:
-            clause = head + [t[(u, v)]]
-            if gate is not None:
-                clause = head + [-gate[v], t[(u, v)]]
-            formula.add_clause(clause)
+        ind = src.get(u)
+        if ind:
+            gated = [] if gate is None else [-gate[v]]
+            formula.add_clause([-ind] + gated + [t[(u, v)]])
 
     for v in range(n):
-        ind = src.get(v, False)
+        ind = src.get(v)
         parents = [t[(u, v)] for u in nbs[v]]
         # (4) every reachable non-source vertex has an in-tree parent
-        if ind is not None:
-            clause = [-r[v]] + parents + ([ind] if ind else [])
-            formula.add_clause(clause)
+        formula.add_clause([-r[v]] + parents + ([ind] if ind else []))
         # (5) at most one parent; the source has none
         formula.at_most_one(parents)
-        if ind is None:
-            for u in nbs[v]:
-                formula.add_clause([-t[(u, v)]])
-        elif ind:
+        if ind:
             for u in nbs[v]:
                 formula.add_clause([-ind, -t[(u, v)]])
         if gate is not None:

@@ -214,8 +214,7 @@ def serialize(level: Level, plan: ParallelPlan) -> list[Direction]:
 # -- descend ------------------------------------------------------------
 
 
-def descend(level: Level, upper: int, reach: ReachKind = ReachKind.PATH,
-            policy: BudgetPolicy = BudgetPolicy(),
+def descend(level: Level, upper: int, policy: BudgetPolicy = BudgetPolicy(),
             backend=None, clock: _Clock | None = None
             ) -> tuple[Bounds, ParallelPlan | None]:
     """Probe strictly below a known upper bound until UNSAT proves it optimal.
@@ -225,7 +224,8 @@ def descend(level: Level, upper: int, reach: ReachKind = ReachKind.PATH,
     formula at horizon upper-1 serves every probe: each probe assumes its
     goal literal, the probe for a bound u below it also assumes noop[u-1],
     and since noops are forced to the tail, at most u-1 actions remain.
-    `clock` defaults to a fresh one for `policy`.
+    Reachability is always PATH. `clock` defaults to a fresh one for
+    `policy`.
     """
     clock = clock or _Clock(policy)
     if backend is None:
@@ -239,9 +239,8 @@ def descend(level: Level, upper: int, reach: ReachKind = ReachKind.PATH,
             return Bounds(None, upper, BoundStatus.BOUNDED,
                           horizon_times=times), best
         if encoding is None:
-            encoding = enc.encode(level, EncodingConfig(Mode.DESCEND, top - 1,
-                                                        reach))
-        tail = [encoding.var(f"noop[{upper - 1}]")] if upper < top else []
+            encoding = enc.encode(level, EncodingConfig(Mode.DESCEND, top - 1))
+        tail = [encoding.builder.noops[upper - 1]] if upper < top else []
         outcome = solve(encoding.formula, clock.call_budget(), backend,
                         assumptions=[encoding.goal] + tail)
         times.append(outcome.elapsed)
@@ -260,12 +259,12 @@ def descend(level: Level, upper: int, reach: ReachKind = ReachKind.PATH,
 
 
 def solve_hybrid(level: Level, ascend_reach: ReachKind = ReachKind.TREE,
-                 descend_reach: ReachKind = ReachKind.PATH,
                  policy: BudgetPolicy = BudgetPolicy(),
                  backend=None) -> tuple[Bounds, list[Direction] | None]:
     """Parallel ascend, serialize, then sequential descend with noops.
 
-    Both phases share one clock, so `policy.total_budget` bounds the run.
+    Ascend uses `ascend_reach`; descend always encodes PATH. Both phases
+    share one clock, so `policy.total_budget` bounds the run.
     """
     clock = _Clock(policy)
     t0 = time.monotonic()
@@ -283,8 +282,7 @@ def solve_hybrid(level: Level, ascend_reach: ReachKind = ReachKind.TREE,
                       phase_times={"ascend": ascend_time, "descend": 0.0},
                       horizon_times=up_bounds.horizon_times), []
     t1 = time.monotonic()
-    down_bounds, best = descend(level, upper, descend_reach, policy, backend,
-                                clock)
+    down_bounds, best = descend(level, upper, policy, backend, clock)
     phase = {"ascend": ascend_time, "descend": time.monotonic() - t1}
     if best is not None:
         moves = _replayed(level, serialize(level, best), "descend")

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output shapes, env precedence."""
 
 import json
+import stat
 
 import pytest
 
@@ -133,3 +134,29 @@ def test_solve_records_are_deterministic(capsys):
         record = RunRecord.from_json(capsys.readouterr().out.strip())
         keys.append(record.stable_key())
     assert keys[0] == keys[1]
+
+
+def _seed_echo_solver(tmp_path):
+    """A solver script that records its first argument and answers UNKNOWN,
+    which ends a deepening run at its first horizon."""
+    script = tmp_path / "fakesolver.sh"
+    seen = tmp_path / "seen"
+    script.write_text(f'#!/bin/sh\necho "$1" >> {seen}\necho "s UNKNOWN"\n')
+    script.chmod(script.stat().st_mode | stat.S_IXUSR)
+    return f"{script} {{seed}} {{input}}", seen
+
+
+def test_solver_template_seed_substitution(tmp_path, monkeypatch, capsys):
+    """With --seed, the CLI replaces {seed} in the solver template, from
+    --solver-cmd or from SNOWPLAN_SOLVER_CMD; without it {seed} stays."""
+    template, seen = _seed_echo_solver(tmp_path)
+    args = ["solve", CORRIDOR, "--emit", "record"]
+    assert main(args + ["--seed", "7", "--solver-cmd", template]) == EXIT_BOUNDED
+    monkeypatch.setenv("SNOWPLAN_SOLVER_CMD", template)
+    assert main(args + ["--seed", "8"]) == EXIT_BOUNDED
+    assert main(args) == EXIT_BOUNDED
+    assert seen.read_text().split("\n") == ["7", "8", "{seed}", ""]
+    records = [RunRecord.from_json(line)
+               for line in capsys.readouterr().out.strip().split("\n")]
+    assert [r.status for r in records] == ["unknown"] * 3
+    assert [r.seed for r in records] == [7, 8, None]

@@ -363,3 +363,45 @@ def test_level_without_movable_object(mode, backend):
         assert _status(fresh, backend, goal=False) is want, T
         assert _status(encoding, backend, goal=False) is want, T
         assert _action_count(fresh) == 0 or mode is Mode.FULL
+
+
+def _listed_names(builder):
+    """Name -> literal of every action literal in the builder's per-step
+    lists, as the registry would name it."""
+    out = {}
+    for t, dirs in enumerate(builder.dirs):
+        out.update((f"dir[{d.name},{t}]", var) for d, var in dirs.items())
+    for t, actions in enumerate(builder.actions):
+        out.update((f"{kind}[{r},{c},{d.name},{t}]", var)
+                   for kind, (r, c), d, var in actions)
+    for t, jumps in enumerate(builder.jumps):
+        out.update((f"jump[{r},{c},{t}]", var)
+                   for (r, c), var in jumps.items())
+    for t, noop in enumerate(builder.noops):
+        out[f"noop[{t}]"] = noop
+    return out
+
+
+# FULL's roll/push/pop are cases of a direction, named by the agent cell;
+# the plan is read from `dir` alone
+_LISTED = {Mode.FULL: re.compile(r"^dir\["),
+           **{mode: re.compile(r"^(roll|push|pop|jump|noop)\[")
+              for mode in (Mode.COLLAPSED, Mode.PARALLEL, Mode.DESCEND)}}
+
+
+@pytest.mark.parametrize("name", list_fixtures())
+def test_action_lists_match_registry(name):
+    """The lists the plan decoder reads hold exactly the variables the
+    registry names as actions, step by step, at T = 0..3 grown by extension
+    in every mode and reach encoding."""
+    level = load_fixture(name).level
+    for mode in Mode:
+        for reach in REACHES:
+            encoding = None
+            for T in range(4):
+                encoding = encode(level, EncodingConfig(mode, T, reach),
+                                  encoding)
+                named = {n: var
+                         for n, var in encoding.formula.name_to_var.items()
+                         if _LISTED[mode].match(n)}
+                assert _listed_names(encoding.builder) == named, (mode, reach, T)

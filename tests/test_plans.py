@@ -5,8 +5,8 @@ import pytest
 from snowplan.encoder import EncodingConfig, Mode, ReachKind, encode
 from snowplan.fixtures import load_fixture
 from snowplan.game import Direction
-from snowplan.plans import (LurdError, ObjectAction, ParallelPlan, RunRecord,
-                            SequentialPlan, Step, parse_lurd,
+from snowplan.plans import (DecodeError, LurdError, ObjectAction, ParallelPlan,
+                            RunRecord, SequentialPlan, Step, parse_lurd,
                             to_lurd, validate_lurd, decode)
 from snowplan.solvers import Status, solve
 
@@ -127,3 +127,70 @@ def test_run_record_stable_key_ignores_timing():
     c = RunRecord("x", "sokoban", "hybrid", "path", 2, 3, "bounded",
                   horizon_times=[0.1], lurd="RR")
     assert a.stable_key() != c.stable_key()
+
+
+# -- decode errors ------------------------------------------------------
+
+
+def _model(fixture, mode, horizon, backend):
+    """A solved encoding and a copy of its model, ready to corrupt."""
+    level = load_fixture(fixture).level
+    encoding = encode(level, EncodingConfig(mode, horizon))
+    out = solve(encoding.formula, backend=backend, assumptions=[encoding.goal])
+    assert out.status is Status.SAT
+    decode(encoding, out.model)          # the true model decodes
+    return encoding, encoding.builder, dict(out.model)
+
+
+@pytest.mark.parametrize("count", [0, 2])
+def test_decode_rejects_direction_count(count, backend):
+    encoding, builder, model = _model("soko_corridor", Mode.FULL, 2, backend)
+    dirs = list(builder.dirs[1].values())
+    for i, var in enumerate(dirs):
+        model[var] = i < count
+    with pytest.raises(DecodeError, match=f"{count} directions set at step 1"):
+        decode(encoding, model)
+
+
+def test_decode_rejects_two_jumps(backend):
+    encoding, builder, model = _model("soko_pair", Mode.PARALLEL, 1, backend)
+    for var in list(builder.jumps[0].values())[:2]:
+        model[var] = True
+    for *_, var in builder.actions[0]:
+        model[var] = False
+    with pytest.raises(DecodeError, match="two jump destinations at step 0"):
+        decode(encoding, model)
+
+
+def test_decode_rejects_jump_with_object_action(backend):
+    encoding, builder, model = _model("soko_pair", Mode.PARALLEL, 1, backend)
+    assert any(model[var] for *_, var in builder.actions[0])
+    model[next(iter(builder.jumps[0].values()))] = True
+    with pytest.raises(DecodeError, match="jump step 0 also carries"):
+        decode(encoding, model)
+
+
+def test_decode_rejects_noop_with_action(backend):
+    encoding, builder, model = _model("soko_corridor", Mode.DESCEND, 3, backend)
+    t = next(t for t, noop in enumerate(builder.noops) if not model[noop])
+    model[builder.noops[t]] = True
+    with pytest.raises(DecodeError, match=f"noop step {t} also carries"):
+        decode(encoding, model)
+
+
+def test_decode_rejects_two_sequential_actions(backend):
+    encoding, builder, model = _model("snow_pop", Mode.COLLAPSED, 2, backend)
+    model[next(var for *_, var in builder.actions[0] if not model[var])] = True
+    with pytest.raises(DecodeError, match="sequential step 0 has multiple"):
+        decode(encoding, model)
+
+
+@pytest.mark.parametrize("mode", [Mode.COLLAPSED, Mode.PARALLEL])
+def test_decode_rejects_empty_step(mode, backend):
+    encoding, builder, model = _model("soko_corridor", mode, 2, backend)
+    jumps = builder.jumps[1].values() if mode is Mode.PARALLEL else ()
+    for var in [var for *_, var in builder.actions[1]] + list(jumps):
+        model[var] = False
+    with pytest.raises(DecodeError, match="step 1 has no action"):
+        decode(encoding, model)
+
