@@ -15,8 +15,8 @@ from pathlib import Path
 from .encoder import Mode, ReachKind
 from .levels import GameTag, Level, parse_level
 from .plans import RunRecord, SequentialPlan, to_lurd
-from .search import (Bounds, BoundStatus, BudgetPolicy, serialize, solve_hybrid,
-                     solve_sequential)
+from .search import (Bounds, BoundStatus, BudgetPolicy, _replayed, serialize,
+                     solve_hybrid, solve_sequential)
 
 LEVEL_SUFFIXES = {".snw": GameTag.SNOWMAN, ".xsb": GameTag.SOKOBAN}
 
@@ -98,15 +98,15 @@ def _dispatch(level: Level, instance: str, reach: ReachKind, mode: str,
     if mode == "hybrid":
         bounds, moves = solve_hybrid(level, ascend_reach=reach, policy=policy,
                                      backend=backend)
-        lurd = None if moves is None else to_lurd(level, SequentialPlan(moves))
     else:
         bounds, plan = solve_sequential(level, Mode(mode), reach, policy,
                                         backend)
-        lurd = None
+        moves = None
         if plan is not None:
             moves = (plan.moves if isinstance(plan, SequentialPlan)
                      else serialize(level, plan))
-            lurd = to_lurd(level, SequentialPlan(moves))
+            moves = _replayed(level, moves, mode)
+    lurd = None if moves is None else to_lurd(level, SequentialPlan(moves))
     record = RunRecord(
         instance=instance,
         game=level.game.value,

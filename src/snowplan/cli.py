@@ -35,7 +35,7 @@ def _env(name: str, fallback: str) -> str:
 
 
 def _backend_from(args):
-    template = getattr(args, "solver_cmd", None)
+    template = args.solver_cmd
     if template:
         if args.seed is not None:
             template = template.replace("{seed}", str(args.seed))
@@ -64,11 +64,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="SAT-based optimal solver for Sokoban and snowman-building puzzles.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def level_flags(p):
         p.add_argument("--game", choices=[g.value for g in GameTag],
                        help="level format (default: infer from file suffix)")
         p.add_argument("--reach", default=_env("REACH", "path"),
                        choices=[r.value for r in ReachKind])
+
+    def run_flags(p):
+        level_flags(p)
         p.add_argument("--timeout", type=float, default=None,
                        help="seconds per run (default: SNOWPLAN_TIMEOUT, else 300)")
         p.add_argument("--seed", type=int, default=None)
@@ -81,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=["full", "collapsed", "hybrid"])
     p_solve.add_argument("--emit", default="both",
                          choices=["lurd", "record", "both"])
-    common(p_solve)
+    run_flags(p_solve)
 
     p_bench = sub.add_parser("bench", help="benchmark a directory of levels")
     p_bench.add_argument("directory", type=Path)
@@ -89,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=["full", "collapsed", "hybrid"])
     p_bench.add_argument("--all-reach", action="store_true",
                          help="run every reachability encoding, not just --reach")
-    common(p_bench)
+    run_flags(p_bench)
 
     p_enc = sub.add_parser("encode", help="emit DIMACS for one horizon")
     p_enc.add_argument("level", type=Path)
@@ -98,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enc.add_argument("--horizon", type=int, required=True)
     p_enc.add_argument("--output", type=Path, default=None,
                        help="write DIMACS here instead of stdout")
-    common(p_enc)
+    level_flags(p_enc)
 
     p_val = sub.add_parser("validate", help="replay a LURD solution string")
     p_val.add_argument("level", type=Path)

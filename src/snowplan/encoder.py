@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import combinations
 
 from . import levels as lv
@@ -54,6 +55,25 @@ class ReachKind(enum.Enum):
 
 
 OBJECT_ACTION_NAMES = ("roll", "push", "pop")
+
+
+@dataclass(frozen=True)
+class ObjectAction:
+    """One ball or box moved one cell: the agent stands on the pushing cell
+    and acts in `direction` on the object at `cell`."""
+
+    kind: str            # "roll" | "push" | "pop"
+    cell: Cell           # the ball/box cell being acted on
+    direction: Direction
+
+    @cached_property
+    def pushing_cell(self) -> Cell:
+        dr, dc = self.direction.value
+        return (self.cell[0] - dr, self.cell[1] - dc)
+
+    @cached_property
+    def destination(self) -> Cell:
+        return self.direction.apply(self.cell)
 
 
 @dataclass(frozen=True)
@@ -131,9 +151,10 @@ class _Encoder:
         self.snowman = level.game is GameTag.SNOWMAN
         self.kinds = OBJECT_ACTION_NAMES if self.snowman else ("roll",)
         self.dirs: list[dict[Direction, int]] = []
-        self.actions: list[list[tuple[str, Cell, Direction, int]]] = []
+        self.actions: list[list[tuple[ObjectAction, int]]] = []
         self.jumps: list[dict[Cell, int]] = []
         self.noops: list[int] = []
+        self.push_table: dict[Cell, list[ObjectAction]] = {}
         # ball_layers[t]: the cells a ball or box can occupy at step t
         self.ball_layers = [frozenset(cell for cell, _ in level.stacks)
                             | level.boxes]
@@ -392,10 +413,6 @@ class _Encoder:
 
     # -- FULL mode ------------------------------------------------------
 
-    def _dest(self, cell: Cell, d: Direction) -> Cell | None:
-        nxt = d.apply(cell)
-        return None if self.level.is_wall(nxt) else nxt
-
     def _agent_steps(self, a: int, cell: Cell, m: Cell, t: int) -> None:
         """Under a, the agent steps from cell to m."""
         self.f.add_clause([-a, -self.agent[cell, t + 1]])
@@ -411,8 +428,8 @@ class _Encoder:
         for cell in self.cells:
             r, c = cell
             for d in Direction:
-                m = self._dest(cell, d)
-                if m is None:
+                m = d.apply(cell)
+                if self.level.is_wall(m):
                     # wall straight ahead: this direction is unavailable
                     f.add_clause([-self.agent[cell, t], -dirs[d]])
                     continue
@@ -424,7 +441,7 @@ class _Encoder:
                 self._agent_steps(mo, cell, m, t)
                 for flag in self._flags(m, t):
                     f.add_clause([-mo, -flag])
-                if self._dest(m, d) is not None:
+                if not self.level.is_wall(d.apply(m)):
                     for kind in self.kinds:
                         a = self._object_action(kind, cell, m, d, t, here)
                         cases.append(a)
@@ -437,15 +454,18 @@ class _Encoder:
 
     # -- collapsed-family modes -----------------------------------------
 
-    def _pushes(self, l: Cell) -> list[tuple[Direction, Cell]]:
-        """The directions d a ball at l can be pushed in, with the cell
-        b = l + d it heads to: b and the pushing cell l - d are floor."""
-        out = []
-        for d in Direction:
-            b = self._dest(l, d)
-            dr, dc = d.value
-            if b is not None and not self.level.is_wall((l[0] - dr, l[1] - dc)):
-                out.append((d, b))
+    def _pushes(self, l: Cell) -> list[ObjectAction]:
+        """The object actions on a ball at l that the walls allow: those
+        whose destination l + d and pushing cell l - d are floor. Each
+        cell's list is built once."""
+        out = self.push_table.get(l)
+        if out is None:
+            wall = self.level.is_wall
+            every = (ObjectAction(kind, l, d)
+                     for d in Direction for kind in self.kinds)
+            out = self.push_table[l] = [
+                a for a in every
+                if not wall(a.destination) and not wall(a.pushing_cell)]
         return out
 
     def _ball_cells(self, t: int) -> frozenset[Cell]:
@@ -458,10 +478,10 @@ class _Encoder:
         while len(layers) <= t:
             last = layers[-1]
             layers.append(last.union(
-                b for l in last for _, b in self._pushes(l)))
+                a.destination for l in last for a in self._pushes(l)))
         return layers[t]
 
-    def _object_actions(self, t: int) -> list[tuple[str, Cell, Direction, int]]:
+    def _object_actions(self, t: int) -> list[tuple[ObjectAction, int]]:
         """Create this step's object-action variables and their clauses.
 
         Actions are named by the ball cell l; the agent acts from the pushing
@@ -469,34 +489,21 @@ class _Encoder:
         Only cells in B_t get actions: no ball can be anywhere else yet, and
         each action needs a ball at l.
         """
-        out = []
         live = self._ball_cells(t)
-        for l in self.cells:
-            if l not in live:
-                continue
-            for d, _ in self._pushes(l):
-                for kind in self.kinds:
-                    out.append((kind, l, d,
-                                self._object_action(kind, l, l, d, t)))
+        out = [(a, self._object_action(a.kind, l, l, a.direction, t))
+               for l in self.cells if l in live for a in self._pushes(l)]
         self.actions.append(out)
         return out
 
     def _agent_effects_sequential(self, actions, t: int) -> None:
         """COLLAPSED/DESCEND: the agent's next position is determined."""
-        for kind, l, d, a in actions:
-            if kind == "pop":
-                dr, dc = d.value
-                p = (l[0] - dr, l[1] - dc)
-                self.f.add_clause([-a, self.agent[p, t + 1]])
-            else:
-                self.f.add_clause([-a, self.agent[l, t + 1]])
+        for action, a in actions:
+            stand = (action.pushing_cell if action.kind == "pop"
+                     else action.cell)
+            self.f.add_clause([-a, self.agent[stand, t + 1]])
 
     def _reach_source(self, t: int) -> dict[int, int]:
         return {self.vertex[cell]: self.agent[cell, t] for cell in self.cells}
-
-    def _pushing_vertex(self, l: Cell, d: Direction) -> int:
-        dr, dc = d.value
-        return self.vertex[(l[0] - dr, l[1] - dc)]
 
     def _attach_reach(self, actions, t: int, gate: dict[int, int]) -> None:
         """Require each action's pushing cell reachable from the agent.
@@ -526,8 +533,8 @@ class _Encoder:
                 f.define_or(sel, list(tgt.values()))
                 self._path_to(source, sel, tgt, gate, tag)
                 by_copy.append(tgt)
-        for kind, l, d, a in actions:
-            p = self._pushing_vertex(l, d)
+        for action, a in actions:
+            p = self.vertex[action.pushing_cell]
             f.add_clause([-a] + [tgt[p] for tgt in by_copy])
 
     def _reach_vars(self, source: dict[int, int], gate: dict[int, int],
@@ -553,7 +560,7 @@ class _Encoder:
     def _collapsed_step(self, t: int) -> None:
         f = self.f
         actions = self._object_actions(t)
-        avars = [a for _, _, _, a in actions]
+        avars = [a for _, a in actions]
         if self.cfg.mode is Mode.DESCEND:
             noop = f.new_var(f"noop[{t}]")
             for cell in self.cells:
@@ -575,12 +582,12 @@ class _Encoder:
     def _parallel_step(self, t: int) -> None:
         f = self.f
         actions = self._object_actions(t)
-        avars = [a for _, _, _, a in actions]
+        avars = [a for _, a in actions]
         # direct interference: the balls' source/destination cells of two
         # simultaneous actions must not intersect
         spans = []
-        for kind, l, d, a in actions:
-            spans.append((a, {l, d.apply(l)}))
+        for action, a in actions:
+            spans.append((a, {action.cell, action.destination}))
         for (a1, s1), (a2, s2) in combinations(spans, 2):
             if s1 & s2:
                 f.add_clause([-a1, -a2])

@@ -11,12 +11,13 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
+from .bench import LEVEL_SUFFIXES
 from .game import Metric, oracle_optimal
 from .levels import BallSize, GameTag, Level, parse_level, render
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent.parent / "fixtures"
 
-_EXT = {GameTag.SNOWMAN: ".snw", GameTag.SOKOBAN: ".xsb"}
+_EXT = {game: suffix for suffix, game in LEVEL_SUFFIXES.items()}
 
 
 class FixtureError(Exception):

@@ -13,9 +13,9 @@ is assigned by re-simulation, never trusted from the model.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
-from .encoder import Encoding, Mode
+from .encoder import Encoding, Mode, ObjectAction
 from .game import ActionKind, Direction, classify, initial_state, is_goal, run_plan
 from .levels import Cell, Level
 
@@ -31,22 +31,6 @@ class DecodeError(Exception):
 
 class LurdError(Exception):
     """A solution string failed to replay or carries wrong annotations."""
-
-
-@dataclass(frozen=True)
-class ObjectAction:
-    kind: str            # "roll" | "push" | "pop"
-    cell: Cell           # the ball/box cell being acted on
-    direction: Direction
-
-    @property
-    def pushing_cell(self) -> Cell:
-        dr, dc = self.direction.value
-        return (self.cell[0] - dr, self.cell[1] - dc)
-
-    @property
-    def destination(self) -> Cell:
-        return self.direction.apply(self.cell)
 
 
 @dataclass(frozen=True)
@@ -102,8 +86,7 @@ def _decode_object_plan(encoding: Encoding, model: dict[int, bool]) -> ParallelP
     builder, mode = encoding.builder, encoding.config.mode
     steps: list[Step] = []
     for t in range(encoding.config.horizon):
-        actions = frozenset(ObjectAction(kind, cell, d)
-                            for kind, cell, d, var in builder.actions[t]
+        actions = frozenset(action for action, var in builder.actions[t]
                             if model[var])
         jumps = ([cell for cell, var in builder.jumps[t].items() if model[var]]
                  if mode is Mode.PARALLEL else [])
@@ -178,9 +161,6 @@ def validate_lurd(level: Level, text: str) -> dict:
 
 # -- run records --------------------------------------------------------
 
-RECORD_FIELDS = ("instance", "game", "mode", "reach", "lb", "ub", "status",
-                 "horizon_times", "seed", "backend", "lurd", "phase_times")
-
 # timing fields are excluded when comparing records for determinism
 TIMING_FIELDS = ("horizon_times", "phase_times")
 
@@ -218,3 +198,6 @@ class RunRecord:
         data = {k: getattr(self, k) for k in RECORD_FIELDS
                 if k not in TIMING_FIELDS}
         return json.dumps(data, sort_keys=True)
+
+
+RECORD_FIELDS = tuple(f.name for f in fields(RunRecord))

@@ -27,7 +27,7 @@ from .encoder import EncodingConfig, Mode, ReachKind
 from .game import (ActionKind, Direction, GameState, classify, initial_state,
                    is_goal, run_plan, step)
 from .levels import Cell, Level
-from .plans import ObjectAction, ParallelPlan, Plan, SequentialPlan, Step, decode
+from .plans import ObjectAction, ParallelPlan, Plan, decode
 from .solvers import Status, default_backend, solve
 
 
@@ -69,50 +69,60 @@ class BudgetPolicy:
             raise ValueError("budgets must be positive")
 
 
-class _Clock:
-    def __init__(self, policy: BudgetPolicy):
+class _Run:
+    """One strategy run: the policy's clock, the backend (resolved once),
+    every SAT call with the seconds it took, and the `Bounds` the run
+    reports. The hybrid's ascend and descend share one run."""
+
+    def __init__(self, policy: BudgetPolicy, backend=None):
         self.policy = policy
+        self.backend = default_backend() if backend is None else backend
         self.start = time.monotonic()
+        self.times: list[float] = []
 
     def remaining(self) -> float:
         return self.policy.total_budget - (time.monotonic() - self.start)
-
-    def call_budget(self) -> float:
-        return max(0.0, min(self.policy.solve_budget, self.remaining()))
 
     @property
     def exhausted(self) -> bool:
         return self.remaining() <= 0
 
+    def sat_call(self, encoding: enc.Encoding, extra=()):
+        """One SAT call on the encoding under its goal literal and `extra`,
+        within the per-call budget and what is left of the run."""
+        budget = max(0.0, min(self.policy.solve_budget, self.remaining()))
+        outcome = solve(encoding.formula, budget, self.backend,
+                        assumptions=[encoding.goal, *extra])
+        self.times.append(outcome.elapsed)
+        return outcome
 
-def _deepen(level: Level, mode: Mode, reach: ReachKind, clock: _Clock,
-            backend) -> tuple[Bounds, Plan | None]:
-    """Iterative deepening from T = 0; first SAT horizon is minimal.
+    def bounds(self, lower: int | None, upper: int | None,
+               status: BoundStatus) -> Bounds:
+        """The bounds so far, with one horizon time per SAT call made."""
+        return Bounds(lower, upper, status, horizon_times=list(self.times))
 
-    One formula grows by a layer per horizon, and each SAT call assumes
-    that horizon's goal literal. After UNSAT the goal at T is false for
-    good, which the unit clause -goal[T] records.
+
+def _deepen(level: Level, mode: Mode, reach: ReachKind,
+            run: _Run) -> tuple[int, Plan | None]:
+    """Iterative deepening from T = 0; the first SAT horizon is minimal.
+
+    Returns that horizon and its plan, or, when the clock, the solver or
+    the horizon cap stops the search first, the lowest horizon not refuted
+    and None. One formula grows by a layer per horizon, and each SAT call
+    assumes that horizon's goal literal. After UNSAT the goal at T is false
+    for good, which the unit clause -goal[T] records.
     """
-    if backend is None:
-        backend = default_backend()
-    times: list[float] = []
-    lower = 0
-    encoding = None
-    for T in range(clock.policy.horizon_cap + 1):
-        if clock.exhausted:
-            break
+    encoding, T = None, 0
+    while T <= run.policy.horizon_cap and not run.exhausted:
         encoding = enc.encode(level, EncodingConfig(mode, T, reach), encoding)
-        outcome = solve(encoding.formula, clock.call_budget(), backend,
-                        assumptions=[encoding.goal])
-        times.append(outcome.elapsed)
+        outcome = run.sat_call(encoding)
         if outcome.status is Status.SAT:
-            bounds = Bounds(T, T, BoundStatus.OPTIMAL, horizon_times=times)
-            return bounds, decode(encoding, outcome.model)
+            return T, decode(encoding, outcome.model)
         if outcome.status is Status.UNKNOWN:
             break
         encoding.formula.add_clause([-encoding.goal])
-        lower = T + 1
-    return Bounds(lower, None, BoundStatus.BOUNDED, horizon_times=times), None
+        T += 1
+    return T, None
 
 
 def solve_sequential(level: Level, mode: Mode = Mode.COLLAPSED,
@@ -122,25 +132,27 @@ def solve_sequential(level: Level, mode: Mode = Mode.COLLAPSED,
     """Optimal moves (FULL) or object actions (COLLAPSED) by deepening."""
     if mode not in (Mode.FULL, Mode.COLLAPSED):
         raise ValueError("solve_sequential expects FULL or COLLAPSED mode")
-    return _deepen(level, mode, reach, _Clock(policy), backend)
+    run = _Run(policy, backend)
+    horizon, plan = _deepen(level, mode, reach, run)
+    if plan is None:
+        return run.bounds(horizon, None, BoundStatus.BOUNDED), None
+    return run.bounds(horizon, horizon, BoundStatus.OPTIMAL), plan
 
 
 def ascend_parallel(level: Level, reach: ReachKind = ReachKind.TREE,
                     policy: BudgetPolicy = BudgetPolicy(),
-                    backend=None, clock: _Clock | None = None
+                    backend=None, run: _Run | None = None
                     ) -> tuple[Bounds, ParallelPlan | None]:
     """Minimal parallel horizon; the plan's action count is an upper bound.
 
-    `clock` defaults to a fresh one for `policy`.
+    `run` defaults to a fresh one for `policy` and `backend`.
     """
-    bounds, plan = _deepen(level, Mode.PARALLEL, reach,
-                           clock or _Clock(policy), backend)
+    run = run or _Run(policy, backend)
+    _, plan = _deepen(level, Mode.PARALLEL, reach, run)
     if plan is None:
-        return Bounds(None, None, BoundStatus.UNKNOWN,
-                      horizon_times=bounds.horizon_times), None
+        return run.bounds(None, None, BoundStatus.UNKNOWN), None
     ub = plan.object_action_count
-    return Bounds(None, ub, BoundStatus.BOUNDED,
-                  horizon_times=bounds.horizon_times), plan
+    return run.bounds(None, ub, BoundStatus.BOUNDED), plan
 
 
 # -- serialization ------------------------------------------------------
@@ -215,7 +227,7 @@ def serialize(level: Level, plan: ParallelPlan) -> list[Direction]:
 
 
 def descend(level: Level, upper: int, policy: BudgetPolicy = BudgetPolicy(),
-            backend=None, clock: _Clock | None = None
+            backend=None, run: _Run | None = None
             ) -> tuple[Bounds, ParallelPlan | None]:
     """Probe strictly below a known upper bound until UNSAT proves it optimal.
 
@@ -224,38 +236,30 @@ def descend(level: Level, upper: int, policy: BudgetPolicy = BudgetPolicy(),
     formula at horizon upper-1 serves every probe: each probe assumes its
     goal literal, the probe for a bound u below it also assumes noop[u-1],
     and since noops are forced to the tail, at most u-1 actions remain.
-    Reachability is always PATH. `clock` defaults to a fresh one for
-    `policy`.
+    Reachability is always PATH. `run` defaults to a fresh one for `policy`
+    and `backend`.
     """
-    clock = clock or _Clock(policy)
-    if backend is None:
-        backend = default_backend()
-    times: list[float] = []
+    run = run or _Run(policy, backend)
     best: ParallelPlan | None = None
     encoding = None
     top = upper
-    while upper > 0:
-        if clock.exhausted:
-            return Bounds(None, upper, BoundStatus.BOUNDED,
-                          horizon_times=times), best
+    while upper > 0 and not run.exhausted:
         if encoding is None:
             encoding = enc.encode(level, EncodingConfig(Mode.DESCEND, top - 1))
         tail = [encoding.builder.noops[upper - 1]] if upper < top else []
-        outcome = solve(encoding.formula, clock.call_budget(), backend,
-                        assumptions=[encoding.goal] + tail)
-        times.append(outcome.elapsed)
+        outcome = run.sat_call(encoding, tail)
         if outcome.status is Status.UNKNOWN:
-            return Bounds(None, upper, BoundStatus.BOUNDED,
-                          horizon_times=times), best
+            break
         if outcome.status is Status.UNSAT:
-            return Bounds(upper, upper, BoundStatus.OPTIMAL,
-                          horizon_times=times), best
+            return run.bounds(upper, upper, BoundStatus.OPTIMAL), best
         plan = decode(encoding, outcome.model)
         if plan.object_action_count >= upper:
             raise SerializationError("descend probe failed to shrink the plan")
         upper = plan.object_action_count
         best = plan
-    return Bounds(0, 0, BoundStatus.OPTIMAL, horizon_times=times), best
+    if upper == 0:
+        return run.bounds(0, 0, BoundStatus.OPTIMAL), best
+    return run.bounds(None, upper, BoundStatus.BOUNDED), best
 
 
 def solve_hybrid(level: Level, ascend_reach: ReachKind = ReachKind.TREE,
@@ -264,41 +268,33 @@ def solve_hybrid(level: Level, ascend_reach: ReachKind = ReachKind.TREE,
     """Parallel ascend, serialize, then sequential descend with noops.
 
     Ascend uses `ascend_reach`; descend always encodes PATH. Both phases
-    share one clock, so `policy.total_budget` bounds the run.
+    share one run, so `policy.total_budget` bounds the whole run and the
+    horizon times list ascend's SAT calls, then descend's.
     """
-    clock = _Clock(policy)
+    run = _Run(policy, backend)
     t0 = time.monotonic()
-    up_bounds, parallel_plan = ascend_parallel(level, ascend_reach, policy,
-                                               backend, clock)
-    ascend_time = time.monotonic() - t0
-    if parallel_plan is None:
-        return Bounds(None, None, BoundStatus.UNKNOWN,
-                      phase_times={"ascend": ascend_time},
-                      horizon_times=up_bounds.horizon_times), None
-    moves = _replayed(level, serialize(level, parallel_plan), "parallel")
-    upper = parallel_plan.object_action_count
-    if upper == 0:
-        return Bounds(0, 0, BoundStatus.OPTIMAL,
-                      phase_times={"ascend": ascend_time, "descend": 0.0},
-                      horizon_times=up_bounds.horizon_times), []
-    t1 = time.monotonic()
-    down_bounds, best = descend(level, upper, policy, backend, clock)
-    phase = {"ascend": ascend_time, "descend": time.monotonic() - t1}
-    if best is not None:
-        moves = _replayed(level, serialize(level, best), "descend")
-    bounds = Bounds(down_bounds.lower, down_bounds.upper, down_bounds.status,
-                    phase_times=phase,
-                    horizon_times=up_bounds.horizon_times
-                    + down_bounds.horizon_times)
+    bounds, plan = ascend_parallel(level, ascend_reach, run=run)
+    phases = {"ascend": time.monotonic() - t0}
+    moves = None
+    if plan is not None:
+        moves = _replayed(level, serialize(level, plan), "serialized parallel")
+        t1 = time.monotonic()
+        bounds, best = descend(level, plan.object_action_count, run=run)
+        phases["descend"] = time.monotonic() - t1
+        if best is not None:
+            moves = _replayed(level, serialize(level, best),
+                              "serialized descend")
+    bounds.phase_times = phases
     return bounds, moves
 
 
 def _replayed(level: Level, moves: list[Direction], source: str) -> list[Direction]:
-    """The moves, once the simulator confirms they reach the goal."""
+    """The moves of a `source` plan, once the simulator confirms they
+    reach the goal."""
     result = run_plan(level, moves)
     if not result.ok:
-        raise SerializationError(f"serialized {source} plan rejected by the "
-                                 f"simulator at move {result.rejected_at}")
+        raise SerializationError(f"{source} plan rejected by the simulator "
+                                 f"at move {result.rejected_at}")
     if not is_goal(level, result.state):
-        raise SerializationError(f"serialized {source} plan misses the goal")
+        raise SerializationError(f"{source} plan misses the goal")
     return moves

@@ -13,7 +13,10 @@ from snowplan.bench import (BenchReport, BenchRun, discover_levels,
 from snowplan.encoder import ReachKind
 from snowplan.fixtures import FIXTURE_DIR, load_fixture
 from snowplan.levels import GameTag, parse_level
-from snowplan.plans import RunRecord
+from snowplan.game import Direction
+from snowplan.plans import (ObjectAction, ParallelPlan, RunRecord,
+                            SequentialPlan, Step)
+from snowplan.search import Bounds, BoundStatus
 
 
 def test_par2_arithmetic():
@@ -78,6 +81,25 @@ def test_hybrid_record_carries_phase_times(backend):
     old = json.loads(record.to_json())
     del old["phase_times"]
     assert RunRecord.from_json(json.dumps(old)).phase_times == {}
+
+
+@pytest.mark.parametrize("mode", ["full", "collapsed"])
+def test_sequential_plan_short_of_goal_is_an_error(mode, monkeypatch):
+    """A FULL or COLLAPSED plan is replayed against the goal, as hybrid's
+    moves are: an OPTIMAL answer whose plan stops short is an error."""
+    fx = load_fixture("soko_corridor")          # #@$-.#, optimum RR
+    short = (SequentialPlan([Direction.E]) if mode == "full" else
+             ParallelPlan([Step(actions=frozenset(
+                 {ObjectAction("roll", (1, 2), Direction.E)}))]))
+
+    def stops_short(level, mode, reach, policy, backend):
+        return Bounds(1, 1, BoundStatus.OPTIMAL), short
+
+    monkeypatch.setattr(bench, "solve_sequential", stops_short)
+    run = run_instance(fx.level, "soko_corridor", ReachKind.PATH, mode)
+    assert not run.solved
+    assert run.record is None
+    assert "misses the goal" in run.error
 
 
 def test_run_instance_isolates_errors():

@@ -5,7 +5,7 @@ import stat
 
 import pytest
 
-from snowplan.cli import EXIT_BOUNDED, EXIT_ERROR, EXIT_OK, main
+from snowplan.cli import EXIT_BOUNDED, EXIT_ERROR, EXIT_OK, build_parser, main
 from snowplan.cnf import Formula, parse_dimacs
 from snowplan.fixtures import FIXTURE_DIR
 from snowplan.plans import RunRecord
@@ -70,6 +70,22 @@ def test_encode_writes_dimacs(tmp_path, capsys):
     assert out.read_text().startswith("p cnf ")
     assert main(["encode", CORRIDOR, "--horizon", "1"]) == EXIT_OK
     assert capsys.readouterr().out.startswith("p cnf ")
+
+
+@pytest.mark.parametrize("flag, value", [("--timeout", "5.0"), ("--seed", "1"),
+                                         ("--solver-cmd", "cat {input}")])
+def test_run_flags_only_where_read(flag, value, capsys):
+    """`encode` runs no solver, so it rejects the run flags that `solve`
+    and `bench` read."""
+    parser = build_parser()
+    with pytest.raises(SystemExit):
+        parser.parse_args(["encode", CORRIDOR, "--horizon", "1", flag, value])
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert parser.parse_args(["encode", CORRIDOR, "--horizon", "1",
+                              "--game", "sokoban", "--reach", "tree"])
+    for command, target in (("solve", CORRIDOR), ("bench", str(FIXTURE_DIR))):
+        args = parser.parse_args([command, target, flag, value])
+        assert str(getattr(args, flag[2:].replace("-", "_"))) == value
 
 
 @pytest.mark.parametrize("horizon, want", [(1, Status.UNSAT), (2, Status.SAT)])

@@ -1,6 +1,8 @@
 """Encoder correctness: minimal horizons match the oracle, modes agree
 across reachability encodings, and the descend/noop machinery behaves."""
 
+import hashlib
+import json
 import re
 
 import pytest
@@ -372,8 +374,8 @@ def _listed_names(builder):
     for t, dirs in enumerate(builder.dirs):
         out.update((f"dir[{d.name},{t}]", var) for d, var in dirs.items())
     for t, actions in enumerate(builder.actions):
-        out.update((f"{kind}[{r},{c},{d.name},{t}]", var)
-                   for kind, (r, c), d, var in actions)
+        out.update((f"{a.kind}[{a.cell[0]},{a.cell[1]},{a.direction.name},{t}]",
+                    var) for a, var in actions)
     for t, jumps in enumerate(builder.jumps):
         out.update((f"jump[{r},{c},{t}]", var)
                    for (r, c), var in jumps.items())
@@ -405,3 +407,32 @@ def test_action_lists_match_registry(name):
                          for n, var in encoding.formula.name_to_var.items()
                          if _LISTED[mode].match(n)}
                 assert _listed_names(encoding.builder) == named, (mode, reach, T)
+
+
+# sha256 over the per-formula digests below, in loop order. A change that
+# alters formulas on purpose updates this value and says why.
+FORMULA_DIGEST = (
+    "6396532fbb7b4d40d40072d9a5e1661753f61cb4db8c122ebb85197a8de4c74a")
+
+
+def test_formulas_are_pinned():
+    """Every fixture, mode and reach encoding at T = 0..3, grown by
+    extension, gives byte-identical formulas: the DIMACS text, the name
+    registry in insertion order and the goal literal are hashed."""
+    digests = []
+    for name in list_fixtures():
+        level = load_fixture(name).level
+        for mode in Mode:
+            for reach in REACHES:
+                encoding = None
+                for T in range(4):
+                    encoding = encode(level, EncodingConfig(mode, T, reach),
+                                      encoding)
+                    h = hashlib.sha256()
+                    h.update(encoding.formula.to_dimacs().encode())
+                    h.update(json.dumps(encoding.formula.name_to_var).encode())
+                    h.update(str(encoding.goal).encode())
+                    digests.append(h.hexdigest())
+    assert len(digests) == 720
+    total = hashlib.sha256("".join(digests).encode()).hexdigest()
+    assert total == FORMULA_DIGEST

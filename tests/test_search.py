@@ -4,12 +4,13 @@ import time
 
 import pytest
 
+from snowplan import search
 from snowplan.encoder import EncodingConfig, Mode, ReachKind, encode
 from snowplan.fixtures import load_fixture
 from snowplan.game import Direction, initial_state, is_goal, run_plan
 from snowplan.plans import ObjectAction, ParallelPlan, SequentialPlan, Step, to_lurd
 from snowplan.search import (Bounds, BoundStatus, BudgetPolicy,
-                             SerializationError, _Clock, _deepen,
+                             SerializationError, _deepen, _Run,
                              ascend_parallel, descend, serialize,
                              solve_hybrid, solve_sequential)
 from snowplan.solvers import InProcessSolver, Status, solve
@@ -167,10 +168,70 @@ def test_incremental_deepening_matches_one_shot(name, mode, reach):
                      assumptions=[fresh.goal]).status is Status.SAT
 
     one_shot = next(T for T in range(FAST.horizon_cap + 1) if sat_at(T))
-    bounds, plan = _deepen(level, mode, reach, _Clock(FAST), InProcessSolver())
+    run = _Run(FAST, InProcessSolver())
+    horizon, plan = _deepen(level, mode, reach, run)
+    assert horizon == one_shot
+    assert plan is not None
+    assert len(run.times) == one_shot + 1
+
+
+class _CountingBackend:
+    """The bundled solver, logging the phase of each call it answers."""
+
+    incremental = True
+
+    def __init__(self):
+        self.inner = InProcessSolver()
+        self.calls: list[str] = []
+        self.phase = ""
+
+    def solve(self, formula, budget=None, assumptions=()):
+        self.calls.append(self.phase)
+        return self.inner.solve(formula, budget, assumptions)
+
+
+def test_horizon_times_count_every_sat_call(monkeypatch):
+    """Each strategy reports one horizon time per SAT call it made; the
+    hybrid lists ascend's calls first, then descend's."""
+    fx = load_fixture("soko_pair")
+    level, opt = fx.level, fx.object_actions_optimal
+    counting = _CountingBackend()
+    for mode in (Mode.FULL, Mode.COLLAPSED):
+        counting.calls.clear()
+        bounds, _ = solve_sequential(level, mode, policy=FAST,
+                                     backend=counting)
+        assert len(bounds.horizon_times) == len(counting.calls) > 1
+    counting.calls.clear()
+    bounds, _ = ascend_parallel(level, policy=FAST, backend=counting)
+    assert len(bounds.horizon_times) == len(counting.calls) > 0
+    counting.calls.clear()
+    bounds, _ = descend(level, opt + 2, policy=FAST, backend=counting)
+    assert len(bounds.horizon_times) == len(counting.calls) > 1
+
+    # solve_hybrid calls both phases by module name, so wrappers see them
+    counting.calls.clear()
+    ascended = []
+
+    def ascend(*args, **kwargs):
+        counting.phase = "ascend"
+        out = ascend_parallel(*args, **kwargs)
+        ascended.extend(out[0].horizon_times)
+        return out
+
+    def descend_(*args, **kwargs):
+        counting.phase = "descend"
+        return descend(*args, **kwargs)
+
+    monkeypatch.setattr(search, "ascend_parallel", ascend)
+    monkeypatch.setattr(search, "descend", descend_)
+    bounds, _ = solve_hybrid(level, policy=FAST, backend=counting)
     assert bounds.status is BoundStatus.OPTIMAL
-    assert bounds.upper == one_shot
-    assert len(bounds.horizon_times) == one_shot + 1
+    ups = len(ascended)
+    assert counting.calls == ["ascend"] * ups + ["descend"] * (
+        len(counting.calls) - ups)
+    assert len(counting.calls) > ups > 0
+    assert len(bounds.horizon_times) == len(counting.calls)
+    assert bounds.horizon_times[:ups] == ascended
 
 
 class _SlowBackend:
