@@ -17,6 +17,7 @@ from .levels import GameTag, Level, parse_level
 from .plans import RunRecord, SequentialPlan, to_lurd
 from .search import (Bounds, BoundStatus, BudgetPolicy, _replayed, serialize,
                      solve_hybrid, solve_sequential)
+from .solvers import default_backend
 
 LEVEL_SUFFIXES = {".snw": GameTag.SNOWMAN, ".xsb": GameTag.SOKOBAN}
 
@@ -81,6 +82,8 @@ def run_instance(level: Level, instance: str, reach: ReachKind,
     """Solve one instance under the limit, returning a scored run. `mode`
     is "hybrid", "full" or "collapsed"."""
     policy = BudgetPolicy(solve_budget=limit, total_budget=limit)
+    if backend is None:
+        backend = default_backend()
     start = time.monotonic()
     try:
         bounds, record = _dispatch(level, instance, reach, mode, policy,
@@ -117,7 +120,7 @@ def _dispatch(level: Level, instance: str, reach: ReachKind, mode: str,
         status=bounds.status.value,
         horizon_times=[round(x, 6) for x in bounds.horizon_times],
         seed=seed,
-        backend=repr(backend) if backend is not None else "default",
+        backend=repr(backend),
         lurd=lurd,
         phase_times={k: round(x, 6) for k, x in bounds.phase_times.items()},
     )

@@ -8,8 +8,12 @@ object actions per step under forall-step semantics (any ordering of a step
 serializes), plus an exclusive jump action. DESCEND is COLLAPSED with a noop
 action so horizons below a known upper bound can be probed.
 
+`encode` returns an `Encoding`: the formula together with the per-step
+action lists a plan is read from. Passed back as `extend`, it grows in
+place to a later horizon.
+
 Registry name grammar (for tests and debugging; the plan decoder reads the
-builder's per-step action lists instead):
+encoding's per-step action lists instead):
   state      snow[r,c,t]  bs[r,c,t]  bm[r,c,t]  bl[r,c,t]
              agent[r,c,t]  box[r,c,t]  free[r,c,t]
   actions    dir[D,t] and move/roll/push/pop[r,c,D,t]   (FULL; r,c = agent cell)
@@ -17,7 +21,7 @@ builder's per-step action lists instead):
              jump[r,c,t]  noop[t]
   In COLLAPSED, PARALLEL and DESCEND an object-action name exists only for
   a live slot: a ball cell r,c that some ball or box can reach in t pushes
-  (`_Encoder._ball_cells`). Decoders and tests must not assume a
+  (`Encoding._ball_cells`). Decoders and tests must not assume a
   roll/push/pop[r,c,D,t] for every floor cell.
   goal       goal[T]   (assumed true: the goal holds at horizon T)
 where D is one of N,S,E,W. Reachability fragments use the graph-module names
@@ -30,14 +34,14 @@ copy has the targets tgt[v,ck,t] and the selector sel[ck,t].
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations
 
 from . import levels as lv
 from . import reach
 from .cnf import Formula
-from .game import Direction
+from .game import ActionKind, Direction
 from .levels import Cell, GameTag, Level
 
 
@@ -54,15 +58,12 @@ class ReachKind(enum.Enum):
     TREE = "tree"
 
 
-OBJECT_ACTION_NAMES = ("roll", "push", "pop")
-
-
 @dataclass(frozen=True)
 class ObjectAction:
     """One ball or box moved one cell: the agent stands on the pushing cell
     and acts in `direction` on the object at `cell`."""
 
-    kind: str            # "roll" | "push" | "pop"
+    kind: ActionKind     # ROLL, PUSH or POP
     cell: Cell           # the ball/box cell being acted on
     direction: Direction
 
@@ -87,26 +88,6 @@ class EncodingConfig:
             raise ValueError("horizon must be >= 0")
 
 
-@dataclass
-class Encoding:
-    """A compiled formula together with everything needed to decode models.
-
-    The goal at the horizon is switched on by the literal `goal` rather than
-    asserted, and the builder that made the formula is kept, so `encode` can
-    append later layers to the same formula and decoders can read its
-    per-step action lists.
-    """
-
-    formula: Formula
-    level: Level
-    config: EncodingConfig
-    goal: int
-    builder: _Encoder = field(repr=False)
-
-    def var(self, name: str) -> int:
-        return self.formula.var(name)
-
-
 def encode(level: Level, config: EncodingConfig,
            extend: Encoding | None = None) -> Encoding:
     """Compile a level up to `config.horizon`.
@@ -114,42 +95,39 @@ def encode(level: Level, config: EncodingConfig,
     The goal at the horizon is a set of clauses guarded by a fresh `goal[T]`
     variable (`Encoding.goal`): solve under the assumption `goal[T]` for a
     plan that reaches the goal at T, or without it for any T-step run. Pass
-    the result back as `extend` to grow the same formula to a later horizon;
+    the result back as `extend` to grow it in place to a later horizon;
     layers already in `extend` are not encoded again, and the config may
     differ from its config only in a higher horizon.
     """
     if extend is None:
-        builder = _Encoder(level, config)
-    else:
-        builder = extend.builder
-        if (level is not extend.level
-                or config.horizon <= extend.config.horizon
-                or replace(config, horizon=extend.config.horizon) != extend.config):
-            raise ValueError("an extension may only raise the horizon")
-    builder.grow(config.horizon)
-    goal = builder.goal(config.horizon)
-    return Encoding(builder.f, level, config, goal, builder)
+        return Encoding(level, config)
+    last = extend.config
+    if (level is not extend.level or config.horizon <= last.horizon
+            or replace(config, horizon=last.horizon) != last):
+        raise ValueError("an extension may only raise the horizon")
+    extend._grow(config, last.horizon + 1)
+    return extend
 
 
-class _Encoder:
-    """Builds the formula one time layer at a time: layer t holds the state
-    variables at t and, for t > 0, the transition t-1 -> t with its frame
-    axioms. Goals are added on request, after the layers they refer to.
+class Encoding:
+    """A formula built one time layer at a time, with everything needed to
+    decode its models. Layer t holds the state variables at t and, for
+    t > 0, the transition t-1 -> t with its frame axioms.
 
-    Each transition appends the action literals a plan is read from to the
-    lists of its mode: `dirs` (FULL), `actions` (the others, as
-    `_object_actions` returns them), `jumps` (PARALLEL), `noops` (DESCEND)."""
+    `config` and `goal` belong to the last horizon built. Each transition
+    appends the action literals a plan is read from to the lists of its
+    mode: `dirs` (FULL), `actions` (the others, as `_object_actions`
+    returns them), `jumps` (PARALLEL), `noops` (DESCEND)."""
 
     def __init__(self, level: Level, config: EncodingConfig):
         self.level = level
-        self.cfg = config
-        self.T = -1             # last layer built
-        self.f = Formula()
+        self.formula = Formula()
         self.graph = reach.grid_graph(level.floor)
         self.vertex = {cell: i for i, cell in enumerate(self.graph.cell_of)}
         self.cells = sorted(level.floor)
         self.snowman = level.game is GameTag.SNOWMAN
-        self.kinds = OBJECT_ACTION_NAMES if self.snowman else ("roll",)
+        self.kinds = ((ActionKind.ROLL, ActionKind.PUSH, ActionKind.POP)
+                      if self.snowman else (ActionKind.ROLL,))
         self.dirs: list[dict[Direction, int]] = []
         self.actions: list[list[tuple[ObjectAction, int]]] = []
         self.jumps: list[dict[Cell, int]] = []
@@ -174,32 +152,38 @@ class _Encoder:
         self.snow_clear: dict[tuple[Cell, int], list[int]] = {}
         self.agent_in: dict[tuple[Cell, int], list[int]] = {}
         self.agent_out: dict[tuple[Cell, int], list[int]] = {}
+        self._grow(config, 0)
 
-    def grow(self, T: int) -> None:
-        """Append the layers after the last one built, up to T."""
-        for t in range(self.T + 1, T + 1):
+    def var(self, name: str) -> int:
+        return self.formula.var(name)
+
+    def _grow(self, config: EncodingConfig, first: int) -> None:
+        """Append layers first..config.horizon, then the goal at the
+        horizon."""
+        self.config = config
+        for t in range(first, config.horizon + 1):
             self._state_layer(t)
             if t:
                 self._transition(t - 1)
-        self.T = max(self.T, T)
+        self.goal = self._goal(config.horizon)
 
     def _state_layer(self, t: int) -> None:
         self._make_state_vars(t)
-        if self.cfg.mode is not Mode.FULL:
+        if self.config.mode is not Mode.FULL:
             self._make_free_vars(t)
         if t == 0:
             self._initial_state()
         # implied by the frame axioms in FULL, but stated so the solver
         # propagates it
-        self.f.exactly_one([self.agent[cell, t] for cell in self.cells])
+        self.formula.exactly_one([self.agent[cell, t] for cell in self.cells])
         if self.snowman:
             self._invariants(t)
 
     def _transition(self, t: int) -> None:
-        if self.cfg.mode is Mode.FULL:
+        if self.config.mode is Mode.FULL:
             self._full_step(t)
             self._agent_frame_axioms(t)
-        elif self.cfg.mode is Mode.PARALLEL:
+        elif self.config.mode is Mode.PARALLEL:
             self._parallel_step(t)
         else:
             self._collapsed_step(t)
@@ -216,111 +200,110 @@ class _Encoder:
         table.setdefault((cell, t), []).append(var)
 
     def _make_state_vars(self, t: int) -> None:
-        f = self.f
+        formula = self.formula
         for (r, c) in self.cells:
             cell = (r, c)
-            self.agent[cell, t] = f.new_var(f"agent[{r},{c},{t}]")
+            self.agent[cell, t] = formula.new_var(f"agent[{r},{c},{t}]")
             if self.snowman:
-                self.snow[cell, t] = f.new_var(f"snow[{r},{c},{t}]")
-                self.bs[cell, t] = f.new_var(f"bs[{r},{c},{t}]")
-                self.bm[cell, t] = f.new_var(f"bm[{r},{c},{t}]")
-                self.bl[cell, t] = f.new_var(f"bl[{r},{c},{t}]")
+                self.snow[cell, t] = formula.new_var(f"snow[{r},{c},{t}]")
+                self.bs[cell, t] = formula.new_var(f"bs[{r},{c},{t}]")
+                self.bm[cell, t] = formula.new_var(f"bm[{r},{c},{t}]")
+                self.bl[cell, t] = formula.new_var(f"bl[{r},{c},{t}]")
             else:
-                self.box[cell, t] = f.new_var(f"box[{r},{c},{t}]")
+                self.box[cell, t] = formula.new_var(f"box[{r},{c},{t}]")
 
     def _make_free_vars(self, t: int) -> None:
         """free[v,t] is true iff no ball/box occupies v at time t."""
-        f = self.f
+        formula = self.formula
         for (r, c) in self.cells:
             cell = (r, c)
-            fv = f.new_var(f"free[{r},{c},{t}]")
+            fv = formula.new_var(f"free[{r},{c},{t}]")
             self.free[cell, t] = fv
-            f.define_or(-fv, self._flags(cell, t))
+            formula.define_or(-fv, self._flags(cell, t))
 
     def _initial_state(self) -> None:
-        f = self.f
+        def fix(var: int, value: bool) -> None:
+            self.formula.add_clause([var if value else -var])
+
         stacks = self.level.stack_map()
         for cell in self.cells:
-            f.add_clause([self.agent[cell, 0] if cell == self.level.agent
-                          else -self.agent[cell, 0]])
+            fix(self.agent[cell, 0], cell == self.level.agent)
             if self.snowman:
-                f.add_clause([self.snow[cell, 0] if cell in self.level.snow
-                              else -self.snow[cell, 0]])
+                fix(self.snow[cell, 0], cell in self.level.snow)
                 sizes = set(stacks.get(cell, ()))
-                for var, size in ((self.bs[cell, 0], lv.BallSize.SMALL),
-                                  (self.bm[cell, 0], lv.BallSize.MEDIUM),
-                                  (self.bl[cell, 0], lv.BallSize.LARGE)):
-                    f.add_clause([var if size in sizes else -var])
+                fix(self.bs[cell, 0], lv.BallSize.SMALL in sizes)
+                fix(self.bm[cell, 0], lv.BallSize.MEDIUM in sizes)
+                fix(self.bl[cell, 0], lv.BallSize.LARGE in sizes)
             else:
-                f.add_clause([self.box[cell, 0] if cell in self.level.boxes
-                              else -self.box[cell, 0]])
+                fix(self.box[cell, 0], cell in self.level.boxes)
 
-    def goal(self, T: int) -> int:
+    def _goal(self, T: int) -> int:
         """A new variable goal[T], and the goal at T as clauses that hold
         while it is true."""
-        f = self.f
-        guard = f.new_var(f"goal[{T}]")
+        formula = self.formula
+        guard = formula.new_var(f"goal[{T}]")
         if self.snowman:
             # no partial snowman anywhere: the three size flags agree per cell
             for cell in self.cells:
                 s, m, l = self.bs[cell, T], self.bm[cell, T], self.bl[cell, T]
-                f.add_clause([-guard, -s, m])
-                f.add_clause([-guard, -m, s])
-                f.add_clause([-guard, -m, l])
-                f.add_clause([-guard, -l, m])
+                formula.add_clause([-guard, -s, m])
+                formula.add_clause([-guard, -m, s])
+                formula.add_clause([-guard, -m, l])
+                formula.add_clause([-guard, -l, m])
         else:
             for cell in self.cells:
                 if cell not in self.level.goals:
-                    f.add_clause([-guard, -self.box[cell, T]])
+                    formula.add_clause([-guard, -self.box[cell, T]])
         return guard
 
     def _invariants(self, t: int) -> None:
         """Snowball counting: larges never exceed, smalls never undercut,
         the snowman count."""
         count = self.level.snowman_count
-        self.f.at_most_k([self.bl[cell, t] for cell in self.cells], count)
-        self.f.at_least_k([self.bs[cell, t] for cell in self.cells], count)
+        formula = self.formula
+        formula.at_most_k([self.bl[cell, t] for cell in self.cells], count)
+        formula.at_least_k([self.bs[cell, t] for cell in self.cells], count)
 
     # -- object-action effect tables ------------------------------------
 
-    def _object_action(self, kind: str, at: Cell, l: Cell, d: Direction,
+    def _object_action(self, kind: ActionKind, at: Cell, l: Cell, d: Direction,
                        t: int, needs=()) -> int:
         """A new `kind` variable named by cell `at`, implying each literal
         of `needs`, then the effects of moving the ball at l one cell in d."""
-        f = self.f
+        formula = self.formula
         r, c = at
-        a = f.new_var(f"{kind}[{r},{c},{d.name},{t}]")
+        a = formula.new_var(f"{kind.value}[{r},{c},{d.name},{t}]")
         for lit in needs:
-            f.add_clause([-a, lit])
-        getattr(self, f"_{kind}_clauses")(a, l, d.apply(l), t)
+            formula.add_clause([-a, lit])
+        getattr(self, f"_{kind.value}_clauses")(a, l, d.apply(l), t)
         return a
 
     def _land(self, a: int, b: Cell, t: int, table) -> None:
         """The ball landing on the empty cell b: each row (pre, out) of the
         table says that, while a and every literal of pre hold, the size
         flag `out` is the only one set at b at t+1."""
-        f = self.f
+        formula = self.formula
         for pre, out in table:
             head = [-a] + [-p for p in pre]
-            f.add_clause(head + [out[b, t + 1]])
+            formula.add_clause(head + [out[b, t + 1]])
             for other in (self.bs, self.bm, self.bl):
                 if other is not out:
-                    f.add_clause(head + [-other[b, t + 1]])
+                    formula.add_clause(head + [-other[b, t + 1]])
 
     def _roll_clauses(self, a: int, l: Cell, b: Cell, t: int) -> None:
         """Ball at l advances to the empty cell b, growing on snow."""
-        f = self.f
+        formula = self.formula
         bs, bm, bl, sn = self.bs, self.bm, self.bl, self.snow
         self._record_move_licensors(a, l, b, t)
-        f.exactly_one(self._flags(l, t), [-a])
+        formula.exactly_one(self._flags(l, t), [-a])
         for flag in self._flags(b, t):
-            f.add_clause([-a, -flag])
+            formula.add_clause([-a, -flag])
         for flag in self._flags(l, t + 1):
-            f.add_clause([-a, -flag])
+            formula.add_clause([-a, -flag])
         if not self.snowman:
-            f.add_clause([-a, self.box[b, t + 1]])
+            formula.add_clause([-a, self.box[b, t + 1]])
             return
-        f.add_clause([-a, -sn[b, t + 1]])
+        formula.add_clause([-a, -sn[b, t + 1]])
         self._land(a, b, t, (
             ([bs[l, t], sn[b, t]], bm),
             ([bs[l, t], -sn[b, t]], bs),
@@ -331,45 +314,46 @@ class _Encoder:
 
     def _push_clauses(self, a: int, l: Cell, b: Cell, t: int) -> None:
         """Single ball at l stacks onto the strictly-bigger top at b."""
-        f = self.f
+        formula = self.formula
         bs, bm, bl = self.bs, self.bm, self.bl
-        f.add_clause([-a, bs[l, t], bm[l, t]])       # pushed ball is not large
-        f.add_clause([-a, -bl[l, t]])
-        f.add_clause([-a, -bs[l, t], -bm[l, t]])      # exactly one ball at l
+        # the pushed ball is not large, and it is alone at l
+        formula.add_clause([-a, bs[l, t], bm[l, t]])
+        formula.add_clause([-a, -bl[l, t]])
+        formula.add_clause([-a, -bs[l, t], -bm[l, t]])
         for flag in self._flags(l, t + 1):
-            f.add_clause([-a, -flag])
+            formula.add_clause([-a, -flag])
         # receiving stack's top must be strictly bigger than the pushed ball
-        f.add_clause([-a, -bs[b, t]])
-        f.add_clause([-a, -bs[l, t], bm[b, t], bl[b, t]])
-        f.add_clause([-a, -bm[l, t], -bm[b, t]])
-        f.add_clause([-a, -bm[l, t], bl[b, t]])
+        formula.add_clause([-a, -bs[b, t]])
+        formula.add_clause([-a, -bs[l, t], bm[b, t], bl[b, t]])
+        formula.add_clause([-a, -bm[l, t], -bm[b, t]])
+        formula.add_clause([-a, -bm[l, t], bl[b, t]])
         # the pushed flag appears at b; everything else at b is unchanged
-        f.add_clause([-a, -bs[l, t], bs[b, t + 1]])
-        f.add_clause([-a, -bm[l, t], bm[b, t + 1]])
-        f.add_clause([-a, -bm[l, t], -bs[b, t + 1]])
-        f.add_clause([-a, -bs[l, t], -bm[b, t], bm[b, t + 1]])
-        f.add_clause([-a, -bs[l, t], bm[b, t], -bm[b, t + 1]])
-        f.add_clause([-a, -bl[b, t], bl[b, t + 1]])
-        f.add_clause([-a, bl[b, t], -bl[b, t + 1]])
+        formula.add_clause([-a, -bs[l, t], bs[b, t + 1]])
+        formula.add_clause([-a, -bm[l, t], bm[b, t + 1]])
+        formula.add_clause([-a, -bm[l, t], -bs[b, t + 1]])
+        formula.add_clause([-a, -bs[l, t], -bm[b, t], bm[b, t + 1]])
+        formula.add_clause([-a, -bs[l, t], bm[b, t], -bm[b, t + 1]])
+        formula.add_clause([-a, -bl[b, t], bl[b, t + 1]])
+        formula.add_clause([-a, bl[b, t], -bl[b, t + 1]])
         self._lic(self.ball_leave, l, t, a)
         self._lic(self.ball_arrive, b, t, a)
 
     def _pop_clauses(self, a: int, l: Cell, b: Cell, t: int) -> None:
         """Top of a stack of >= 2 at l advances to the empty cell b."""
-        f = self.f
+        formula = self.formula
         bs, bm, bl, sn = self.bs, self.bm, self.bl, self.snow
         # at least two balls at l
         for x, y in combinations(self._flags(l, t), 2):
-            f.add_clause([-a, x, y])
+            formula.add_clause([-a, x, y])
         for flag in self._flags(b, t):
-            f.add_clause([-a, -flag])
-        f.add_clause([-a, -sn[b, t + 1]])
+            formula.add_clause([-a, -flag])
+        formula.add_clause([-a, -sn[b, t + 1]])
         # stacks list larger sizes below, so the top is the smallest flag
         # present; a stack of two or more never has a large top
-        f.add_clause([-a, -bs[l, t], -bs[l, t + 1]])
-        f.add_clause([-a, bs[l, t], -bm[l, t + 1]])
-        f.add_clause([-a, -bs[l, t], -bm[l, t], bm[l, t + 1]])
-        f.add_clause([-a, -bl[l, t], bl[l, t + 1]])
+        formula.add_clause([-a, -bs[l, t], -bs[l, t + 1]])
+        formula.add_clause([-a, bs[l, t], -bm[l, t + 1]])
+        formula.add_clause([-a, -bs[l, t], -bm[l, t], bm[l, t + 1]])
+        formula.add_clause([-a, -bl[l, t], bl[l, t + 1]])
         self._land(a, b, t, (
             ([bs[l, t], sn[b, t]], bm),
             ([bs[l, t], -sn[b, t]], bs),
@@ -390,8 +374,8 @@ class _Encoder:
                fall: list[int]) -> None:
         """A flag true at t+1 but not at t needs a literal of `rise`; one
         true at t but not at t+1 needs a literal of `fall`."""
-        self.f.add_clause([now, -nxt] + rise)
-        self.f.add_clause([-now, nxt] + fall)
+        self.formula.add_clause([now, -nxt] + rise)
+        self.formula.add_clause([-now, nxt] + fall)
 
     def _frame_axioms(self, t: int) -> None:
         """A state flip between t and t+1 needs a licensing action at t."""
@@ -415,42 +399,42 @@ class _Encoder:
 
     def _agent_steps(self, a: int, cell: Cell, m: Cell, t: int) -> None:
         """Under a, the agent steps from cell to m."""
-        self.f.add_clause([-a, -self.agent[cell, t + 1]])
-        self.f.add_clause([-a, self.agent[m, t + 1]])
+        self.formula.add_clause([-a, -self.agent[cell, t + 1]])
+        self.formula.add_clause([-a, self.agent[m, t + 1]])
         self._lic(self.agent_out, cell, t, a)
         self._lic(self.agent_in, m, t, a)
 
     def _full_step(self, t: int) -> None:
-        f = self.f
-        dirs = {d: f.new_var(f"dir[{d.name},{t}]") for d in Direction}
+        formula = self.formula
+        dirs = {d: formula.new_var(f"dir[{d.name},{t}]") for d in Direction}
         self.dirs.append(dirs)
-        f.exactly_one(list(dirs.values()))
+        formula.exactly_one(list(dirs.values()))
         for cell in self.cells:
             r, c = cell
             for d in Direction:
                 m = d.apply(cell)
                 if self.level.is_wall(m):
                     # wall straight ahead: this direction is unavailable
-                    f.add_clause([-self.agent[cell, t], -dirs[d]])
+                    formula.add_clause([-self.agent[cell, t], -dirs[d]])
                     continue
                 here = (self.agent[cell, t], dirs[d])
-                mo = f.new_var(f"move[{r},{c},{d.name},{t}]")
+                mo = formula.new_var(f"move[{r},{c},{d.name},{t}]")
                 cases = [mo]
                 for lit in here:
-                    f.add_clause([-mo, lit])
+                    formula.add_clause([-mo, lit])
                 self._agent_steps(mo, cell, m, t)
                 for flag in self._flags(m, t):
-                    f.add_clause([-mo, -flag])
+                    formula.add_clause([-mo, -flag])
                 if not self.level.is_wall(d.apply(m)):
                     for kind in self.kinds:
                         a = self._object_action(kind, cell, m, d, t, here)
                         cases.append(a)
-                        if kind == "pop":
-                            f.add_clause([-a, self.agent[cell, t + 1]])
+                        if kind is ActionKind.POP:
+                            formula.add_clause([-a, self.agent[cell, t + 1]])
                         else:
                             self._agent_steps(a, cell, m, t)
                 # acting here in this direction requires one of the cases
-                f.add_clause([-self.agent[cell, t], -dirs[d]] + cases)
+                formula.add_clause([-self.agent[cell, t], -dirs[d]] + cases)
 
     # -- collapsed-family modes -----------------------------------------
 
@@ -498,9 +482,9 @@ class _Encoder:
     def _agent_effects_sequential(self, actions, t: int) -> None:
         """COLLAPSED/DESCEND: the agent's next position is determined."""
         for action, a in actions:
-            stand = (action.pushing_cell if action.kind == "pop"
+            stand = (action.pushing_cell if action.kind is ActionKind.POP
                      else action.cell)
-            self.f.add_clause([-a, self.agent[stand, t + 1]])
+            self.formula.add_clause([-a, self.agent[stand, t + 1]])
 
     def _reach_source(self, t: int) -> dict[int, int]:
         return {self.vertex[cell]: self.agent[cell, t] for cell in self.cells}
@@ -514,73 +498,73 @@ class _Encoder:
         with no target is released through its selector literal (noop steps
         have no target).
         """
-        f = self.f
+        formula = self.formula
         source = self._reach_source(t)
-        if self.cfg.reach is not ReachKind.PATH:
+        if self.config.reach is not ReachKind.PATH:
             by_copy = [self._reach_vars(source, gate, f",{t}")]
         else:
             copies = 1
-            if self.cfg.mode is Mode.PARALLEL:
+            if self.config.mode is Mode.PARALLEL:
                 balls = sum(len(s) for _, s in self.level.stacks)
                 copies = max(1, balls or len(self.level.boxes))
             by_copy = []
             for k in range(copies):
                 tag = f",c{k},{t}"
-                tgt = {v: f.new_var(f"tgt[{v}{tag}]")
+                tgt = {v: formula.new_var(f"tgt[{v}{tag}]")
                        for v in range(self.graph.num_vertices)}
-                f.at_most_one(list(tgt.values()))
-                sel = f.new_var(f"sel[c{k},{t}]")
-                f.define_or(sel, list(tgt.values()))
+                formula.at_most_one(list(tgt.values()))
+                sel = formula.new_var(f"sel[c{k},{t}]")
+                formula.define_or(sel, list(tgt.values()))
                 self._path_to(source, sel, tgt, gate, tag)
                 by_copy.append(tgt)
         for action, a in actions:
             p = self.vertex[action.pushing_cell]
-            f.add_clause([-a] + [tgt[p] for tgt in by_copy])
+            formula.add_clause([-a] + [tgt[p] for tgt in by_copy])
 
     def _reach_vars(self, source: dict[int, int], gate: dict[int, int],
                     tag: str) -> dict[int, int]:
         """DAG/TREE: a reach variable per vertex, true only if the vertex is
         reachable from the source through gated cells."""
-        encode_reach = (reach.encode_dag if self.cfg.reach is ReachKind.DAG
+        encode_reach = (reach.encode_dag if self.config.reach is ReachKind.DAG
                         else reach.encode_spanning_tree)
-        return encode_reach(self.f, self.graph, source, gate, tag=tag)
+        return encode_reach(self.formula, self.graph, source, gate, tag=tag)
 
     def _path_to(self, source: dict[int, int], sel: int,
                  target: dict[int, int], gate: dict[int, int],
                  tag: str) -> None:
         """PATH: a path from the source to the target while `sel` holds; the
         source copy src[v{tag}] is empty otherwise."""
-        f = self.f
+        formula = self.formula
         src = {}
         for v, ind in source.items():
-            src[v] = f.new_var(f"src[{v}{tag}]")
-            f.define_and(src[v], [ind, sel])
-        reach.encode_path(f, self.graph, src, target, gate, tag=tag)
+            src[v] = formula.new_var(f"src[{v}{tag}]")
+            formula.define_and(src[v], [ind, sel])
+        reach.encode_path(formula, self.graph, src, target, gate, tag=tag)
 
     def _collapsed_step(self, t: int) -> None:
-        f = self.f
+        formula = self.formula
         actions = self._object_actions(t)
         avars = [a for _, a in actions]
-        if self.cfg.mode is Mode.DESCEND:
-            noop = f.new_var(f"noop[{t}]")
+        if self.config.mode is Mode.DESCEND:
+            noop = formula.new_var(f"noop[{t}]")
             for cell in self.cells:
-                f.add_clause([-noop, -self.agent[cell, t],
+                formula.add_clause([-noop, -self.agent[cell, t],
                               self.agent[cell, t + 1]])
-            f.exactly_one(avars + [noop])
+            formula.exactly_one(avars + [noop])
             # once idle, stay idle: pushes all noops to the tail of the plan
             if self.noops:
-                f.add_clause([-self.noops[-1], noop])
+                formula.add_clause([-self.noops[-1], noop])
             self.noops.append(noop)
         elif avars:
-            f.exactly_one(avars)
+            formula.exactly_one(avars)
         else:
-            f.add_clause([])    # no ball can move: no step is possible
+            formula.add_clause([])    # no ball can move: no step is possible
         self._agent_effects_sequential(actions, t)
         gate = {self.vertex[cell]: self.free[cell, t] for cell in self.cells}
         self._attach_reach(actions, t, gate)
 
     def _parallel_step(self, t: int) -> None:
-        f = self.f
+        formula = self.formula
         actions = self._object_actions(t)
         avars = [a for _, a in actions]
         # direct interference: the balls' source/destination cells of two
@@ -590,27 +574,27 @@ class _Encoder:
             spans.append((a, {action.cell, action.destination}))
         for (a1, s1), (a2, s2) in combinations(spans, 2):
             if s1 & s2:
-                f.add_clause([-a1, -a2])
+                formula.add_clause([-a1, -a2])
         # exclusive jump action under the plain time-t gate
-        jumps = {cell: f.new_var(f"jump[{cell[0]},{cell[1]},{t}]")
+        jumps = {cell: formula.new_var(f"jump[{cell[0]},{cell[1]},{t}]")
                  for cell in self.cells}
         self.jumps.append(jumps)
-        f.at_most_one(list(jumps.values()))
-        jumping = f.new_var(f"jumping[{t}]")
-        f.define_or(jumping, list(jumps.values()))
+        formula.at_most_one(list(jumps.values()))
+        jumping = formula.new_var(f"jumping[{t}]")
+        formula.define_or(jumping, list(jumps.values()))
         for a in avars:
-            f.add_clause([-jumping, -a])
-        f.add_clause(avars + list(jumps.values()))  # no idle steps
+            formula.add_clause([-jumping, -a])
+        formula.add_clause(avars + list(jumps.values()))  # no idle steps
         # agent moves only by jumping
         for cell in self.cells:
-            f.add_clause([-jumps[cell], self.agent[cell, t + 1]])
-            f.add_clause([-self.agent[cell, t], jumping,
+            formula.add_clause([-jumps[cell], self.agent[cell, t + 1]])
+            formula.add_clause([-self.agent[cell, t], jumping,
                           self.agent[cell, t + 1]])
         # object actions see cells occupied now or next as obstacles
         gate = {}
         for cell in self.cells:
-            g = f.new_var(f"gate[{cell[0]},{cell[1]},{t}]")
-            f.define_and(g, [self.free[cell, t], self.free[cell, t + 1]])
+            g = formula.new_var(f"gate[{cell[0]},{cell[1]},{t}]")
+            formula.define_and(g, [self.free[cell, t], self.free[cell, t + 1]])
             gate[self.vertex[cell]] = g
         self._attach_reach(actions, t, gate)
         # the jump destination is reachable under the time-t gate
@@ -619,11 +603,11 @@ class _Encoder:
         source = self._reach_source(t)
         jtgt = {self.vertex[cell]: j for cell, j in jumps.items()}
         tag = f",j{t}"
-        if self.cfg.reach is ReachKind.PATH:
+        if self.config.reach is ReachKind.PATH:
             # non-jump steps have no target; release the path through
             # the jumping indicator
             self._path_to(source, jumping, jtgt, jgate, tag)
         else:
             r = self._reach_vars(source, jgate, tag)
             for v, j in jtgt.items():
-                f.add_clause([-j, r[v]])
+                formula.add_clause([-j, r[v]])

@@ -66,7 +66,7 @@ Plan = SequentialPlan | ParallelPlan
 
 def decode(encoding: Encoding, model: dict[int, bool]) -> Plan:
     """Read the true action literals of steps 0..T-1 back out of a verified
-    model, from the encoder's per-step action lists."""
+    model, from the encoding's per-step action lists."""
     if encoding.config.mode is Mode.FULL:
         return _decode_full(encoding, model)
     return _decode_object_plan(encoding, model)
@@ -74,7 +74,7 @@ def decode(encoding: Encoding, model: dict[int, bool]) -> Plan:
 
 def _decode_full(encoding: Encoding, model: dict[int, bool]) -> SequentialPlan:
     moves = []
-    for t, dirs in enumerate(encoding.builder.dirs[:encoding.config.horizon]):
+    for t, dirs in enumerate(encoding.dirs[:encoding.config.horizon]):
         chosen = [d for d, var in dirs.items() if model[var]]
         if len(chosen) != 1:
             raise DecodeError(f"{len(chosen)} directions set at step {t}")
@@ -83,14 +83,14 @@ def _decode_full(encoding: Encoding, model: dict[int, bool]) -> SequentialPlan:
 
 
 def _decode_object_plan(encoding: Encoding, model: dict[int, bool]) -> ParallelPlan:
-    builder, mode = encoding.builder, encoding.config.mode
+    mode = encoding.config.mode
     steps: list[Step] = []
     for t in range(encoding.config.horizon):
-        actions = frozenset(action for action, var in builder.actions[t]
+        actions = frozenset(action for action, var in encoding.actions[t]
                             if model[var])
-        jumps = ([cell for cell, var in builder.jumps[t].items() if model[var]]
+        jumps = ([cell for cell, var in encoding.jumps[t].items() if model[var]]
                  if mode is Mode.PARALLEL else [])
-        if mode is Mode.DESCEND and model[builder.noops[t]]:
+        if mode is Mode.DESCEND and model[encoding.noops[t]]:
             if actions:
                 raise DecodeError(f"noop step {t} also carries actions")
             continue
@@ -188,10 +188,10 @@ class RunRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "RunRecord":
+        """Load a `to_json` line. Absent optional fields take their
+        defaults; an absent required field raises TypeError."""
         data = json.loads(line)
-        data.setdefault("horizon_times", [])
-        data.setdefault("phase_times", {})
-        return cls(**{k: data.get(k) for k in RECORD_FIELDS})
+        return cls(**{k: data[k] for k in RECORD_FIELDS if k in data})
 
     def stable_key(self) -> str:
         """Record identity with timing fields stripped."""

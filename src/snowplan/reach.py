@@ -8,12 +8,15 @@ are maps vertex -> indicator literal, as inside planning encodings where the
 agent position is itself a variable; a fixed vertex v is accepted too, and
 becomes {v: lit} with a fresh literal lit fixed true.
 
-DAG and TREE forbid cycles with one vertex-elimination gadget (Rankooh &
-Rintanen, AAAI 2022): order variables exist only on the edges of a chordal
-completion of the graph, and transitivity is stated only on its triangles.
-Their size is at most the number of vertices times d^2, d the most later
-neighbours any vertex has at its elimination (1-4 on the fixtures, 7 on a
-60-cell room), where the all-pairs order was quadratic in the vertices.
+DAG justifies each reached vertex by an acyclic choice of incoming arcs, so
+every model's reach set lies inside the reachable set. TREE is DAG plus its
+exactness clauses, which make the reach set equal the reachable set. Both
+forbid cycles with one vertex-elimination gadget (Rankooh & Rintanen, AAAI
+2022): order variables exist only on the edges of a chordal completion of
+the graph, and transitivity is stated only on its triangles. Their size is
+at most the number of vertices times d^2, d the most later neighbours any
+vertex has at its elimination (1-4 on the fixtures, 7 on a 60-cell room),
+where the all-pairs order was quadratic in the vertices.
 
 Registry naming, where tag carries e.g. the timestep: "r[v{tag}]",
 "path[v{tag}]"; "edge[u,v{tag}]" and "tree[u,v{tag}]" on each arc (u, v), that
@@ -177,51 +180,51 @@ def _acyclic(formula: Formula, graph: Graph, arc_lits: dict[tuple[int, int], int
                     formula.add_clause([into, -ordv[v, w], ordv[u, w]])
 
 
+def _justified(formula: Formula, graph: Graph, source: Endpoint, gate: Gate,
+               tag: str, arc_name: str) -> tuple[dict, dict, dict]:
+    """The clauses DAG and TREE share: reach literals justified by an
+    acyclic choice of arcs. Returns the reach literals, the arc literals
+    (named `arc_name`) and the source map.
+
+    Each edge gives two arcs, one per direction. The source is reached and
+    free. Every reached non-source vertex is free and selects an incoming
+    arc, whose tail is reached and whose head is free, and `_acyclic`
+    forbids a cycle of selected arcs. So following selected arcs backwards
+    from any reached vertex ends at the source through free cells.
+    """
+    n = graph.num_vertices
+    r = {v: formula.new_var(f"r[{v}{tag}]") for v in range(n)}
+    arcs = {(u, v): formula.new_var(f"{arc_name}[{u},{v}{tag}]")
+            for u, v in _arcs(graph)}
+    src = _endpoint_lits(formula, source, n)
+
+    _assert_endpoint_free(formula, src, gate)
+    for v in range(n):
+        ind = src.get(v)
+        if ind:
+            formula.add_clause([-ind, r[v]])
+        incoming = [arcs[u, v] for u in graph.neighbors[v]]
+        formula.add_clause([-r[v]] + incoming + ([ind] if ind else []))
+        if gate is not None:
+            formula.add_clause([-r[v], gate[v]])
+
+    for (u, v), lit in arcs.items():
+        formula.add_clause([-lit, r[u]])
+        if gate is not None:
+            formula.add_clause([-lit, gate[v]])
+    _acyclic(formula, graph, arcs, tag)
+    return r, arcs, src
+
+
 def encode_dag(formula: Formula, graph: Graph, source: Endpoint,
                gate: Gate = None, tag: str = "") -> dict[int, int]:
-    """Acyclic-justification reachability: edge selection with no cycle.
-
-    Each edge gives two arcs, one per direction, each with its own edge
-    variable. Every reached non-source vertex selects an incoming arc from
-    a reached vertex, and `_acyclic` forbids a cycle of selected arcs, so
-    following selected arcs backwards from any reached vertex ends at the
-    source through free cells. (A selected cycle would force `ord` around
-    it; shortcutting it at its first-eliminated vertex, whose two cycle
-    neighbours share a chordal edge, leaves a shorter forced cycle, down
-    to the 2-cycle that `ord`'s antisymmetry forbids.)
+    """Acyclic-justification reachability: `_justified` with `edge[u,v]` arcs.
 
     Sound for st-queries: with a unit r[t] asserted, the formula is SAT iff t
     is reachable from the source through free cells; in every model the
     true-r set is a subset of the reachable set.
     """
-    n = graph.num_vertices
-    arcs = _arcs(graph)
-
-    r = {v: formula.new_var(f"r[{v}{tag}]") for v in range(n)}
-    e = {(u, v): formula.new_var(f"edge[{u},{v}{tag}]") for u, v in arcs}
-    src = _endpoint_lits(formula, source, n)
-
-    _assert_endpoint_free(formula, src, gate)
-    incoming: dict[int, list[int]] = {v: [] for v in range(n)}
-    for u, v in arcs:
-        incoming[v].append(e[(u, v)])
-
-    for v in range(n):
-        ind = src.get(v)
-        if ind:
-            formula.add_clause([-ind, r[v]])
-        # justification: r_v -> some selected incoming edge (or being source)
-        formula.add_clause([-r[v]] + incoming[v] + ([ind] if ind else []))
-        if gate is not None:
-            formula.add_clause([-r[v], gate[v]])
-
-    for u, v in arcs:
-        formula.add_clause([-e[(u, v)], r[u]])
-        if gate is not None:
-            formula.add_clause([-e[(u, v)], gate[v]])
-    _acyclic(formula, graph, e, tag)
-
-    return r
+    return _justified(formula, graph, source, gate, tag, "edge")[0]
 
 
 def _at_least_two(formula: Formula, guard: list[int], lits: list[int]) -> None:
@@ -279,64 +282,28 @@ def encode_path(formula: Formula, graph: Graph, source: Endpoint, target: Endpoi
 
 def encode_spanning_tree(formula: Formula, graph: Graph, source: Endpoint,
                          gate: Gate = None, tag: str = "") -> dict[int, int]:
-    """Spanning-tree reachability: exact in every model.
+    """Spanning-tree reachability: DAG plus exactness clauses.
 
     Each model's true-r set equals the source's connected component within
-    the free cells: a tree of parent arcs rooted at the source covers every
-    reachable vertex, and unreachability propagates into disconnected areas.
-    `tree[u,v]` says u is the parent of v and exists only on arcs. Every
-    reached non-source vertex has a parent, and `_acyclic` forbids a cycle
-    of parent arcs, so following parents from any reached vertex ends at
-    the source through free cells. (A cycle of parent arcs is ruled out by
-    the shortcut argument given in `encode_dag` and `_acyclic`.)
+    the free cells. The `_justified` arcs, named `tree[u,v]` (u is the
+    parent of v), form a tree rooted at the source, and these clauses make
+    it span the component: reachability propagates across free edges, the
+    source parents each free neighbour, each vertex has at most one parent
+    and the source has none, and a parent arc's child is reached.
     """
-    n = graph.num_vertices
-    nbs = graph.neighbors
-    arcs = _arcs(graph)
-
-    r = {v: formula.new_var(f"r[{v}{tag}]") for v in range(n)}
-    t = {(u, v): formula.new_var(f"tree[{u},{v}{tag}]") for u, v in arcs}
-    src = _endpoint_lits(formula, source, n)
-
-    _assert_endpoint_free(formula, src, gate)
-
-    # (1) the source is reachable
-    for v, ind in src.items():
-        formula.add_clause([-ind, r[v]])
-
-    for u, v in arcs:
-        # (2) reachability propagates across edges, gated on the destination
-        clause = [-r[u], r[v]]
-        if gate is not None:
-            clause = [-r[u], -gate[v], r[v]]
-        formula.add_clause(clause)
-        # (3) the source parents each of its free neighbours
+    r, tree, src = _justified(formula, graph, source, gate, tag, "tree")
+    for (u, v), t in tree.items():
+        gated = [] if gate is None else [-gate[v]]
+        formula.add_clause([-r[u]] + gated + [r[v]])
         ind = src.get(u)
         if ind:
-            gated = [] if gate is None else [-gate[v]]
-            formula.add_clause([-ind] + gated + [t[(u, v)]])
-
-    for v in range(n):
-        ind = src.get(v)
-        parents = [t[(u, v)] for u in nbs[v]]
-        # (4) every reachable non-source vertex has an in-tree parent
-        formula.add_clause([-r[v]] + parents + ([ind] if ind else []))
-        # (5) at most one parent; the source has none
+            formula.add_clause([-ind] + gated + [t])
+        formula.add_clause([-t, r[v]])
+    for v, nb in enumerate(graph.neighbors):
+        parents = [tree[u, v] for u in nb]
         formula.at_most_one(parents)
+        ind = src.get(v)
         if ind:
-            for u in nbs[v]:
-                formula.add_clause([-ind, -t[(u, v)]])
-        if gate is not None:
-            formula.add_clause([-r[v], gate[v]])
-
-    # (6) no cycle of parent arcs
-    _acyclic(formula, graph, t, tag)
-
-    # (7) both ends of a parent arc are reachable, and the child is free
-    for u, v in arcs:
-        formula.add_clause([-t[(u, v)], r[u]])
-        formula.add_clause([-t[(u, v)], r[v]])
-        if gate is not None:
-            formula.add_clause([-t[(u, v)], gate[v]])
-
+            for t in parents:
+                formula.add_clause([-ind, -t])
     return r

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 from . import encoder as enc
 from .encoder import EncodingConfig, Mode, ReachKind
-from .game import (ActionKind, Direction, GameState, classify, initial_state,
-                   is_goal, run_plan, step)
+from .game import (Direction, GameState, classify, initial_state, is_goal,
+                   run_plan, step)
 from .levels import Cell, Level
 from .plans import ObjectAction, ParallelPlan, Plan, decode
 from .solvers import Status, default_backend, solve
@@ -214,10 +214,10 @@ def serialize(level: Level, plan: ParallelPlan) -> list[Direction]:
         for action in _step_order(st.actions):
             walk_to(action.pushing_cell)
             result = classify(level, state, action.direction)
-            if result is None or result[0] is ActionKind.MOVE:
+            if result is None or result[0] is not action.kind:
                 raise SerializationError(
-                    f"step {i}: {action.kind} at {action.cell} does not "
-                    f"classify as an object action")
+                    f"step {i}: {action.kind.value} at {action.cell} does "
+                    f"not classify as that action")
             state = result[1]
             moves.append(action.direction)
     return moves
@@ -246,7 +246,7 @@ def descend(level: Level, upper: int, policy: BudgetPolicy = BudgetPolicy(),
     while upper > 0 and not run.exhausted:
         if encoding is None:
             encoding = enc.encode(level, EncodingConfig(Mode.DESCEND, top - 1))
-        tail = [encoding.builder.noops[upper - 1]] if upper < top else []
+        tail = [encoding.noops[upper - 1]] if upper < top else []
         outcome = run.sat_call(encoding, tail)
         if outcome.status is Status.UNKNOWN:
             break

@@ -13,10 +13,11 @@ from snowplan.bench import (BenchReport, BenchRun, discover_levels,
 from snowplan.encoder import ReachKind
 from snowplan.fixtures import FIXTURE_DIR, load_fixture
 from snowplan.levels import GameTag, parse_level
-from snowplan.game import Direction
+from snowplan.game import ActionKind, Direction
 from snowplan.plans import (ObjectAction, ParallelPlan, RunRecord,
                             SequentialPlan, Step)
 from snowplan.search import Bounds, BoundStatus
+from snowplan.solvers import SOLVER_CMD_ENV
 
 
 def test_par2_arithmetic():
@@ -67,6 +68,17 @@ def test_run_instance_produces_record(backend):
     assert record.lurd == "RR"
 
 
+def test_record_names_resolved_default_backend(monkeypatch, tmp_path):
+    """With no backend passed, no solver command set and no solver on PATH,
+    the record names the bundled solver that ran."""
+    monkeypatch.delenv(SOLVER_CMD_ENV, raising=False)
+    monkeypatch.setenv("PATH", str(tmp_path))
+    fx = load_fixture("soko_corridor")
+    run = run_instance(fx.level, "soko_corridor", ReachKind.PATH)
+    assert run.solved
+    assert run.record.backend == "InProcessSolver()"
+
+
 def test_hybrid_record_carries_phase_times(backend):
     """A hybrid record holds its ascend and descend seconds as a timing
     field: stable_key leaves them out, and old lines without them load."""
@@ -90,7 +102,7 @@ def test_sequential_plan_short_of_goal_is_an_error(mode, monkeypatch):
     fx = load_fixture("soko_corridor")          # #@$-.#, optimum RR
     short = (SequentialPlan([Direction.E]) if mode == "full" else
              ParallelPlan([Step(actions=frozenset(
-                 {ObjectAction("roll", (1, 2), Direction.E)}))]))
+                 {ObjectAction(ActionKind.ROLL, (1, 2), Direction.E)}))]))
 
     def stops_short(level, mode, reach, policy, backend):
         return Bounds(1, 1, BoundStatus.OPTIMAL), short

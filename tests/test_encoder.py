@@ -7,9 +7,10 @@ import re
 
 import pytest
 
-from snowplan.encoder import EncodingConfig, Mode, ReachKind, _Encoder, encode
+from snowplan.encoder import Encoding, EncodingConfig, Mode, ReachKind, encode
 from snowplan.fixtures import gen_random_level, list_fixtures, load_fixture
-from snowplan.game import Direction, Metric, is_goal, oracle_optimal, run_plan
+from snowplan.game import (ActionKind, Direction, Metric, is_goal,
+                           oracle_optimal, run_plan)
 from snowplan.levels import GameTag, parse_level
 from snowplan.plans import decode
 from snowplan.search import serialize
@@ -149,7 +150,7 @@ def test_interference_pair_matches_simulator():
     from snowplan.plans import ObjectAction
 
     fx = load_fixture("snow_ring")
-    pair = [ObjectAction(k, (r, c), Direction[d])
+    pair = [ObjectAction(ActionKind(k), (r, c), Direction[d])
             for k, r, c, d in fx.flags["interference_pair"]]
     for first, second in (pair, pair[::-1]):
         state = initial_state(fx.level)
@@ -203,7 +204,7 @@ def test_invariants_do_not_change_status(backend, monkeypatch):
         for T, want in ((opt - 1, False), (opt, True)):
             enc = encode(fx.level, EncodingConfig(mode, T))
             assert _sat(enc, backend) is want, (mode, T)
-    monkeypatch.setattr(_Encoder, "_invariants", lambda self, t: None)
+    monkeypatch.setattr(Encoding, "_invariants", lambda self, t: None)
     for mode, opt in cases:
         bare = encode(fx.level, EncodingConfig(mode, opt))
         assert (len(bare.formula.clauses)
@@ -234,12 +235,12 @@ def test_extension_appends_layers_once(mode, backend):
 
 
 def test_extension_rejects_other_configs():
-    """Any encoding can be grown to a later horizon, but not to the same
-    or an earlier one, nor to another mode or reach."""
+    """Any encoding can be grown in place to a later horizon, but not to
+    the same or an earlier one, nor to another mode or reach."""
     level = load_fixture("snow_pop").level
     fresh = encode(level, EncodingConfig(Mode.COLLAPSED, 1))
     grown = encode(level, EncodingConfig(Mode.COLLAPSED, 2), fresh)
-    assert grown.formula is fresh.formula
+    assert grown is fresh and grown.config.horizon == 2
     assert grown.goal == grown.var("goal[2]")
     for horizon in (1, 2):
         with pytest.raises(ValueError):
@@ -287,7 +288,7 @@ def _statuses(level, mode, reach, top, backend, unpruned, monkeypatch):
     encoding = None
     with monkeypatch.context() as m:
         if unpruned:
-            m.setattr(_Encoder, "_ball_cells", _every_floor_cell)
+            m.setattr(Encoding, "_ball_cells", _every_floor_cell)
         for T in range(top + 1):
             encoding = encode(level, EncodingConfig(mode, T, reach), encoding)
             out.append((_status(encoding, backend),
@@ -320,7 +321,7 @@ def test_full_formulas_ignore_ball_cells(name, monkeypatch):
     level = load_fixture(name).level
     configs = [EncodingConfig(Mode.FULL, T) for T in range(3)]
     pruned = [_formula(level, config) for config in configs]
-    monkeypatch.setattr(_Encoder, "_ball_cells", _every_floor_cell)
+    monkeypatch.setattr(Encoding, "_ball_cells", _every_floor_cell)
     assert [_formula(level, config) for config in configs] == pruned
 
 
@@ -335,7 +336,7 @@ def test_actions_only_on_live_ball_cells(monkeypatch):
     level = load_fixture("soko_pair").level
     config = EncodingConfig(Mode.PARALLEL, 2)
     assert _action_count(encode(level, config)) == 12
-    monkeypatch.setattr(_Encoder, "_ball_cells", _every_floor_cell)
+    monkeypatch.setattr(Encoding, "_ball_cells", _every_floor_cell)
     assert _action_count(encode(level, config)) > 12
 
 
@@ -344,10 +345,10 @@ def test_ball_cells_grow_one_push_per_step():
     step 0, one more east at step 1, and then no further (the west cell has
     no pushing cell behind it, the east end is a wall)."""
     level = load_fixture("soko_corridor").level
-    builder = encode(level, EncodingConfig(Mode.COLLAPSED, 0)).builder
+    encoding = encode(level, EncodingConfig(Mode.COLLAPSED, 0))
     row = [frozenset((1, c) for c in cols)
            for cols in ([2], [1, 2, 3], [1, 2, 3, 4], [1, 2, 3, 4])]
-    assert [builder._ball_cells(t) for t in range(4)] == row
+    assert [encoding._ball_cells(t) for t in range(4)] == row
 
 
 @pytest.mark.parametrize("mode", list(Mode))
@@ -367,19 +368,19 @@ def test_level_without_movable_object(mode, backend):
         assert _action_count(fresh) == 0 or mode is Mode.FULL
 
 
-def _listed_names(builder):
-    """Name -> literal of every action literal in the builder's per-step
+def _listed_names(encoding):
+    """Name -> literal of every action literal in the encoding's per-step
     lists, as the registry would name it."""
     out = {}
-    for t, dirs in enumerate(builder.dirs):
+    for t, dirs in enumerate(encoding.dirs):
         out.update((f"dir[{d.name},{t}]", var) for d, var in dirs.items())
-    for t, actions in enumerate(builder.actions):
-        out.update((f"{a.kind}[{a.cell[0]},{a.cell[1]},{a.direction.name},{t}]",
+    for t, actions in enumerate(encoding.actions):
+        out.update((f"{a.kind.value}[{a.cell[0]},{a.cell[1]},{a.direction.name},{t}]",
                     var) for a, var in actions)
-    for t, jumps in enumerate(builder.jumps):
+    for t, jumps in enumerate(encoding.jumps):
         out.update((f"jump[{r},{c},{t}]", var)
                    for (r, c), var in jumps.items())
-    for t, noop in enumerate(builder.noops):
+    for t, noop in enumerate(encoding.noops):
         out[f"noop[{t}]"] = noop
     return out
 
@@ -406,13 +407,16 @@ def test_action_lists_match_registry(name):
                 named = {n: var
                          for n, var in encoding.formula.name_to_var.items()
                          if _LISTED[mode].match(n)}
-                assert _listed_names(encoding.builder) == named, (mode, reach, T)
+                assert _listed_names(encoding) == named, (mode, reach, T)
 
 
 # sha256 over the per-formula digests below, in loop order. A change that
-# alters formulas on purpose updates this value and says why.
+# alters formulas on purpose updates this value and says why. Last change:
+# TREE emits DAG's shared clauses first and its exactness clauses after, so
+# TREE formulas at T >= 1 hold the same clauses in another order; every
+# variable, name and goal literal, and every other formula, is unchanged.
 FORMULA_DIGEST = (
-    "6396532fbb7b4d40d40072d9a5e1661753f61cb4db8c122ebb85197a8de4c74a")
+    "5532f2a366c3bf4e26559f7815669e3daa8328d9dae63fe8c52e5c4fd668cda0")
 
 
 def test_formulas_are_pinned():

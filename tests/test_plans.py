@@ -4,7 +4,7 @@ import pytest
 
 from snowplan.encoder import EncodingConfig, Mode, ReachKind, encode
 from snowplan.fixtures import load_fixture
-from snowplan.game import Direction
+from snowplan.game import ActionKind, Direction
 from snowplan.plans import (DecodeError, LurdError, ObjectAction, ParallelPlan,
                             RunRecord, SequentialPlan, Step, parse_lurd,
                             to_lurd, validate_lurd, decode)
@@ -12,7 +12,7 @@ from snowplan.solvers import Status, solve
 
 
 def test_step_validation():
-    act = ObjectAction("roll", (1, 2), Direction.E)
+    act = ObjectAction(ActionKind.ROLL, (1, 2), Direction.E)
     with pytest.raises(ValueError):
         Step()                                   # empty step
     with pytest.raises(ValueError):
@@ -20,7 +20,7 @@ def test_step_validation():
 
 
 def test_object_action_geometry():
-    act = ObjectAction("push", (2, 3), Direction.N)
+    act = ObjectAction(ActionKind.PUSH, (2, 3), Direction.N)
     assert act.pushing_cell == (3, 3)
     assert act.destination == (1, 3)
 
@@ -117,6 +117,18 @@ def test_run_record_round_trip():
     assert again == record
 
 
+def test_run_record_from_json_needs_required_fields():
+    """A truncated line raises; absent optional fields take their
+    defaults."""
+    with pytest.raises(TypeError):
+        RunRecord.from_json("{}")
+    line = ('{"instance": "x", "game": "sokoban", "mode": "hybrid", '
+            '"reach": "path", "lb": 2, "ub": 2, "status": "optimal"}')
+    record = RunRecord.from_json(line)
+    assert (record.horizon_times, record.phase_times, record.backend) == (
+        [], {}, "")
+
+
 def test_run_record_stable_key_ignores_timing():
     a = RunRecord("x", "sokoban", "hybrid", "path", 2, 2, "optimal",
                   horizon_times=[0.1], lurd="RR")
@@ -139,13 +151,13 @@ def _model(fixture, mode, horizon, backend):
     out = solve(encoding.formula, backend=backend, assumptions=[encoding.goal])
     assert out.status is Status.SAT
     decode(encoding, out.model)          # the true model decodes
-    return encoding, encoding.builder, dict(out.model)
+    return encoding, dict(out.model)
 
 
 @pytest.mark.parametrize("count", [0, 2])
 def test_decode_rejects_direction_count(count, backend):
-    encoding, builder, model = _model("soko_corridor", Mode.FULL, 2, backend)
-    dirs = list(builder.dirs[1].values())
+    encoding, model = _model("soko_corridor", Mode.FULL, 2, backend)
+    dirs = list(encoding.dirs[1].values())
     for i, var in enumerate(dirs):
         model[var] = i < count
     with pytest.raises(DecodeError, match=f"{count} directions set at step 1"):
@@ -153,43 +165,43 @@ def test_decode_rejects_direction_count(count, backend):
 
 
 def test_decode_rejects_two_jumps(backend):
-    encoding, builder, model = _model("soko_pair", Mode.PARALLEL, 1, backend)
-    for var in list(builder.jumps[0].values())[:2]:
+    encoding, model = _model("soko_pair", Mode.PARALLEL, 1, backend)
+    for var in list(encoding.jumps[0].values())[:2]:
         model[var] = True
-    for *_, var in builder.actions[0]:
+    for *_, var in encoding.actions[0]:
         model[var] = False
     with pytest.raises(DecodeError, match="two jump destinations at step 0"):
         decode(encoding, model)
 
 
 def test_decode_rejects_jump_with_object_action(backend):
-    encoding, builder, model = _model("soko_pair", Mode.PARALLEL, 1, backend)
-    assert any(model[var] for *_, var in builder.actions[0])
-    model[next(iter(builder.jumps[0].values()))] = True
+    encoding, model = _model("soko_pair", Mode.PARALLEL, 1, backend)
+    assert any(model[var] for *_, var in encoding.actions[0])
+    model[next(iter(encoding.jumps[0].values()))] = True
     with pytest.raises(DecodeError, match="jump step 0 also carries"):
         decode(encoding, model)
 
 
 def test_decode_rejects_noop_with_action(backend):
-    encoding, builder, model = _model("soko_corridor", Mode.DESCEND, 3, backend)
-    t = next(t for t, noop in enumerate(builder.noops) if not model[noop])
-    model[builder.noops[t]] = True
+    encoding, model = _model("soko_corridor", Mode.DESCEND, 3, backend)
+    t = next(t for t, noop in enumerate(encoding.noops) if not model[noop])
+    model[encoding.noops[t]] = True
     with pytest.raises(DecodeError, match=f"noop step {t} also carries"):
         decode(encoding, model)
 
 
 def test_decode_rejects_two_sequential_actions(backend):
-    encoding, builder, model = _model("snow_pop", Mode.COLLAPSED, 2, backend)
-    model[next(var for *_, var in builder.actions[0] if not model[var])] = True
+    encoding, model = _model("snow_pop", Mode.COLLAPSED, 2, backend)
+    model[next(var for *_, var in encoding.actions[0] if not model[var])] = True
     with pytest.raises(DecodeError, match="sequential step 0 has multiple"):
         decode(encoding, model)
 
 
 @pytest.mark.parametrize("mode", [Mode.COLLAPSED, Mode.PARALLEL])
 def test_decode_rejects_empty_step(mode, backend):
-    encoding, builder, model = _model("soko_corridor", mode, 2, backend)
-    jumps = builder.jumps[1].values() if mode is Mode.PARALLEL else ()
-    for var in [var for *_, var in builder.actions[1]] + list(jumps):
+    encoding, model = _model("soko_corridor", mode, 2, backend)
+    jumps = encoding.jumps[1].values() if mode is Mode.PARALLEL else ()
+    for var in [var for *_, var in encoding.actions[1]] + list(jumps):
         model[var] = False
     with pytest.raises(DecodeError, match="step 1 has no action"):
         decode(encoding, model)

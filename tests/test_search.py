@@ -7,7 +7,8 @@ import pytest
 from snowplan import search
 from snowplan.encoder import EncodingConfig, Mode, ReachKind, encode
 from snowplan.fixtures import load_fixture
-from snowplan.game import Direction, initial_state, is_goal, run_plan
+from snowplan.game import (ActionKind, Direction, initial_state, is_goal,
+                           run_plan)
 from snowplan.plans import ObjectAction, ParallelPlan, SequentialPlan, Step, to_lurd
 from snowplan.search import (Bounds, BoundStatus, BudgetPolicy,
                              SerializationError, _deepen, _Run,
@@ -64,8 +65,8 @@ def test_ascend_upper_bound_is_sound(reach, backend):
 def test_serialize_single_action_plan():
     fx = load_fixture("soko_corridor")    # #@$-.#
     plan = ParallelPlan([
-        Step(actions=frozenset({ObjectAction("roll", (1, 2), Direction.E)})),
-        Step(actions=frozenset({ObjectAction("roll", (1, 3), Direction.E)})),
+        Step(actions=frozenset({ObjectAction(ActionKind.ROLL, (1, 2), Direction.E)})),
+        Step(actions=frozenset({ObjectAction(ActionKind.ROLL, (1, 3), Direction.E)})),
     ])
     moves = serialize(fx.level, plan)
     assert moves == [Direction.E, Direction.E]
@@ -76,8 +77,8 @@ def test_serialize_inserts_walks():
     fx = load_fixture("soko_pair")
     # push each box once; the agent must walk between the two rows
     plan = ParallelPlan([Step(actions=frozenset({
-        ObjectAction("roll", (1, 2), Direction.E),
-        ObjectAction("roll", (3, 2), Direction.E),
+        ObjectAction(ActionKind.ROLL, (1, 2), Direction.E),
+        ObjectAction(ActionKind.ROLL, (3, 2), Direction.E),
     }))])
     moves = serialize(fx.level, plan)
     assert len(moves) > 2                  # pushes plus connecting walks
@@ -90,10 +91,20 @@ def test_serialize_jump_becomes_walk():
     assert serialize(fx.level, plan) == []     # already standing there
 
 
+def test_serialize_rejects_misclassified_action():
+    """A step that claims PUSH for a ball the simulator rolls is rejected,
+    not serialized as a roll."""
+    fx = load_fixture("snow_pop")         # a lone small ball at (2, 3)
+    plan = ParallelPlan([Step(actions=frozenset(
+        {ObjectAction(ActionKind.PUSH, (2, 3), Direction.E)}))])
+    with pytest.raises(SerializationError, match="push at"):
+        serialize(fx.level, plan)
+
+
 def test_serialize_rejects_impossible_action():
     fx = load_fixture("soko_corridor")
     plan = ParallelPlan([
-        Step(actions=frozenset({ObjectAction("roll", (1, 2), Direction.W)}))])
+        Step(actions=frozenset({ObjectAction(ActionKind.ROLL, (1, 2), Direction.W)}))])
     with pytest.raises(SerializationError):
         serialize(fx.level, plan)
 
