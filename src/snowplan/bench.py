@@ -14,9 +14,9 @@ from pathlib import Path
 
 from .encoder import Mode, ReachKind
 from .levels import GameTag, Level, parse_level
-from .plans import RunRecord, SequentialPlan, to_lurd
-from .search import (Bounds, BoundStatus, BudgetPolicy, _replayed, serialize,
-                     solve_hybrid, solve_sequential)
+from .plans import RunRecord, to_lurd
+from .search import (Bounds, BoundStatus, BudgetPolicy, solve_hybrid,
+                     solve_sequential)
 from .solvers import default_backend
 
 LEVEL_SUFFIXES = {".snw": GameTag.SNOWMAN, ".xsb": GameTag.SOKOBAN}
@@ -102,14 +102,9 @@ def _dispatch(level: Level, instance: str, reach: ReachKind, mode: str,
         bounds, moves = solve_hybrid(level, ascend_reach=reach, policy=policy,
                                      backend=backend)
     else:
-        bounds, plan = solve_sequential(level, Mode(mode), reach, policy,
-                                        backend)
-        moves = None
-        if plan is not None:
-            moves = (plan.moves if isinstance(plan, SequentialPlan)
-                     else serialize(level, plan))
-            moves = _replayed(level, moves, mode)
-    lurd = None if moves is None else to_lurd(level, SequentialPlan(moves))
+        bounds, moves = solve_sequential(level, Mode(mode), reach, policy,
+                                         backend)
+    lurd = None if moves is None else to_lurd(level, moves)
     record = RunRecord(
         instance=instance,
         game=level.game.value,

@@ -162,18 +162,27 @@ def run_plan(level: Level, moves) -> ReplayResult:
 # -- brute-force optimal oracle ----------------------------------------
 
 
-def agent_region(level: Level, state: GameState) -> set[Cell]:
-    """Floor cells the agent can walk to without disturbing any object."""
-    seen = {state.agent}
+def walks(level: Level, state: GameState
+          ) -> dict[Cell, tuple[Cell, Direction] | None]:
+    """Breadth-first walks from the agent that disturb no object: each
+    reachable floor cell maps to the cell and direction it is first entered
+    from, the agent's own cell to None."""
+    came_from: dict[Cell, tuple[Cell, Direction] | None] = {state.agent: None}
     queue = deque([state.agent])
     while queue:
         cell = queue.popleft()
         for d in Direction:
             nb = d.apply(cell)
-            if nb not in seen and not level.is_wall(nb) and not state.occupied(nb):
-                seen.add(nb)
+            if (nb not in came_from and not level.is_wall(nb)
+                    and not state.occupied(nb)):
+                came_from[nb] = (cell, d)
                 queue.append(nb)
-    return seen
+    return came_from
+
+
+def agent_region(level: Level, state: GameState) -> set[Cell]:
+    """Floor cells the agent can walk to without disturbing any object."""
+    return set(walks(level, state))
 
 
 def _region_key(level: Level, state: GameState) -> GameState:

@@ -1,9 +1,9 @@
 """Decode SAT models into plans, LURD solution strings, and run records.
 
-A sequential plan is a list of directions (one primitive move each). A
-parallel plan is a list of steps, each holding a set of object actions or a
-single jump; collapsed-mode models decode to parallel form with singleton
-steps, so one serializer covers both.
+FULL models decode to a list of directions (one primitive move each). Every
+other mode decodes to a parallel plan: a list of steps, each holding a set
+of object actions or a single jump; collapsed-mode models decode to
+parallel form with singleton steps, so one serializer covers both.
 
 LURD strings use one character per move: l/u/r/d for plain walks, uppercase
 when the move manipulates an object (roll, push, pop, or a box push). Case
@@ -48,11 +48,6 @@ class Step:
 
 
 @dataclass
-class SequentialPlan:
-    moves: list[Direction]
-
-
-@dataclass
 class ParallelPlan:
     steps: list[Step]
 
@@ -61,10 +56,8 @@ class ParallelPlan:
         return sum(len(step.actions) for step in self.steps)
 
 
-Plan = SequentialPlan | ParallelPlan
-
-
-def decode(encoding: Encoding, model: dict[int, bool]) -> Plan:
+def decode(encoding: Encoding, model: dict[int, bool]
+           ) -> list[Direction] | ParallelPlan:
     """Read the true action literals of steps 0..T-1 back out of a verified
     model, from the encoding's per-step action lists."""
     if encoding.config.mode is Mode.FULL:
@@ -72,14 +65,14 @@ def decode(encoding: Encoding, model: dict[int, bool]) -> Plan:
     return _decode_object_plan(encoding, model)
 
 
-def _decode_full(encoding: Encoding, model: dict[int, bool]) -> SequentialPlan:
+def _decode_full(encoding: Encoding, model: dict[int, bool]) -> list[Direction]:
     moves = []
     for t, dirs in enumerate(encoding.dirs[:encoding.config.horizon]):
         chosen = [d for d, var in dirs.items() if model[var]]
         if len(chosen) != 1:
             raise DecodeError(f"{len(chosen)} directions set at step {t}")
         moves.append(chosen[0])
-    return SequentialPlan(moves)
+    return moves
 
 
 def _decode_object_plan(encoding: Encoding, model: dict[int, bool]) -> ParallelPlan:
@@ -112,11 +105,11 @@ def _decode_object_plan(encoding: Encoding, model: dict[int, bool]) -> ParallelP
 # -- LURD strings -------------------------------------------------------
 
 
-def to_lurd(level: Level, plan: SequentialPlan) -> str:
+def to_lurd(level: Level, moves: list[Direction]) -> str:
     """Render a move sequence, uppercasing object-manipulating moves."""
     state = initial_state(level)
     chars = []
-    for i, move in enumerate(plan.moves):
+    for i, move in enumerate(moves):
         result = classify(level, state, move)
         if result is None:
             raise LurdError(f"plan rejected at move {i}")
@@ -147,7 +140,7 @@ def validate_lurd(level: Level, text: str) -> dict:
     result = run_plan(level, moves)
     if not result.ok:
         raise LurdError(f"move {result.rejected_at} rejected by the simulator")
-    rendered = to_lurd(level, SequentialPlan(moves))
+    rendered = to_lurd(level, moves)
     if rendered != text:
         diff = next(i for i, (a, b) in enumerate(zip(rendered, text)) if a != b)
         raise LurdError(f"case annotation mismatch at index {diff}: "

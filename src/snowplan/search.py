@@ -8,8 +8,10 @@ UNSAT answer certifies optimality. Because a satisfiable probe may contain
 several trailing noops, the upper bound can drop by more than one per
 iteration.
 
-Every strategy run keeps one live formula and hands it to one backend, so
-an incremental backend keeps what it learnt from one horizon to the next:
+Every strategy ends in a list of moves that the simulator has replayed to
+the goal. Every strategy run keeps one live formula and hands it to one
+backend, so an incremental backend keeps what it learnt from one horizon to
+the next:
 deepening appends a layer per horizon and assumes that horizon's goal
 literal, and descend encodes once and assumes its goal literal and the
 noops at the tail.
@@ -19,15 +21,14 @@ from __future__ import annotations
 
 import enum
 import time
-from collections import deque
 from dataclasses import dataclass, field
 
 from . import encoder as enc
 from .encoder import EncodingConfig, Mode, ReachKind
 from .game import (Direction, GameState, classify, initial_state, is_goal,
-                   run_plan, step)
+                   run_plan, step, walks)
 from .levels import Cell, Level
-from .plans import ObjectAction, ParallelPlan, Plan, decode
+from .plans import ObjectAction, ParallelPlan, decode
 from .solvers import Status, default_backend, solve
 
 
@@ -91,9 +92,10 @@ class _Run:
         """One SAT call on the encoding under its goal literal and `extra`,
         within the per-call budget and what is left of the run."""
         budget = max(0.0, min(self.policy.solve_budget, self.remaining()))
+        start = time.monotonic()
         outcome = solve(encoding.formula, budget, self.backend,
                         assumptions=[encoding.goal, *extra])
-        self.times.append(outcome.elapsed)
+        self.times.append(time.monotonic() - start)
         return outcome
 
     def bounds(self, lower: int | None, upper: int | None,
@@ -103,7 +105,7 @@ class _Run:
 
 
 def _deepen(level: Level, mode: Mode, reach: ReachKind,
-            run: _Run) -> tuple[int, Plan | None]:
+            run: _Run) -> tuple[int, list[Direction] | ParallelPlan | None]:
     """Iterative deepening from T = 0; the first SAT horizon is minimal.
 
     Returns that horizon and its plan, or, when the clock, the solver or
@@ -128,15 +130,21 @@ def _deepen(level: Level, mode: Mode, reach: ReachKind,
 def solve_sequential(level: Level, mode: Mode = Mode.COLLAPSED,
                      reach: ReachKind = ReachKind.PATH,
                      policy: BudgetPolicy = BudgetPolicy(),
-                     backend=None) -> tuple[Bounds, Plan | None]:
-    """Optimal moves (FULL) or object actions (COLLAPSED) by deepening."""
+                     backend=None) -> tuple[Bounds, list[Direction] | None]:
+    """Optimal moves (FULL) or object actions (COLLAPSED) by deepening.
+
+    The moves are FULL's as decoded, or the serialized COLLAPSED plan;
+    either way the simulator has replayed them to the goal.
+    """
     if mode not in (Mode.FULL, Mode.COLLAPSED):
         raise ValueError("solve_sequential expects FULL or COLLAPSED mode")
     run = _Run(policy, backend)
     horizon, plan = _deepen(level, mode, reach, run)
     if plan is None:
         return run.bounds(horizon, None, BoundStatus.BOUNDED), None
-    return run.bounds(horizon, horizon, BoundStatus.OPTIMAL), plan
+    moves = plan if mode is Mode.FULL else serialize(level, plan)
+    return (run.bounds(horizon, horizon, BoundStatus.OPTIMAL),
+            _replayed(level, moves, mode.value))
 
 
 def ascend_parallel(level: Level, reach: ReachKind = ReachKind.TREE,
@@ -160,26 +168,14 @@ def ascend_parallel(level: Level, reach: ReachKind = ReachKind.TREE,
 
 def _walk(level: Level, state: GameState, target: Cell) -> list[Direction] | None:
     """Shortest obstacle-free walk from the agent to target, as directions."""
-    if state.agent == target:
-        return []
-    seen = {state.agent: None}
-    queue = deque([state.agent])
-    while queue:
-        cell = queue.popleft()
-        for d in Direction:
-            nxt = d.apply(cell)
-            if nxt in seen or level.is_wall(nxt) or state.occupied(nxt):
-                continue
-            seen[nxt] = (cell, d)
-            if nxt == target:
-                path = []
-                while seen[nxt] is not None:
-                    cell, d = seen[nxt]
-                    path.append(d)
-                    nxt = cell
-                return path[::-1]
-            queue.append(nxt)
-    return None
+    came_from = walks(level, state)
+    if target not in came_from:
+        return None
+    path = []
+    while came_from[target] is not None:
+        target, d = came_from[target]
+        path.append(d)
+    return path[::-1]
 
 
 def _step_order(step_actions: frozenset[ObjectAction]) -> list[ObjectAction]:

@@ -1,15 +1,13 @@
 """SAT backends: external DIMACS solver processes and a bundled CDCL solver.
 
-The external backend hands a DIMACS file to a solver process configured by a
-command template and parses competition-style output ("s SATISFIABLE" /
+Every backend takes `solve(formula, budget=None, assumptions=())` and
+answers for the formula with every assumption literal true; `solve` is the
+one entry point. The external backend writes the formula, the assumptions as
+unit clauses, to a DIMACS file for a solver process configured by a command
+template and parses competition-style output ("s SATISFIABLE" /
 "s UNSATISFIABLE" status lines and "v " value lines). The bundled backend is
 a watched-literal CDCL solver, slower but dependency-free, and incremental:
-it keeps one solver state per formula and solves under assumptions.
-
-`solve` is the one entry point. A backend with `incremental = True` takes
-`solve(formula, budget, assumptions)`; any other backend only needs
-`solve(formula, budget)` and gets the assumptions as unit clauses on a
-one-shot copy of the formula.
+it keeps one solver state per formula and decides the assumptions first.
 
 Timeouts are results (UNKNOWN); process failures raise BackendError.
 Every SAT model is re-checked against the clause list, and the
@@ -26,7 +24,7 @@ import subprocess
 import tempfile
 import time
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cnf import Formula
 
@@ -50,7 +48,6 @@ class Status(enum.Enum):
 class SolveOutcome:
     status: Status
     model: dict[int, bool] | None = None
-    elapsed: float = 0.0
 
 
 def check_model(formula: Formula, model: dict[int, bool]) -> bool:
@@ -73,13 +70,13 @@ def check_model(formula: Formula, model: dict[int, bool]) -> bool:
     return True
 
 
-def _verified(formula: Formula, assignment: dict[int, bool], elapsed: float,
-              assumptions=()) -> SolveOutcome:
+def _verified(formula: Formula, assignment: dict[int, bool],
+              assumptions) -> SolveOutcome:
     model = {v: assignment.get(v, False) for v in range(1, formula.num_vars + 1)}
     if not (check_model(formula, model)
             and all(model[abs(lit)] == (lit > 0) for lit in assumptions)):
         raise BackendError("backend returned an assignment that violates the formula")
-    return SolveOutcome(Status.SAT, model, elapsed)
+    return SolveOutcome(Status.SAT, model)
 
 
 def _with_units(formula: Formula, lits) -> Formula:
@@ -96,6 +93,8 @@ class ExternalSolver:
     """One-shot solver over a DIMACS file via a configurable command template.
 
     The template must contain an "{input}" placeholder for the CNF file path.
+    Each call writes a fresh file: the formula, plus one unit clause per
+    assumption.
     """
 
     def __init__(self, command_template: str):
@@ -106,12 +105,12 @@ class ExternalSolver:
     def __repr__(self) -> str:
         return f"ExternalSolver({self.command_template!r})"
 
-    def solve(self, formula: Formula, budget: float | None = None) -> SolveOutcome:
-        start = time.monotonic()
+    def solve(self, formula: Formula, budget: float | None = None,
+              assumptions=()) -> SolveOutcome:
         with tempfile.NamedTemporaryFile(
             "w", suffix=".cnf", prefix="snowplan_", delete=False
         ) as handle:
-            handle.write(formula.to_dimacs())
+            handle.write(_with_units(formula, assumptions).to_dimacs())
             path = handle.name
         try:
             # not str.format: other braces in the template stay as written
@@ -132,17 +131,17 @@ class ExternalSolver:
             try:
                 stdout, stderr = proc.communicate(timeout=budget)
             except subprocess.TimeoutExpired:
-                return SolveOutcome(Status.UNKNOWN, None, time.monotonic() - start)
+                return SolveOutcome(Status.UNKNOWN)
             finally:
                 if proc.returncode is None:
                     _kill_group(proc)
-            return self._parse(formula, proc.returncode, stdout, stderr,
-                               time.monotonic() - start)
+            return self._parse(formula, assumptions, proc.returncode, stdout,
+                               stderr)
         finally:
             os.unlink(path)
 
-    def _parse(self, formula: Formula, returncode: int, stdout: str,
-               stderr: str, elapsed: float) -> SolveOutcome:
+    def _parse(self, formula: Formula, assumptions, returncode: int,
+               stdout: str, stderr: str) -> SolveOutcome:
         status = None
         values: list[int] = []
         for line in stdout.splitlines():
@@ -163,8 +162,8 @@ class ExternalSolver:
             )
         if status is Status.SAT:
             assignment = {abs(v): v > 0 for v in values if v != 0}
-            return _verified(formula, assignment, elapsed)
-        return SolveOutcome(status, None, elapsed)
+            return _verified(formula, assignment, assumptions)
+        return SolveOutcome(status)
 
 
 def _kill_group(proc: subprocess.Popen) -> None:
@@ -186,8 +185,6 @@ class InProcessSolver:
     One thread at a time uses an InProcessSolver.
     """
 
-    incremental = True
-
     def __init__(self) -> None:
         self._states: weakref.WeakKeyDictionary[Formula, _CDCL] = (
             weakref.WeakKeyDictionary())
@@ -202,8 +199,7 @@ class InProcessSolver:
         UNSAT under assumptions says nothing about the formula alone, and
         neither it nor UNKNOWN changes later answers.
         """
-        start = time.monotonic()
-        deadline = None if budget is None else start + budget
+        deadline = None if budget is None else time.monotonic() + budget
         for lit in assumptions:
             if lit == 0 or abs(lit) > formula.num_vars:
                 raise ValueError(f"assumption {lit} outside allocated variables")
@@ -212,12 +208,11 @@ class InProcessSolver:
             cdcl = self._states[formula] = _CDCL()
         cdcl.load(formula)
         result = cdcl.run(assumptions, deadline)
-        elapsed = time.monotonic() - start
         if result is None:
-            return SolveOutcome(Status.UNKNOWN, None, elapsed)
+            return SolveOutcome(Status.UNKNOWN)
         if result is False:
-            return SolveOutcome(Status.UNSAT, None, elapsed)
-        return _verified(formula, result, elapsed, assumptions)
+            return SolveOutcome(Status.UNSAT)
+        return _verified(formula, result, assumptions)
 
 
 class _CDCL:
@@ -594,15 +589,12 @@ class _CDCL:
 
 
 def _luby(i: int) -> int:
-    k = 1
-    while (1 << (k + 1)) - 1 <= i:
-        k += 1
-    while (1 << k) - 1 != i:
-        i -= (1 << (k - 1)) - 1 + 1
-        k = 1
-        while (1 << (k + 1)) - 1 <= i:
-            k += 1
-    return 1 << (k - 1)
+    """Term i (from 1) of the Luby sequence 1,1,2,1,1,2,4,1,1,2,... :
+    2^(k-1) when i = 2^k - 1, else the term i - (2^(k-1) - 1) for the k
+    with 2^(k-1) <= i < 2^k - 1."""
+    while (i + 1) & i:
+        i -= (1 << (i.bit_length() - 1)) - 1
+    return (i + 1) >> 1
 
 
 def default_backend():
@@ -618,15 +610,8 @@ def default_backend():
 
 def solve(formula: Formula, budget: float | None = None, backend=None,
           assumptions=()) -> SolveOutcome:
-    """Solve the formula with every assumption literal true.
-
-    An incremental backend gets the assumptions as such; any other gets a
-    one-shot copy of the formula with the assumptions as unit clauses.
-    """
+    """Solve the formula with every assumption literal true, on `backend`
+    or, by default, the one `default_backend` resolves."""
     if backend is None:
         backend = default_backend()
-    if getattr(backend, "incremental", False):
-        return backend.solve(formula, budget, assumptions)
-    if assumptions:
-        formula = _with_units(formula, assumptions)
-    return backend.solve(formula, budget)
+    return backend.solve(formula, budget, assumptions)

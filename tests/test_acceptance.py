@@ -20,14 +20,14 @@ from snowplan.bench import BenchReport, BenchRun, par2_score, run_bench
 from snowplan.cnf import Formula
 from snowplan.encoder import EncodingConfig, Mode, ReachKind, encode
 from snowplan.fixtures import FIXTURE_DIR, gen_random_level, list_fixtures, load_fixture
-from snowplan.game import (ActionKind, Direction, GameState, classify,
-                           initial_state, is_goal, run_plan)
+from snowplan.game import (ActionKind, GameState, classify, initial_state,
+                           is_goal, run_plan)
 from snowplan.levels import GameTag
 from snowplan.plans import RunRecord, decode, validate_lurd
 from snowplan.reach import (bfs_reachable, encode_dag, encode_path,
                             encode_spanning_tree, grid_graph)
-from snowplan.search import (BoundStatus, BudgetPolicy, descend, serialize,
-                             solve_hybrid, solve_sequential)
+from snowplan.search import (BoundStatus, BudgetPolicy, descend, solve_hybrid,
+                             solve_sequential)
 from snowplan.solvers import InProcessSolver, Status, solve
 
 ASSET_DIR = Path(__file__).resolve().parent.parent / "assets"
@@ -145,7 +145,7 @@ def test_criterion_3_fixture_agreement(backend):
                                             policy=policy, backend=backend)
             assert bounds.status is BoundStatus.OPTIMAL, name
             assert bounds.upper == fx.moves_optimal, name
-            assert run_plan(fx.level, plan.moves).ok
+            assert run_plan(fx.level, plan).ok
             for reach in ReachKind:
                 bounds, _ = solve_sequential(fx.level, Mode.COLLAPSED, reach,
                                              policy, backend)

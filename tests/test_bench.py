@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from snowplan import bench
+from snowplan import bench, search
 from snowplan.bench import (BenchReport, BenchRun, discover_levels,
                             load_level_file, par2_score, run_bench,
                             run_instance)
@@ -14,9 +14,7 @@ from snowplan.encoder import ReachKind
 from snowplan.fixtures import FIXTURE_DIR, load_fixture
 from snowplan.levels import GameTag, parse_level
 from snowplan.game import ActionKind, Direction
-from snowplan.plans import (ObjectAction, ParallelPlan, RunRecord,
-                            SequentialPlan, Step)
-from snowplan.search import Bounds, BoundStatus
+from snowplan.plans import ObjectAction, ParallelPlan, RunRecord, Step
 from snowplan.solvers import SOLVER_CMD_ENV
 
 
@@ -100,14 +98,14 @@ def test_sequential_plan_short_of_goal_is_an_error(mode, monkeypatch):
     """A FULL or COLLAPSED plan is replayed against the goal, as hybrid's
     moves are: an OPTIMAL answer whose plan stops short is an error."""
     fx = load_fixture("soko_corridor")          # #@$-.#, optimum RR
-    short = (SequentialPlan([Direction.E]) if mode == "full" else
+    short = ([Direction.E] if mode == "full" else
              ParallelPlan([Step(actions=frozenset(
                  {ObjectAction(ActionKind.ROLL, (1, 2), Direction.E)}))]))
 
-    def stops_short(level, mode, reach, policy, backend):
-        return Bounds(1, 1, BoundStatus.OPTIMAL), short
+    def stops_short(level, mode, reach, run):
+        return 1, short
 
-    monkeypatch.setattr(bench, "solve_sequential", stops_short)
+    monkeypatch.setattr(search, "_deepen", stops_short)
     run = run_instance(fx.level, "soko_corridor", ReachKind.PATH, mode)
     assert not run.solved
     assert run.record is None
@@ -118,7 +116,7 @@ def test_run_instance_isolates_errors():
     fx = load_fixture("soko_corridor")
 
     class Exploding:
-        def solve(self, formula, budget=None):
+        def solve(self, formula, budget=None, assumptions=()):
             raise RuntimeError("boom")
 
     run = run_instance(fx.level, "soko_corridor", ReachKind.TREE,

@@ -230,7 +230,7 @@ def test_extension_appends_layers_once(mode, backend):
         out = _solve(encoding, backend)
         assert out.status is _status(fresh, backend)
     plan = decode(encoding, out.model)
-    moves = plan.moves if mode is Mode.FULL else serialize(fx.level, plan)
+    moves = plan if mode is Mode.FULL else serialize(fx.level, plan)
     assert is_goal(fx.level, run_plan(fx.level, moves).state)
 
 

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from snowplan.fixtures import (FIXTURE_DIR, FixtureError, freeze_fixture,
-                               gen_random_level, list_fixtures, load_fixture)
+from snowplan.fixtures import (FixtureError, freeze_fixture, gen_random_level,
+                               list_fixtures, load_fixture)
 from snowplan.game import Metric, oracle_optimal
 from snowplan.levels import GameTag, parse_sokoban_xsb, render
 

@@ -1,12 +1,10 @@
 """Game semantics: moves, rolls, pushes, pops, snow growth, and the oracle."""
 
-import pytest
-
 from snowplan.fixtures import load_fixture
 from snowplan.game import (ActionKind, Direction, Metric, agent_region,
                            classify, initial_state, is_goal, oracle_optimal,
-                           run_plan, step)
-from snowplan.levels import BallSize, GameTag, parse_snowman, parse_sokoban_xsb
+                           run_plan)
+from snowplan.levels import BallSize, parse_snowman, parse_sokoban_xsb
 
 E, W, N, S = Direction.E, Direction.W, Direction.N, Direction.S
 

@@ -2,8 +2,7 @@
 
 import pytest
 
-from snowplan.levels import (BallSize, GameTag, ParseError, Level,
-                             parse_level, parse_snowman, parse_sokoban_xsb,
+from snowplan.levels import (BallSize, GameTag, ParseError, parse_level, parse_snowman, parse_sokoban_xsb,
                              render, render_snowman, render_sokoban_xsb)
 
 SNOW_TEXT = """\

@@ -6,8 +6,8 @@ from snowplan.encoder import EncodingConfig, Mode, ReachKind, encode
 from snowplan.fixtures import load_fixture
 from snowplan.game import ActionKind, Direction
 from snowplan.plans import (DecodeError, LurdError, ObjectAction, ParallelPlan,
-                            RunRecord, SequentialPlan, Step, parse_lurd,
-                            to_lurd, validate_lurd, decode)
+                            RunRecord, Step, parse_lurd, to_lurd,
+                            validate_lurd, decode)
 from snowplan.solvers import Status, solve
 
 
@@ -30,10 +30,10 @@ def test_decode_full_model(backend):
     encoding = encode(fx.level, EncodingConfig(Mode.FULL, fx.moves_optimal))
     out = solve(encoding.formula, backend=backend, assumptions=[encoding.goal])
     assert out.status is Status.SAT
-    plan = decode(encoding, out.model)
-    assert isinstance(plan, SequentialPlan)
-    assert len(plan.moves) == fx.moves_optimal
-    assert to_lurd(fx.level, plan) == "RR"
+    moves = decode(encoding, out.model)
+    assert all(isinstance(d, Direction) for d in moves)
+    assert len(moves) == fx.moves_optimal
+    assert to_lurd(fx.level, moves) == "RR"
 
 
 def test_decode_collapsed_model(backend):
@@ -76,14 +76,14 @@ def test_parse_lurd_rejects_garbage():
 
 def test_to_lurd_assigns_case_by_simulation():
     level = load_fixture("soko_corridor").level   # #@$-.# corridor
-    plan = SequentialPlan([Direction.E, Direction.E])
-    assert to_lurd(level, plan) == "RR"           # both moves push the box
+    moves = [Direction.E, Direction.E]
+    assert to_lurd(level, moves) == "RR"          # both moves push the box
 
 
 def test_to_lurd_rejects_invalid_plan():
     level = load_fixture("soko_corridor").level
     with pytest.raises(LurdError):
-        to_lurd(level, SequentialPlan([Direction.N]))
+        to_lurd(level, [Direction.N])
 
 
 def test_validate_lurd_success():
@@ -101,9 +101,9 @@ def test_validate_lurd_catches_wrong_case():
 def test_validate_lurd_not_at_goal():
     level = load_fixture("soko_two").level
     # single legal non-solving walk
-    moves = to_lurd(level, SequentialPlan([d for d in Direction
-                                           if level.is_wall(d.apply(level.agent))
-                                           is False][:1]))
+    moves = to_lurd(level, [d for d in Direction
+                            if level.is_wall(d.apply(level.agent))
+                            is False][:1])
     summary = validate_lurd(level, moves)
     assert summary["goal"] is False
 

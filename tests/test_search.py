@@ -7,9 +7,8 @@ import pytest
 from snowplan import search
 from snowplan.encoder import EncodingConfig, Mode, ReachKind, encode
 from snowplan.fixtures import load_fixture
-from snowplan.game import (ActionKind, Direction, initial_state, is_goal,
-                           run_plan)
-from snowplan.plans import ObjectAction, ParallelPlan, SequentialPlan, Step, to_lurd
+from snowplan.game import ActionKind, Direction, is_goal, run_plan
+from snowplan.plans import ObjectAction, ParallelPlan, Step, to_lurd
 from snowplan.search import (Bounds, BoundStatus, BudgetPolicy,
                              SerializationError, _deepen, _Run,
                              ascend_parallel, descend, serialize,
@@ -30,20 +29,23 @@ def test_bounds_validation():
 
 def test_solve_sequential_full_matches_oracle(backend):
     fx = load_fixture("soko_corridor")
-    bounds, plan = solve_sequential(fx.level, Mode.FULL, policy=FAST,
-                                    backend=backend)
+    bounds, moves = solve_sequential(fx.level, Mode.FULL, policy=FAST,
+                                     backend=backend)
     assert bounds.status is BoundStatus.OPTIMAL
     assert bounds.upper == fx.moves_optimal
-    assert run_plan(fx.level, plan.moves).ok
+    assert len(moves) == fx.moves_optimal
+    assert is_goal(fx.level, run_plan(fx.level, moves).state)
 
 
 def test_solve_sequential_collapsed_matches_oracle(backend):
     fx = load_fixture("snow_pop")
-    bounds, plan = solve_sequential(fx.level, Mode.COLLAPSED, policy=FAST,
-                                    backend=backend)
+    bounds, moves = solve_sequential(fx.level, Mode.COLLAPSED, policy=FAST,
+                                     backend=backend)
     assert bounds.status is BoundStatus.OPTIMAL
     assert bounds.upper == fx.object_actions_optimal
-    assert isinstance(plan, ParallelPlan)
+    lurd = to_lurd(fx.level, moves)       # the serialized COLLAPSED plan
+    assert sum(1 for ch in lurd if ch.isupper()) == fx.object_actions_optimal
+    assert is_goal(fx.level, run_plan(fx.level, moves).state)
 
 
 def test_solve_sequential_rejects_other_modes():
@@ -145,7 +147,7 @@ def test_hybrid_matches_oracle(name, backend):
     bounds, moves = solve_hybrid(fx.level, policy=FAST, backend=backend)
     assert bounds.status is BoundStatus.OPTIMAL
     assert bounds.upper == fx.object_actions_optimal
-    lurd = to_lurd(fx.level, SequentialPlan(moves))
+    lurd = to_lurd(fx.level, moves)
     assert sum(1 for ch in lurd if ch.isupper()) == fx.object_actions_optimal
     assert is_goal(fx.level, run_plan(fx.level, moves).state)
 
@@ -188,8 +190,6 @@ def test_incremental_deepening_matches_one_shot(name, mode, reach):
 
 class _CountingBackend:
     """The bundled solver, logging the phase of each call it answers."""
-
-    incremental = True
 
     def __init__(self):
         self.inner = InProcessSolver()
@@ -248,9 +248,9 @@ def test_horizon_times_count_every_sat_call(monkeypatch):
 class _SlowBackend:
     """Answers correctly, but each call lasts 60% of its budget."""
 
-    def solve(self, formula, budget=None):
+    def solve(self, formula, budget=None, assumptions=()):
         start = time.monotonic()
-        out = InProcessSolver().solve(formula)
+        out = InProcessSolver().solve(formula, assumptions=assumptions)
         time.sleep(max(0.0, 0.6 * budget - (time.monotonic() - start)))
         return out
 

@@ -9,10 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from snowplan.cnf import Formula
+from snowplan.cnf import Formula, parse_dimacs
 from snowplan.solvers import (BackendError, ExternalSolver, InProcessSolver,
-                              Status, check_model, default_backend, solve,
-                              SOLVER_CMD_ENV)
+                              Status, _luby, check_model, default_backend,
+                              solve, SOLVER_CMD_ENV)
 
 from conftest import brute_force_models, is_satisfiable_brute
 
@@ -269,30 +269,52 @@ def test_assumption_outside_variables_rejected():
         InProcessSolver().solve(_tiny([[1]], 1), assumptions=[2])
 
 
-class _OneShotStub:
-    """A backend with no notion of assumptions."""
-
-    def __init__(self):
-        self.seen = []
-
-    def solve(self, formula, budget=None):
-        self.seen.append(len(formula.clauses))
-        return InProcessSolver().solve(formula, budget)
-
-
-def test_one_shot_backend_gets_assumptions_as_units():
+def test_one_shot_backend_gets_assumptions_as_units(tmp_path):
+    """ExternalSolver writes the formula plus one unit clause per assumption
+    to its DIMACS file and leaves the caller's formula as it was; solving
+    the formula with those units answers like enumeration under the
+    assumptions."""
+    seen, answer = tmp_path / "seen.cnf", tmp_path / "answer"
+    external = ExternalSolver(_script_solver(
+        tmp_path, f'cp "$1" {seen}\ncat {answer}\n'))
     rng = random.Random(11)
-    stub = _OneShotStub()
     for _ in range(80):
         n = rng.randint(1, 7)
         f = _tiny([_random_clause(rng, n) for _ in range(rng.randint(1, 3 * n))], n)
-        clauses = len(f.clauses)
+        clauses = [list(c) for c in f.clauses]
         assumptions = sorted({rng.choice([-1, 1]) * rng.randint(1, n)
                               for _ in range(rng.randint(1, 3))})
-        out = solve(f, backend=stub, assumptions=assumptions)
-        assert stub.seen[-1] == clauses + len(assumptions)
-        assert len(f.clauses) == clauses     # the copy was solved
+        units = clauses + [[lit] for lit in assumptions]
+        answer.write_text(_competition_output(
+            InProcessSolver().solve(_tiny(units, n))))
+        out = solve(f, backend=external, assumptions=assumptions)
+        assert parse_dimacs(seen.read_text()) == (n, units)
+        assert f.clauses == clauses            # the caller's formula is unchanged
         _agrees(f, out, assumptions)
+
+
+def _competition_output(outcome) -> str:
+    if outcome.status is Status.UNSAT:
+        return "s UNSATISFIABLE\n"
+    values = " ".join(str(v if b else -v) for v, b in outcome.model.items())
+    return f"s SATISFIABLE\nv {values} 0\n"
+
+
+def test_external_model_violating_assumption_rejected(tmp_path):
+    """A model that satisfies the formula but not an assumption is a
+    backend error, not a SAT answer."""
+    cmd = _script_solver(tmp_path, 'echo "s SATISFIABLE"\necho "v 1 2 0"\n')
+    f = _tiny([[1, 2]], 2)
+    assert ExternalSolver(cmd).solve(f).status is Status.SAT
+    with pytest.raises(BackendError):
+        ExternalSolver(cmd).solve(f, assumptions=[-2])
+
+
+def test_luby_sequence():
+    """Restarts follow Luby, Sinclair & Zuckerman's sequence."""
+    want = [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8,
+            1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8, 16]
+    assert [_luby(i) for i in range(1, 32)] == want
 
 
 def test_one_state_per_formula_until_collected():
