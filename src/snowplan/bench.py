@@ -13,13 +13,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .encoder import Mode, ReachKind
-from .levels import GameTag, Level, parse_level
+from .levels import SUFFIXES, GameTag, Level, parse_level
 from .plans import RunRecord, to_lurd
 from .search import (Bounds, BoundStatus, BudgetPolicy, solve_hybrid,
                      solve_sequential)
 from .solvers import default_backend
-
-LEVEL_SUFFIXES = {".snw": GameTag.SNOWMAN, ".xsb": GameTag.SOKOBAN}
 
 
 @dataclass
@@ -61,7 +59,7 @@ def par2_score(runtimes: list[float], unsolved: int, limit: float) -> float:
 def discover_levels(directory: Path) -> list[tuple[Path, GameTag]]:
     found = []
     for path in sorted(directory.iterdir()):
-        game = LEVEL_SUFFIXES.get(path.suffix)
+        game = SUFFIXES.get(path.suffix)
         if game is not None:
             found.append((path, game))
     return found
@@ -69,7 +67,7 @@ def discover_levels(directory: Path) -> list[tuple[Path, GameTag]]:
 
 def load_level_file(path: Path, game: GameTag | None = None) -> Level:
     if game is None:
-        game = LEVEL_SUFFIXES.get(path.suffix)
+        game = SUFFIXES.get(path.suffix)
         if game is None:
             raise ValueError(f"cannot infer game from suffix of {path.name}; "
                              "expected .snw or .xsb")

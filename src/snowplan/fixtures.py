@@ -11,13 +11,10 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .bench import LEVEL_SUFFIXES
 from .game import Metric, oracle_optimal
-from .levels import BallSize, GameTag, Level, parse_level, render
+from .levels import FORMATS, BallSize, GameTag, Level, parse_level, render
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent.parent / "fixtures"
-
-_EXT = {game: suffix for suffix, game in LEVEL_SUFFIXES.items()}
 
 
 class FixtureError(Exception):
@@ -77,7 +74,7 @@ def freeze_fixture(level: Level, name: str, directory: Path | None = None,
     if moves is None or actions is None:
         raise FixtureError(f"oracle cap exceeded for fixture {name!r}")
     fixture = Fixture(name, level, moves, actions, flags or {})
-    (directory / (name + _EXT[level.game])).write_text(render(level))
+    (directory / (name + FORMATS[level.game].suffix)).write_text(render(level))
     meta = {
         "name": name,
         "game": level.game.value,
@@ -93,7 +90,7 @@ def load_fixture(name: str, directory: Path | None = None) -> Fixture:
     directory = FIXTURE_DIR if directory is None else directory
     meta = json.loads((directory / (name + ".json")).read_text())
     game = GameTag(meta["game"])
-    text = (directory / (name + _EXT[game])).read_text()
+    text = (directory / (name + FORMATS[game].suffix)).read_text()
     return Fixture(
         name=name,
         level=parse_level(text, game),

@@ -1,9 +1,14 @@
 """Puzzle level parsing and representation for both games.
 
-Snowman text format: '#' wall, '-' plain floor, '.' snow floor, digits 1..7
-for ball stacks (1 small, 2 medium, 3 small-on-medium, 4 large,
+Each text format is one `LevelFormat` table in `FORMATS`: its file suffix,
+the marks each glyph puts on a cell, and whether ragged lines are padded.
+`parse_level` reads every format through its table and `render` inverts it.
+
+Snowman text format (`.snw`): '#' wall, '-' plain floor, '.' snow floor,
+digits 1..7 for ball stacks (1 small, 2 medium, 3 small-on-medium, 4 large,
 5 small-on-large, 6 medium-on-large, 7 full snowman), 'p' agent on plain
-floor, 'P' agent on snow. Sokoban levels use the community XSB convention.
+floor, 'P' agent on snow. Sokoban levels (`.xsb`) use the community XSB
+convention.
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ _DIGIT_STACKS: dict[str, tuple[BallSize, ...]] = {
     "6": (BallSize.LARGE, BallSize.MEDIUM),
     "7": (BallSize.LARGE, BallSize.MEDIUM, BallSize.SMALL),
 }
-_STACK_DIGITS = {v: k for k, v in _DIGIT_STACKS.items()}
 
 
 @dataclass(frozen=True)
@@ -79,6 +83,35 @@ class Level:
         return cell in self.walls
 
 
+# The marks a glyph can put on its cell; a ball stack is a mark of its own.
+WALL, SNOW, AGENT, BOX, GOAL = "wall", "snow", "agent", "box", "goal"
+Mark = str | tuple[BallSize, ...]
+
+
+@dataclass(frozen=True)
+class LevelFormat:
+    """One level text format. `glyphs` maps each glyph to the marks it puts
+    on its cell; where two glyphs put the same marks, `render` writes the
+    first. With `pad`, ragged lines are padded with floor and floor joined
+    to the frame lies outside the level and becomes wall; without it,
+    ragged text is rejected."""
+    game: GameTag
+    suffix: str
+    glyphs: dict[str, tuple[Mark, ...]]
+    pad: bool
+
+
+FORMATS = {fmt.game: fmt for fmt in (
+    LevelFormat(GameTag.SNOWMAN, ".snw", pad=False, glyphs={
+        "#": (WALL,), "-": (), ".": (SNOW,), "p": (AGENT,), "P": (AGENT, SNOW),
+        **{digit: (stack,) for digit, stack in _DIGIT_STACKS.items()}}),
+    LevelFormat(GameTag.SOKOBAN, ".xsb", pad=True, glyphs={
+        "#": (WALL,), "-": (), " ": (), ".": (GOAL,), "$": (BOX,),
+        "*": (BOX, GOAL), "@": (AGENT,), "+": (AGENT, GOAL)}),
+)}
+SUFFIXES = {fmt.suffix: game for game, fmt in FORMATS.items()}
+
+
 def _split_rectangular(text: str, pad: bool) -> list[str]:
     lines = text.replace("\r\n", "\n").rstrip("\n").split("\n")
     if not lines or not any(lines):
@@ -91,148 +124,14 @@ def _split_rectangular(text: str, pad: bool) -> list[str]:
     return lines
 
 
-def _check_border(level: Level) -> None:
-    for r in range(level.rows):
-        for c in (0, level.cols - 1):
-            if (r, c) not in level.walls:
-                raise ParseError(f"border cell ({r},{c}) is not a wall")
-    for c in range(level.cols):
-        for r in (0, level.rows - 1):
-            if (r, c) not in level.walls:
-                raise ParseError(f"border cell ({r},{c}) is not a wall")
-
-
-def parse_snowman(text: str) -> Level:
-    lines = _split_rectangular(text, pad=False)
-    walls, snow = set(), set()
-    stacks: dict[Cell, tuple[BallSize, ...]] = {}
-    agent = None
-    for r, line in enumerate(lines):
-        for c, ch in enumerate(line):
-            cell = (r, c)
-            if ch == "#":
-                walls.add(cell)
-            elif ch == "-":
-                pass
-            elif ch == ".":
-                snow.add(cell)
-            elif ch in _DIGIT_STACKS:
-                stacks[cell] = _DIGIT_STACKS[ch]
-            elif ch in ("p", "P"):
-                if agent is not None:
-                    raise ParseError("duplicate agent")
-                agent = cell
-                if ch == "P":
-                    snow.add(cell)
-            else:
-                raise ParseError(f"unknown character {ch!r} at ({r},{c})")
-    if agent is None:
-        raise ParseError("missing agent")
-    ball_count = sum(len(s) for s in stacks.values())
-    if ball_count % 3 != 0:
-        raise ParseError(f"ball count {ball_count} not divisible by 3")
-    level = Level(
-        rows=len(lines),
-        cols=len(lines[0]),
-        walls=frozenset(walls),
-        snow=frozenset(snow),
-        stacks=tuple(sorted(stacks.items())),
-        boxes=frozenset(),
-        goals=frozenset(),
-        agent=agent,
-        game=GameTag.SNOWMAN,
-    )
-    _check_border(level)
-    return level
-
-
-def render_snowman(level: Level) -> str:
-    stacks = level.stack_map()
-    rows = []
-    for r in range(level.rows):
-        row = []
-        for c in range(level.cols):
-            cell = (r, c)
-            if cell in level.walls:
-                row.append("#")
-            elif cell in stacks:
-                row.append(_STACK_DIGITS[stacks[cell]])
-            elif cell == level.agent:
-                row.append("P" if cell in level.snow else "p")
-            elif cell in level.snow:
-                row.append(".")
-            else:
-                row.append("-")
-        rows.append("".join(row))
-    return "\n".join(rows) + "\n"
-
-
-def parse_sokoban_xsb(text: str) -> Level:
-    lines = _split_rectangular(text, pad=True)
-    rows, cols = len(lines), len(lines[0])
-    walls, boxes, goals = set(), set(), set()
-    agent = None
-    for r, line in enumerate(lines):
-        for c, ch in enumerate(line):
-            cell = (r, c)
-            if ch == "#":
-                walls.add(cell)
-            elif ch in (" ", "-"):
-                pass
-            elif ch == "@":
-                if agent is not None:
-                    raise ParseError("duplicate agent")
-                agent = cell
-            elif ch == "+":
-                if agent is not None:
-                    raise ParseError("duplicate agent")
-                agent = cell
-                goals.add(cell)
-            elif ch == "$":
-                boxes.add(cell)
-            elif ch == "*":
-                boxes.add(cell)
-                goals.add(cell)
-            elif ch == ".":
-                goals.add(cell)
-            else:
-                raise ParseError(f"unknown character {ch!r} at ({r},{c})")
-    if agent is None:
-        raise ParseError("missing agent")
-    if len(boxes) != len(goals):
-        raise ParseError(f"{len(boxes)} boxes but {len(goals)} goals")
-    # exterior floor (connected to the frame) counts as wall
-    exterior = _exterior_cells(rows, cols, walls)
-    if agent in exterior or boxes & exterior or goals & exterior:
-        raise ParseError("agent, box, or goal outside the walls")
-    level = Level(
-        rows=rows,
-        cols=cols,
-        walls=frozenset(walls | exterior),
-        snow=frozenset(),
-        stacks=(),
-        boxes=frozenset(boxes),
-        goals=frozenset(goals),
-        agent=agent,
-        game=GameTag.SOKOBAN,
-    )
-    _check_border(level)
-    return level
+def _border(rows: int, cols: int) -> list[Cell]:
+    return ([(r, c) for r in range(rows) for c in (0, cols - 1)]
+            + [(r, c) for c in range(cols) for r in (0, rows - 1)])
 
 
 def _exterior_cells(rows: int, cols: int, walls: set[Cell]) -> set[Cell]:
-    seen: set[Cell] = set()
-    queue: deque[Cell] = deque()
-    for r in range(rows):
-        for c in (0, cols - 1):
-            if (r, c) not in walls:
-                seen.add((r, c))
-                queue.append((r, c))
-    for c in range(cols):
-        for r in (0, rows - 1):
-            if (r, c) not in walls:
-                seen.add((r, c))
-                queue.append((r, c))
+    seen = {cell for cell in _border(rows, cols) if cell not in walls}
+    queue = deque(seen)
     while queue:
         r, c = queue.popleft()
         for nb in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
@@ -243,33 +142,66 @@ def _exterior_cells(rows: int, cols: int, walls: set[Cell]) -> set[Cell]:
     return seen
 
 
-def render_sokoban_xsb(level: Level) -> str:
-    rows = []
-    for r in range(level.rows):
-        row = []
-        for c in range(level.cols):
-            cell = (r, c)
-            if cell in level.walls:
-                row.append("#")
-            elif cell == level.agent:
-                row.append("+" if cell in level.goals else "@")
-            elif cell in level.boxes:
-                row.append("*" if cell in level.goals else "$")
-            elif cell in level.goals:
-                row.append(".")
-            else:
-                row.append("-")
-        rows.append("".join(row))
-    return "\n".join(rows) + "\n"
+def parse_level(text: str, game: GameTag) -> Level:
+    fmt = FORMATS[game]
+    lines = _split_rectangular(text, fmt.pad)
+    rows, cols = len(lines), len(lines[0])
+    marked: dict[str, set[Cell]] = {WALL: set(), SNOW: set(), AGENT: set(),
+                                    BOX: set(), GOAL: set()}
+    stacks: dict[Cell, tuple[BallSize, ...]] = {}
+    for r, line in enumerate(lines):
+        for c, ch in enumerate(line):
+            marks = fmt.glyphs.get(ch)
+            if marks is None:
+                raise ParseError(f"unknown character {ch!r} at ({r},{c})")
+            for mark in marks:
+                if isinstance(mark, tuple):
+                    stacks[(r, c)] = mark
+                elif mark == AGENT and marked[AGENT]:
+                    raise ParseError("duplicate agent")
+                else:
+                    marked[mark].add((r, c))
+    if not marked[AGENT]:
+        raise ParseError("missing agent")
+    (agent,) = marked[AGENT]
+    ball_count = sum(len(s) for s in stacks.values())
+    if ball_count % 3 != 0:
+        raise ParseError(f"ball count {ball_count} not divisible by 3")
+    walls, boxes, goals = marked[WALL], marked[BOX], marked[GOAL]
+    if len(boxes) != len(goals):
+        raise ParseError(f"{len(boxes)} boxes but {len(goals)} goals")
+    if fmt.pad:
+        exterior = _exterior_cells(rows, cols, walls)
+        if agent in exterior or boxes & exterior or goals & exterior:
+            raise ParseError("agent, box, or goal outside the walls")
+        walls |= exterior
+    for r, c in _border(rows, cols):
+        if (r, c) not in walls:
+            raise ParseError(f"border cell ({r},{c}) is not a wall")
+    return Level(rows=rows, cols=cols, walls=frozenset(walls),
+                 snow=frozenset(marked[SNOW]), stacks=tuple(sorted(stacks.items())),
+                 boxes=frozenset(boxes), goals=frozenset(goals), agent=agent,
+                 game=game)
+
+
+def parse_snowman(text: str) -> Level:
+    return parse_level(text, GameTag.SNOWMAN)
+
+
+def parse_sokoban_xsb(text: str) -> Level:
+    return parse_level(text, GameTag.SOKOBAN)
 
 
 def render(level: Level) -> str:
-    if level.game is GameTag.SNOWMAN:
-        return render_snowman(level)
-    return render_sokoban_xsb(level)
-
-
-def parse_level(text: str, game: GameTag) -> Level:
-    if game is GameTag.SNOWMAN:
-        return parse_snowman(text)
-    return parse_sokoban_xsb(text)
+    glyphs = FORMATS[level.game].glyphs.items()
+    glyph_of = {frozenset(marks): glyph for glyph, marks in reversed(glyphs)}
+    marked = [(WALL, level.walls), (SNOW, level.snow), (AGENT, {level.agent}),
+              (BOX, level.boxes), (GOAL, level.goals)]
+    marked += [(stack, {cell}) for cell, stack in level.stacks]
+    marks_at: list[list[set[Mark]]] = [[set() for _ in range(level.cols)]
+                                       for _ in range(level.rows)]
+    for mark, cells in marked:
+        for r, c in cells:
+            marks_at[r][c].add(mark)
+    return "".join("".join(glyph_of[frozenset(marks)] for marks in row) + "\n"
+                   for row in marks_at)

@@ -1,4 +1,4 @@
-"""Graph reachability CNF encodings: DAG, grid path, and spanning tree.
+"""Graph reachability CNF encodings: DAG, path, and spanning tree.
 
 Graphs are undirected. All three encoders append to a caller-owned Formula
 and return a dict mapping each vertex to its reach literal. Cells can be
@@ -51,10 +51,6 @@ class Graph:
                 raise ValueError(f"self-loop on vertex {u}")
             if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
                 raise ValueError(f"edge ({u},{v}) references invalid vertex")
-
-    @property
-    def is_grid(self) -> bool:
-        return self.cell_of is not None
 
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
@@ -242,13 +238,11 @@ def _at_most_two(formula: Formula, guard: list[int], lits: list[int]) -> None:
 
 def encode_path(formula: Formula, graph: Graph, source: Endpoint, target: Endpoint,
                 gate: Gate = None, tag: str = "") -> dict[int, int]:
-    """Grid path-membership encoding: endpoints degree one, interior degree two.
+    """Path-membership encoding: endpoints degree one, interior degree two.
 
     SAT iff the target is reachable from the source through free cells.
     Models may additionally contain cycles disconnected from the path.
     """
-    if not graph.is_grid:
-        raise ValueError("path encoding requires grid metadata")
     n = graph.num_vertices
     nbs = graph.neighbors
 

@@ -2,8 +2,9 @@
 
 import pytest
 
-from snowplan.levels import (BallSize, GameTag, ParseError, parse_level, parse_snowman, parse_sokoban_xsb,
-                             render, render_snowman, render_sokoban_xsb)
+from snowplan.fixtures import FIXTURE_DIR
+from snowplan.levels import (SUFFIXES, BallSize, GameTag, ParseError, parse_level, parse_snowman,
+                             parse_sokoban_xsb, render)
 
 SNOW_TEXT = """\
 #######
@@ -35,21 +36,20 @@ def test_parse_snowman_basic():
 
 def test_snowman_round_trip():
     level = parse_snowman(SNOW_TEXT)
-    assert render_snowman(level) == SNOW_TEXT
     assert render(level) == SNOW_TEXT
 
 
 def test_snowman_agent_on_snow():
     level = parse_snowman("#####\n#P7-#\n#####\n")
     assert level.agent in level.snow
-    assert render_snowman(level) == "#####\n#P7-#\n#####\n"
+    assert render(level) == "#####\n#P7-#\n#####\n"
 
 
 def test_snowman_all_digits_round_trip():
     text = "#########\n#1234567#\n#p------#\n#########\n"
     # 1+1+2+1+2+2+3 = 12 balls, divisible by 3
     level = parse_snowman(text)
-    assert render_snowman(level) == text
+    assert render(level) == text
 
 
 @pytest.mark.parametrize("bad", [
@@ -60,6 +60,7 @@ def test_snowman_all_digits_round_trip():
     "#####\n#p17#\n#####\n",       # ball count not divisible by 3
     "#####\n#p?7#\n#####\n",       # unknown character
     "####\n#p7#\n#--#\n-###\n",    # hole in the border
+    "#####\n#p$7#\n#####\n",       # a Sokoban glyph
 ])
 def test_parse_snowman_rejects(bad):
     with pytest.raises(ParseError):
@@ -77,7 +78,7 @@ def test_parse_sokoban_basic():
 
 def test_sokoban_round_trip():
     level = parse_sokoban_xsb(SOKO_TEXT)
-    assert render_sokoban_xsb(level) == SOKO_TEXT
+    assert render(level) == SOKO_TEXT
 
 
 def test_sokoban_overlay_glyphs():
@@ -86,7 +87,7 @@ def test_sokoban_overlay_glyphs():
     assert level.agent in level.goals
     assert level.boxes == {(1, 2), (1, 3)}
     assert (1, 3) in level.goals
-    assert render_sokoban_xsb(level) == "######\n#+$*-#\n######\n"
+    assert render(level) == "######\n#+$*-#\n######\n"
 
 
 def test_sokoban_pads_ragged_lines():
@@ -108,10 +109,19 @@ def test_sokoban_exterior_becomes_wall():
     "#####\n#@@.#\n#####\n",   # needs a box; also duplicate agent
     "#####\n#-$.#\n#####\n",   # missing agent
     "#####\n#@x.#\n#####\n",   # unknown character
+    "######\n#@$7.#\n######\n",  # a snowman glyph
 ])
 def test_parse_sokoban_rejects(bad):
     with pytest.raises(ParseError):
         parse_sokoban_xsb(bad)
+
+
+def test_every_fixture_file_round_trips():
+    paths = [p for p in sorted(FIXTURE_DIR.iterdir()) if p.suffix in SUFFIXES]
+    assert len(paths) >= 15
+    for path in paths:
+        text = path.read_text()
+        assert render(parse_level(text, SUFFIXES[path.suffix])) == text, path.name
 
 
 def test_parse_level_dispatch():

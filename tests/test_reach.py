@@ -1,7 +1,7 @@
 """Reachability encodings: soundness, exactness, equivalence, size bounds."""
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -212,10 +212,24 @@ def test_path_gated_column_unsat():
     assert not _sat(f)
 
 
-def test_path_requires_grid_metadata():
-    g = Graph(2, ((0, 1),))
-    with pytest.raises(ValueError):
-        encode_path(Formula(), g, 0, 1)
+@pytest.mark.parametrize("g", [C6, K4, WHEEL], ids=["c6", "k4", "wheel"])
+def test_path_agrees_with_bfs_off_the_grid(g):
+    """PATH reads only the neighbour lists, so it is exact on any simple
+    graph: SAT iff the target is reachable through the free vertices, for
+    every source, target and free set holding the source."""
+    n = g.num_vertices
+    for source, target in product(range(n), repeat=2):
+        f = Formula()
+        gate = {v: f.new_var(f"free{v}") for v in range(n)}
+        encode_path(f, g, source, target, gate)
+        for mask in range(1 << n):
+            free = {v for v in range(n) if mask >> v & 1}
+            if source not in free:
+                continue
+            out = SOLVER.solve(f, assumptions=[gate[v] if v in free else -gate[v]
+                                               for v in range(n)])
+            assert ((out.status is Status.SAT)
+                    == (target in bfs_reachable(g, source, free))), (source, target, free)
 
 
 # -- spanning tree ------------------------------------------------------
