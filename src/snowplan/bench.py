@@ -15,8 +15,8 @@ from pathlib import Path
 from .encoder import Mode, ReachKind
 from .levels import SUFFIXES, GameTag, Level, parse_level
 from .plans import RunRecord, to_lurd
-from .search import (Bounds, BoundStatus, BudgetPolicy, solve_hybrid,
-                     solve_sequential)
+from .search import (DEFAULT_BUDGET, Bounds, BoundStatus, check_budget,
+                     solve_hybrid, solve_sequential)
 from .solvers import default_backend
 
 
@@ -70,21 +70,21 @@ def load_level_file(path: Path, game: GameTag | None = None) -> Level:
         game = SUFFIXES.get(path.suffix)
         if game is None:
             raise ValueError(f"cannot infer game from suffix of {path.name}; "
-                             "expected .snw or .xsb")
+                             f"expected one of {', '.join(SUFFIXES)}")
     return parse_level(path.read_text(), game)
 
 
 def run_instance(level: Level, instance: str, reach: ReachKind,
-                 mode: str = "hybrid", limit: float = 60.0,
+                 mode: str = "hybrid", limit: float = DEFAULT_BUDGET,
                  seed: int | None = None, backend=None) -> BenchRun:
     """Solve one instance under the limit, returning a scored run. `mode`
     is "hybrid", "full" or "collapsed"."""
-    policy = BudgetPolicy(solve_budget=limit, total_budget=limit)
+    check_budget(limit)
     if backend is None:
         backend = default_backend()
     start = time.monotonic()
     try:
-        bounds, record = _dispatch(level, instance, reach, mode, policy,
+        bounds, record = _dispatch(level, instance, reach, mode, limit,
                                    seed, backend)
     except Exception as exc:  # noqa: BLE001 - harness must keep going
         return BenchRun(instance, reach.value, False,
@@ -95,12 +95,11 @@ def run_instance(level: Level, instance: str, reach: ReachKind,
 
 
 def _dispatch(level: Level, instance: str, reach: ReachKind, mode: str,
-              policy: BudgetPolicy, seed, backend) -> tuple[Bounds, RunRecord]:
+              limit: float, seed, backend) -> tuple[Bounds, RunRecord]:
     if mode == "hybrid":
-        bounds, moves = solve_hybrid(level, ascend_reach=reach, policy=policy,
-                                     backend=backend)
+        bounds, moves = solve_hybrid(level, reach, limit, backend)
     else:
-        bounds, moves = solve_sequential(level, Mode(mode), reach, policy,
+        bounds, moves = solve_sequential(level, Mode(mode), reach, limit,
                                          backend)
     lurd = None if moves is None else to_lurd(level, moves)
     record = RunRecord(
@@ -121,10 +120,10 @@ def _dispatch(level: Level, instance: str, reach: ReachKind, mode: str,
 
 
 def run_bench(directory: Path, reaches: list[ReachKind],
-              mode: str = "hybrid", limit: float = 60.0,
+              mode: str = "hybrid", limit: float = DEFAULT_BUDGET,
               seed: int | None = None, backend=None) -> BenchReport:
     """Run every (instance, reach) pair; failures are recorded, not fatal."""
-    report = BenchReport(limit=limit)
+    report = BenchReport(limit=check_budget(limit))
     for path, game in discover_levels(directory):
         try:
             level = parse_level(path.read_text(), game)

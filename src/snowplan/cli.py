@@ -2,10 +2,10 @@
 
 Config precedence is flags > SNOWPLAN_* environment variables > defaults.
 Recognized variables: SNOWPLAN_SOLVER_CMD (backend command template with an
-{input} placeholder, also honored by the library), SNOWPLAN_TIMEOUT,
-SNOWPLAN_MODE, SNOWPLAN_REACH. With --seed, a {seed} in the solver template
-(from --solver-cmd or SNOWPLAN_SOLVER_CMD) becomes the seed; only the CLI
-does this.
+{input} placeholder, also honored by the library), SNOWPLAN_TIMEOUT (seconds
+for each level's whole run), SNOWPLAN_MODE, SNOWPLAN_REACH. With --seed, a
+{seed} in the solver template (from --solver-cmd or SNOWPLAN_SOLVER_CMD)
+becomes the seed; only the CLI does this.
 
 Exit codes: 0 for an optimal result (and for a valid solution in
 `validate`), 2 when only bounds were obtained, 1 on errors.
@@ -23,6 +23,7 @@ from .bench import load_level_file, run_bench, run_instance
 from .encoder import EncodingConfig, Mode, ReachKind, encode
 from .levels import GameTag, ParseError
 from .plans import LurdError, validate_lurd
+from .search import DEFAULT_BUDGET, check_budget
 from .solvers import BackendError, ExternalSolver
 
 EXIT_OK = 0
@@ -44,14 +45,13 @@ def _backend_from(args):
 
 
 def _timeout(args) -> float:
-    """The --timeout flag, else SNOWPLAN_TIMEOUT, else 300 seconds."""
-    if args.timeout is not None:
-        return args.timeout
-    value = _env("TIMEOUT", "300")
+    """The --timeout flag, else SNOWPLAN_TIMEOUT, else the default budget."""
+    value = _env("TIMEOUT", str(DEFAULT_BUDGET))
     try:
-        return float(value)
+        seconds = float(value) if args.timeout is None else args.timeout
     except ValueError:
         raise ValueError(f"SNOWPLAN_TIMEOUT is not a number: {value!r}") from None
+    return check_budget(seconds)
 
 
 def _game_flag(value: str | None) -> GameTag | None:
@@ -73,7 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     def run_flags(p):
         level_flags(p)
         p.add_argument("--timeout", type=float, default=None,
-                       help="seconds per run (default: SNOWPLAN_TIMEOUT, else 300)")
+                       help="wall-clock seconds for the whole run of each level"
+                       f" (default: SNOWPLAN_TIMEOUT, else {DEFAULT_BUDGET:g})")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--solver-cmd", default=os.environ.get("SNOWPLAN_SOLVER_CMD"),
                        help="backend command template with {input} placeholder")

@@ -20,6 +20,7 @@ noops at the tail.
 from __future__ import annotations
 
 import enum
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -59,39 +60,33 @@ class Bounds:
             raise ValueError("optimal bounds must coincide")
 
 
-@dataclass(frozen=True)
-class BudgetPolicy:
-    solve_budget: float = 300.0   # wall clock per SAT call
-    total_budget: float = 3600.0  # wall clock per strategy run
-    horizon_cap: int = 500
+DEFAULT_BUDGET = 300.0   # wall-clock seconds for a whole strategy run
 
-    def __post_init__(self):
-        if self.solve_budget <= 0 or self.total_budget <= 0 or self.horizon_cap <= 0:
-            raise ValueError("budgets must be positive")
+
+def check_budget(budget: float) -> float:
+    """`budget`, once it is known to be finite seconds above zero."""
+    if not (math.isfinite(budget) and budget > 0):
+        raise ValueError(f"budget must be finite and above zero: {budget!r}")
+    return budget
 
 
 class _Run:
-    """One strategy run: the policy's clock, the backend (resolved once),
-    every SAT call with the seconds it took, and the `Bounds` the run
-    reports. The hybrid's ascend and descend share one run."""
+    """One strategy run: the deadline its budget sets, the backend (resolved
+    once), every SAT call with the seconds it took, and the `Bounds` the
+    run reports. The hybrid's ascend and descend share one run."""
 
-    def __init__(self, policy: BudgetPolicy, backend=None):
-        self.policy = policy
+    def __init__(self, budget: float, backend=None):
+        self.deadline = time.monotonic() + check_budget(budget)
         self.backend = default_backend() if backend is None else backend
-        self.start = time.monotonic()
         self.times: list[float] = []
 
     def remaining(self) -> float:
-        return self.policy.total_budget - (time.monotonic() - self.start)
-
-    @property
-    def exhausted(self) -> bool:
-        return self.remaining() <= 0
+        return self.deadline - time.monotonic()
 
     def sat_call(self, encoding: enc.Encoding, extra=()):
         """One SAT call on the encoding under its goal literal and `extra`,
-        within the per-call budget and what is left of the run."""
-        budget = max(0.0, min(self.policy.solve_budget, self.remaining()))
+        within what is left of the run."""
+        budget = max(0.0, self.remaining())
         start = time.monotonic()
         outcome = solve(encoding.formula, budget, self.backend,
                         assumptions=[encoding.goal, *extra])
@@ -102,6 +97,11 @@ class _Run:
                status: BoundStatus) -> Bounds:
         """The bounds so far, with one horizon time per SAT call made."""
         return Bounds(lower, upper, status, horizon_times=list(self.times))
+
+
+# The deepest horizon `_deepen` tries: a level with no plan would otherwise
+# deepen until the clock stops it, until a proof of no plan replaces the cap.
+HORIZON_CAP = 500
 
 
 def _deepen(level: Level, mode: Mode, reach: ReachKind,
@@ -115,7 +115,7 @@ def _deepen(level: Level, mode: Mode, reach: ReachKind,
     for good, which the unit clause -goal[T] records.
     """
     encoding, T = None, 0
-    while T <= run.policy.horizon_cap and not run.exhausted:
+    while T <= HORIZON_CAP and run.remaining() > 0:
         encoding = enc.encode(level, EncodingConfig(mode, T, reach), encoding)
         outcome = run.sat_call(encoding)
         if outcome.status is Status.SAT:
@@ -129,7 +129,7 @@ def _deepen(level: Level, mode: Mode, reach: ReachKind,
 
 def solve_sequential(level: Level, mode: Mode = Mode.COLLAPSED,
                      reach: ReachKind = ReachKind.PATH,
-                     policy: BudgetPolicy = BudgetPolicy(),
+                     budget: float = DEFAULT_BUDGET,
                      backend=None) -> tuple[Bounds, list[Direction] | None]:
     """Optimal moves (FULL) or object actions (COLLAPSED) by deepening.
 
@@ -138,7 +138,7 @@ def solve_sequential(level: Level, mode: Mode = Mode.COLLAPSED,
     """
     if mode not in (Mode.FULL, Mode.COLLAPSED):
         raise ValueError("solve_sequential expects FULL or COLLAPSED mode")
-    run = _Run(policy, backend)
+    run = _Run(budget, backend)
     horizon, plan = _deepen(level, mode, reach, run)
     if plan is None:
         return run.bounds(horizon, None, BoundStatus.BOUNDED), None
@@ -148,14 +148,14 @@ def solve_sequential(level: Level, mode: Mode = Mode.COLLAPSED,
 
 
 def ascend_parallel(level: Level, reach: ReachKind = ReachKind.TREE,
-                    policy: BudgetPolicy = BudgetPolicy(),
+                    budget: float = DEFAULT_BUDGET,
                     backend=None, run: _Run | None = None
                     ) -> tuple[Bounds, ParallelPlan | None]:
     """Minimal parallel horizon; the plan's action count is an upper bound.
 
-    `run` defaults to a fresh one for `policy` and `backend`.
+    `run` defaults to a fresh one for `budget` and `backend`.
     """
-    run = run or _Run(policy, backend)
+    run = run or _Run(budget, backend)
     _, plan = _deepen(level, Mode.PARALLEL, reach, run)
     if plan is None:
         return run.bounds(None, None, BoundStatus.UNKNOWN), None
@@ -222,7 +222,7 @@ def serialize(level: Level, plan: ParallelPlan) -> list[Direction]:
 # -- descend ------------------------------------------------------------
 
 
-def descend(level: Level, upper: int, policy: BudgetPolicy = BudgetPolicy(),
+def descend(level: Level, upper: int, budget: float = DEFAULT_BUDGET,
             backend=None, run: _Run | None = None
             ) -> tuple[Bounds, ParallelPlan | None]:
     """Probe strictly below a known upper bound until UNSAT proves it optimal.
@@ -232,14 +232,14 @@ def descend(level: Level, upper: int, policy: BudgetPolicy = BudgetPolicy(),
     formula at horizon upper-1 serves every probe: each probe assumes its
     goal literal, the probe for a bound u below it also assumes noop[u-1],
     and since noops are forced to the tail, at most u-1 actions remain.
-    Reachability is always PATH. `run` defaults to a fresh one for `policy`
+    Reachability is always PATH. `run` defaults to a fresh one for `budget`
     and `backend`.
     """
-    run = run or _Run(policy, backend)
+    run = run or _Run(budget, backend)
     best: ParallelPlan | None = None
     encoding = None
     top = upper
-    while upper > 0 and not run.exhausted:
+    while upper > 0 and run.remaining() > 0:
         if encoding is None:
             encoding = enc.encode(level, EncodingConfig(Mode.DESCEND, top - 1))
         tail = [encoding.noops[upper - 1]] if upper < top else []
@@ -259,15 +259,15 @@ def descend(level: Level, upper: int, policy: BudgetPolicy = BudgetPolicy(),
 
 
 def solve_hybrid(level: Level, ascend_reach: ReachKind = ReachKind.TREE,
-                 policy: BudgetPolicy = BudgetPolicy(),
+                 budget: float = DEFAULT_BUDGET,
                  backend=None) -> tuple[Bounds, list[Direction] | None]:
     """Parallel ascend, serialize, then sequential descend with noops.
 
     Ascend uses `ascend_reach`; descend always encodes PATH. Both phases
-    share one run, so `policy.total_budget` bounds the whole run and the
-    horizon times list ascend's SAT calls, then descend's.
+    share one run, so `budget` bounds the whole run and the horizon times
+    list ascend's SAT calls, then descend's.
     """
-    run = _Run(policy, backend)
+    run = _Run(budget, backend)
     t0 = time.monotonic()
     bounds, plan = ascend_parallel(level, ascend_reach, run=run)
     phases = {"ascend": time.monotonic() - t0}

@@ -26,7 +26,7 @@ from snowplan.levels import GameTag
 from snowplan.plans import RunRecord, decode, validate_lurd
 from snowplan.reach import (bfs_reachable, encode_dag, encode_path,
                             encode_spanning_tree, grid_graph)
-from snowplan.search import (BoundStatus, BudgetPolicy, descend, solve_hybrid,
+from snowplan.search import (BoundStatus, descend, solve_hybrid,
                              solve_sequential)
 from snowplan.solvers import InProcessSolver, Status, solve
 
@@ -135,23 +135,23 @@ def test_criterion_3_fixture_agreement(backend):
     reachability encodings) for object actions. Budget: five minutes."""
     with _verdict(3, "planner matches oracle on fixtures"):
         start = time.monotonic()
-        policy = BudgetPolicy(solve_budget=60.0, total_budget=280.0)
+        budget = 280.0
         names = [n for n in list_fixtures()
                  if load_fixture(n).object_actions_optimal is not None]
         assert len(names) >= 10
         for name in names:
             fx = load_fixture(name)
             bounds, plan = solve_sequential(fx.level, Mode.FULL,
-                                            policy=policy, backend=backend)
+                                            budget=budget, backend=backend)
             assert bounds.status is BoundStatus.OPTIMAL, name
             assert bounds.upper == fx.moves_optimal, name
             assert run_plan(fx.level, plan).ok
             for reach in ReachKind:
                 bounds, _ = solve_sequential(fx.level, Mode.COLLAPSED, reach,
-                                             policy, backend)
+                                             budget, backend)
                 assert bounds.upper == fx.object_actions_optimal, (name, reach)
                 bounds, moves = solve_hybrid(fx.level, ascend_reach=reach,
-                                             policy=policy, backend=backend)
+                                             budget=budget, backend=backend)
                 assert bounds.status is BoundStatus.OPTIMAL, (name, reach)
                 assert bounds.upper == fx.object_actions_optimal, (name, reach)
                 assert is_goal(fx.level, run_plan(fx.level, moves).state)
@@ -313,8 +313,7 @@ def test_criterion_7_full_game_levels(backend):
         for name, want in GAME_OPTIMA.items():
             level = load_level_file(ASSET_DIR / f"{name}.snw")
             start = time.monotonic()
-            policy = BudgetPolicy(solve_budget=60.0, total_budget=60.0)
-            bounds, moves = solve_hybrid(level, policy=policy, backend=backend)
+            bounds, moves = solve_hybrid(level, budget=60.0, backend=backend)
             assert time.monotonic() - start <= 60.0, name
             assert bounds.status is BoundStatus.OPTIMAL, name
             assert bounds.upper == want, name

@@ -12,7 +12,7 @@ from snowplan.bench import (BenchReport, BenchRun, discover_levels,
                             run_instance)
 from snowplan.encoder import ReachKind
 from snowplan.fixtures import FIXTURE_DIR, load_fixture
-from snowplan.levels import GameTag, parse_level
+from snowplan.levels import FORMATS, GameTag, parse_level
 from snowplan.game import ActionKind, Direction
 from snowplan.plans import ObjectAction, ParallelPlan, RunRecord, Step
 from snowplan.solvers import SOLVER_CMD_ENV
@@ -50,8 +50,9 @@ def test_discover_levels_filters_by_suffix(tmp_path):
 def test_load_level_file_infers_game():
     level = load_level_file(FIXTURE_DIR / "soko_corridor.xsb")
     assert level.game is GameTag.SOKOBAN
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         load_level_file(Path("nope.txt"))
+    assert all(fmt.suffix in str(info.value) for fmt in FORMATS.values())
 
 
 def test_run_instance_produces_record(backend):

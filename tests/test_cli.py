@@ -143,6 +143,25 @@ def test_bad_timeout_env_fails_only_where_used(monkeypatch, capsys):
     assert main(["solve", CORRIDOR, "--timeout", "30", "--emit", "lurd"]) == EXIT_OK
 
 
+@pytest.mark.parametrize("command", ["solve", "bench"])
+@pytest.mark.parametrize("flags, env", [(["--timeout", value], None)
+                                        for value in ("0", "-1", "nan", "inf")]
+                         + [([], "nan")],
+                         ids=["0", "-1", "nan", "inf", "env-nan"])
+def test_invalid_timeout_fails_before_any_run(command, flags, env, tmp_path,
+                                              monkeypatch, capsys):
+    """Only a finite budget above zero is accepted, from the flag or from
+    SNOWPLAN_TIMEOUT; anything else is one error line and no output."""
+    (tmp_path / "one.xsb").write_text("######\n#@$-.#\n######\n")
+    if env is not None:
+        monkeypatch.setenv("SNOWPLAN_TIMEOUT", env)
+    target = CORRIDOR if command == "solve" else str(tmp_path)
+    assert main([command, target, *flags]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_solve_records_are_deterministic(capsys):
     keys = []
     for _ in range(2):

@@ -1,5 +1,6 @@
 """Search strategies: deepening, ascend/serialize/descend, and the hybrid."""
 
+import math
 import time
 
 import pytest
@@ -9,13 +10,12 @@ from snowplan.encoder import EncodingConfig, Mode, ReachKind, encode
 from snowplan.fixtures import load_fixture
 from snowplan.game import ActionKind, Direction, is_goal, run_plan
 from snowplan.plans import ObjectAction, ParallelPlan, Step, to_lurd
-from snowplan.search import (Bounds, BoundStatus, BudgetPolicy,
-                             SerializationError, _deepen, _Run,
-                             ascend_parallel, descend, serialize,
-                             solve_hybrid, solve_sequential)
+from snowplan.search import (Bounds, BoundStatus, SerializationError,
+                             _deepen, _Run, ascend_parallel, descend,
+                             serialize, solve_hybrid, solve_sequential)
 from snowplan.solvers import InProcessSolver, Status, solve
 
-FAST = BudgetPolicy(solve_budget=60.0, total_budget=120.0, horizon_cap=30)
+FAST = 120.0
 
 
 def test_bounds_validation():
@@ -23,13 +23,15 @@ def test_bounds_validation():
         Bounds(3, 2, BoundStatus.BOUNDED)
     with pytest.raises(ValueError):
         Bounds(1, 2, BoundStatus.OPTIMAL)
-    with pytest.raises(ValueError):
-        BudgetPolicy(solve_budget=0)
+    level = load_fixture("snow_pop").level
+    for budget in (0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            solve_sequential(level, budget=budget)
 
 
 def test_solve_sequential_full_matches_oracle(backend):
     fx = load_fixture("soko_corridor")
-    bounds, moves = solve_sequential(fx.level, Mode.FULL, policy=FAST,
+    bounds, moves = solve_sequential(fx.level, Mode.FULL, budget=FAST,
                                      backend=backend)
     assert bounds.status is BoundStatus.OPTIMAL
     assert bounds.upper == fx.moves_optimal
@@ -39,7 +41,7 @@ def test_solve_sequential_full_matches_oracle(backend):
 
 def test_solve_sequential_collapsed_matches_oracle(backend):
     fx = load_fixture("snow_pop")
-    bounds, moves = solve_sequential(fx.level, Mode.COLLAPSED, policy=FAST,
+    bounds, moves = solve_sequential(fx.level, Mode.COLLAPSED, budget=FAST,
                                      backend=backend)
     assert bounds.status is BoundStatus.OPTIMAL
     assert bounds.upper == fx.object_actions_optimal
@@ -114,7 +116,7 @@ def test_serialize_rejects_impossible_action():
 def test_descend_confirms_optimum(backend):
     fx = load_fixture("snow_pop")
     opt = fx.object_actions_optimal
-    bounds, plan = descend(fx.level, opt, policy=FAST, backend=backend)
+    bounds, plan = descend(fx.level, opt, budget=FAST, backend=backend)
     assert bounds.status is BoundStatus.OPTIMAL
     assert (bounds.lower, bounds.upper) == (opt, opt)
     assert plan is None                    # no probe succeeded
@@ -125,7 +127,7 @@ def test_descend_multi_step_drop(backend):
     a satisfiable shorter horizon already carries trailing noops."""
     fx = load_fixture("soko_corridor")
     opt = fx.object_actions_optimal
-    bounds, plan = descend(fx.level, opt + 3, policy=FAST, backend=backend)
+    bounds, plan = descend(fx.level, opt + 3, budget=FAST, backend=backend)
     assert bounds.status is BoundStatus.OPTIMAL
     assert bounds.upper == opt
     # one SAT probe that skips several bounds, then the UNSAT certificate
@@ -135,7 +137,7 @@ def test_descend_multi_step_drop(backend):
 
 def test_descend_zero_upper_bound(backend):
     fx = load_fixture("snow_done")
-    bounds, plan = descend(fx.level, 0, policy=FAST, backend=backend)
+    bounds, plan = descend(fx.level, 0, budget=FAST, backend=backend)
     assert (bounds.lower, bounds.upper) == (0, 0)
     assert bounds.status is BoundStatus.OPTIMAL
 
@@ -144,7 +146,7 @@ def test_descend_zero_upper_bound(backend):
                                   "snow_tiny3"])
 def test_hybrid_matches_oracle(name, backend):
     fx = load_fixture(name)
-    bounds, moves = solve_hybrid(fx.level, policy=FAST, backend=backend)
+    bounds, moves = solve_hybrid(fx.level, budget=FAST, backend=backend)
     assert bounds.status is BoundStatus.OPTIMAL
     assert bounds.upper == fx.object_actions_optimal
     lurd = to_lurd(fx.level, moves)
@@ -154,14 +156,14 @@ def test_hybrid_matches_oracle(name, backend):
 
 def test_hybrid_solved_at_start(backend):
     fx = load_fixture("snow_done")
-    bounds, moves = solve_hybrid(fx.level, policy=FAST, backend=backend)
+    bounds, moves = solve_hybrid(fx.level, budget=FAST, backend=backend)
     assert (bounds.lower, bounds.upper) == (0, 0)
     assert moves == []
 
 
 def test_hybrid_records_phase_times(backend):
     fx = load_fixture("snow_pop")
-    bounds, _ = solve_hybrid(fx.level, policy=FAST, backend=backend)
+    bounds, _ = solve_hybrid(fx.level, budget=FAST, backend=backend)
     assert set(bounds.phase_times) == {"ascend", "descend"}
     assert all(t >= 0 for t in bounds.phase_times.values())
     assert bounds.horizon_times
@@ -180,7 +182,7 @@ def test_incremental_deepening_matches_one_shot(name, mode, reach):
         return solve(fresh.formula, backend=InProcessSolver(),
                      assumptions=[fresh.goal]).status is Status.SAT
 
-    one_shot = next(T for T in range(FAST.horizon_cap + 1) if sat_at(T))
+    one_shot = next(T for T in range(31) if sat_at(T))
     run = _Run(FAST, InProcessSolver())
     horizon, plan = _deepen(level, mode, reach, run)
     assert horizon == one_shot
@@ -209,14 +211,14 @@ def test_horizon_times_count_every_sat_call(monkeypatch):
     counting = _CountingBackend()
     for mode in (Mode.FULL, Mode.COLLAPSED):
         counting.calls.clear()
-        bounds, _ = solve_sequential(level, mode, policy=FAST,
+        bounds, _ = solve_sequential(level, mode, budget=FAST,
                                      backend=counting)
         assert len(bounds.horizon_times) == len(counting.calls) > 1
     counting.calls.clear()
-    bounds, _ = ascend_parallel(level, policy=FAST, backend=counting)
+    bounds, _ = ascend_parallel(level, budget=FAST, backend=counting)
     assert len(bounds.horizon_times) == len(counting.calls) > 0
     counting.calls.clear()
-    bounds, _ = descend(level, opt + 2, policy=FAST, backend=counting)
+    bounds, _ = descend(level, opt + 2, budget=FAST, backend=counting)
     assert len(bounds.horizon_times) == len(counting.calls) > 1
 
     # solve_hybrid calls both phases by module name, so wrappers see them
@@ -235,7 +237,7 @@ def test_horizon_times_count_every_sat_call(monkeypatch):
 
     monkeypatch.setattr(search, "ascend_parallel", ascend)
     monkeypatch.setattr(search, "descend", descend_)
-    bounds, _ = solve_hybrid(level, policy=FAST, backend=counting)
+    bounds, _ = solve_hybrid(level, budget=FAST, backend=counting)
     assert bounds.status is BoundStatus.OPTIMAL
     ups = len(ascended)
     assert counting.calls == ["ascend"] * ups + ["descend"] * (
@@ -259,9 +261,31 @@ def test_hybrid_total_budget_covers_both_phases():
     """Ascend and descend share one clock: a run whose ascend spends most
     of the budget leaves descend only the rest."""
     fx = load_fixture("snow_pop")
-    policy = BudgetPolicy(solve_budget=1.0, total_budget=1.0, horizon_cap=30)
+    budget = 1.0
     start = time.monotonic()
-    bounds, _ = solve_hybrid(fx.level, policy=policy, backend=_SlowBackend())
-    assert time.monotonic() - start < policy.total_budget + 0.4
+    bounds, _ = solve_hybrid(fx.level, budget=budget, backend=_SlowBackend())
+    assert time.monotonic() - start < budget + 0.4
     if bounds.upper is not None:
         assert bounds.upper >= fx.object_actions_optimal
+
+
+@pytest.mark.parametrize("name", ["snow_selfblock", "snow_ring"])
+@pytest.mark.parametrize("mode, status", [("hybrid", BoundStatus.UNKNOWN),
+                                          (Mode.COLLAPSED, BoundStatus.BOUNDED)],
+                         ids=["hybrid", "collapsed"])
+def test_null_optimum_ends_without_plan_within_budget(name, mode, status,
+                                                      backend):
+    """A level with no solution ends with no plan, at the clock or the
+    horizon cap, and within the budget plus one second."""
+    level = load_fixture(name).level
+    start = time.monotonic()
+    if mode == "hybrid":
+        bounds, moves = solve_hybrid(level, ReachKind.PATH, 1.0, backend)
+    else:
+        bounds, moves = solve_sequential(level, mode, ReachKind.PATH, 1.0,
+                                         backend)
+    assert time.monotonic() - start < 1.0 + 1.0
+    assert moves is None and bounds.upper is None
+    assert bounds.status is status
+    if status is BoundStatus.BOUNDED:
+        assert isinstance(bounds.lower, int)
