@@ -15,9 +15,8 @@ from pathlib import Path
 from .encoder import Mode, ReachKind
 from .levels import SUFFIXES, GameTag, Level, parse_level
 from .plans import RunRecord, to_lurd
-from .search import (DEFAULT_BUDGET, Bounds, BoundStatus, check_budget,
-                     solve_hybrid, solve_sequential)
-from .solvers import default_backend
+from .search import Bounds, BoundStatus, solve_hybrid, solve_sequential
+from .solvers import DEFAULT_BUDGET, check_budget, default_backend
 
 
 @dataclass

@@ -23,8 +23,7 @@ from .bench import load_level_file, run_bench, run_instance
 from .encoder import EncodingConfig, Mode, ReachKind, encode
 from .levels import GameTag, ParseError
 from .plans import LurdError, validate_lurd
-from .search import DEFAULT_BUDGET, check_budget
-from .solvers import BackendError, ExternalSolver
+from .solvers import DEFAULT_BUDGET, BackendError, ExternalSolver
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -45,13 +44,13 @@ def _backend_from(args):
 
 
 def _timeout(args) -> float:
-    """The --timeout flag, else SNOWPLAN_TIMEOUT, else the default budget."""
+    """The --timeout flag, else SNOWPLAN_TIMEOUT, else the default budget;
+    `run_instance` and `run_bench` check it before any run."""
     value = _env("TIMEOUT", str(DEFAULT_BUDGET))
     try:
-        seconds = float(value) if args.timeout is None else args.timeout
+        return float(value) if args.timeout is None else args.timeout
     except ValueError:
         raise ValueError(f"SNOWPLAN_TIMEOUT is not a number: {value!r}") from None
-    return check_budget(seconds)
 
 
 def _game_flag(value: str | None) -> GameTag | None:

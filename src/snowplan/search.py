@@ -8,19 +8,18 @@ UNSAT answer certifies optimality. Because a satisfiable probe may contain
 several trailing noops, the upper bound can drop by more than one per
 iteration.
 
-Every strategy ends in a list of moves that the simulator has replayed to
-the goal. Every strategy run keeps one live formula and hands it to one
+Every strategy ends in `Bounds`, whose status follows from its lower and
+upper bound, and in a list of moves that the simulator has replayed to the
+goal. Every strategy run keeps one live formula and hands it to one
 backend, so an incremental backend keeps what it learnt from one horizon to
-the next:
-deepening appends a layer per horizon and assumes that horizon's goal
-literal, and descend encodes once and assumes its goal literal and the
+the next: deepening appends a layer per horizon and assumes that horizon's
+goal literal, and descend encodes once and assumes its goal literal and the
 noops at the tail.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -30,7 +29,8 @@ from .game import (Direction, GameState, classify, initial_state, is_goal,
                    run_plan, step, walks)
 from .levels import Cell, Level
 from .plans import ObjectAction, ParallelPlan, decode
-from .solvers import Status, default_backend, solve
+from .solvers import (DEFAULT_BUDGET, SolveOutcome, Status, check_budget,
+                      default_backend, solve)
 
 
 class SerializationError(Exception):
@@ -48,7 +48,6 @@ class BoundStatus(enum.Enum):
 class Bounds:
     lower: int | None
     upper: int | None
-    status: BoundStatus
     phase_times: dict[str, float] = field(default_factory=dict)
     horizon_times: list[float] = field(default_factory=list)
 
@@ -56,24 +55,22 @@ class Bounds:
         if self.lower is not None and self.upper is not None:
             if self.lower > self.upper:
                 raise ValueError("lower bound exceeds upper bound")
-        if self.status is BoundStatus.OPTIMAL and self.lower != self.upper:
-            raise ValueError("optimal bounds must coincide")
 
-
-DEFAULT_BUDGET = 300.0   # wall-clock seconds for a whole strategy run
-
-
-def check_budget(budget: float) -> float:
-    """`budget`, once it is known to be finite seconds above zero."""
-    if not (math.isfinite(budget) and budget > 0):
-        raise ValueError(f"budget must be finite and above zero: {budget!r}")
-    return budget
+    @property
+    def status(self) -> BoundStatus:
+        """UNKNOWN with neither bound, OPTIMAL when they meet, else BOUNDED."""
+        if self.lower is None and self.upper is None:
+            return BoundStatus.UNKNOWN
+        if self.lower == self.upper:
+            return BoundStatus.OPTIMAL
+        return BoundStatus.BOUNDED
 
 
 class _Run:
-    """One strategy run: the deadline its budget sets, the backend (resolved
-    once), every SAT call with the seconds it took, and the `Bounds` the
-    run reports. The hybrid's ascend and descend share one run."""
+    """One strategy run, the whole contract between a strategy and a solver:
+    the deadline its budget sets, the backend (resolved once), every SAT
+    call with the seconds it took, and the `Bounds` the run reports. The
+    hybrid's ascend and descend share one run."""
 
     def __init__(self, budget: float, backend=None):
         self.deadline = time.monotonic() + check_budget(budget)
@@ -83,20 +80,21 @@ class _Run:
     def remaining(self) -> float:
         return self.deadline - time.monotonic()
 
-    def sat_call(self, encoding: enc.Encoding, extra=()):
+    def sat_call(self, encoding: enc.Encoding, extra=()) -> SolveOutcome:
         """One SAT call on the encoding under its goal literal and `extra`,
-        within what is left of the run."""
-        budget = max(0.0, self.remaining())
+        within what is left of the run; none, and UNKNOWN, once it is spent."""
+        budget = self.remaining()
+        if budget <= 0:
+            return SolveOutcome(Status.UNKNOWN)
         start = time.monotonic()
         outcome = solve(encoding.formula, budget, self.backend,
                         assumptions=[encoding.goal, *extra])
         self.times.append(time.monotonic() - start)
         return outcome
 
-    def bounds(self, lower: int | None, upper: int | None,
-               status: BoundStatus) -> Bounds:
+    def bounds(self, lower: int | None, upper: int | None) -> Bounds:
         """The bounds so far, with one horizon time per SAT call made."""
-        return Bounds(lower, upper, status, horizon_times=list(self.times))
+        return Bounds(lower, upper, horizon_times=list(self.times))
 
 
 # The deepest horizon `_deepen` tries: a level with no plan would otherwise
@@ -141,10 +139,9 @@ def solve_sequential(level: Level, mode: Mode = Mode.COLLAPSED,
     run = _Run(budget, backend)
     horizon, plan = _deepen(level, mode, reach, run)
     if plan is None:
-        return run.bounds(horizon, None, BoundStatus.BOUNDED), None
+        return run.bounds(horizon, None), None
     moves = plan if mode is Mode.FULL else serialize(level, plan)
-    return (run.bounds(horizon, horizon, BoundStatus.OPTIMAL),
-            _replayed(level, moves, mode.value))
+    return run.bounds(horizon, horizon), _replayed(level, moves, mode.value)
 
 
 def ascend_parallel(level: Level, reach: ReachKind = ReachKind.TREE,
@@ -158,9 +155,9 @@ def ascend_parallel(level: Level, reach: ReachKind = ReachKind.TREE,
     run = run or _Run(budget, backend)
     _, plan = _deepen(level, Mode.PARALLEL, reach, run)
     if plan is None:
-        return run.bounds(None, None, BoundStatus.UNKNOWN), None
+        return run.bounds(None, None), None
     ub = plan.object_action_count
-    return run.bounds(None, ub, BoundStatus.BOUNDED), plan
+    return run.bounds(None, ub), plan
 
 
 # -- serialization ------------------------------------------------------
@@ -247,15 +244,15 @@ def descend(level: Level, upper: int, budget: float = DEFAULT_BUDGET,
         if outcome.status is Status.UNKNOWN:
             break
         if outcome.status is Status.UNSAT:
-            return run.bounds(upper, upper, BoundStatus.OPTIMAL), best
+            return run.bounds(upper, upper), best
         plan = decode(encoding, outcome.model)
         if plan.object_action_count >= upper:
             raise SerializationError("descend probe failed to shrink the plan")
         upper = plan.object_action_count
         best = plan
     if upper == 0:
-        return run.bounds(0, 0, BoundStatus.OPTIMAL), best
-    return run.bounds(None, upper, BoundStatus.BOUNDED), best
+        return run.bounds(0, 0), best
+    return run.bounds(None, upper), best
 
 
 def solve_hybrid(level: Level, ascend_reach: ReachKind = ReachKind.TREE,

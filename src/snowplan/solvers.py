@@ -1,13 +1,14 @@
 """SAT backends: external DIMACS solver processes and a bundled CDCL solver.
 
-Every backend takes `solve(formula, budget=None, assumptions=())` and
-answers for the formula with every assumption literal true; `solve` is the
-one entry point. The external backend writes the formula, the assumptions as
-unit clauses, to a DIMACS file for a solver process configured by a command
-template and parses competition-style output ("s SATISFIABLE" /
-"s UNSATISFIABLE" status lines and "v " value lines). The bundled backend is
-a watched-literal CDCL solver, slower but dependency-free, and incremental:
-it keeps one solver state per formula and decides the assumptions first.
+Every backend takes `solve(formula, budget=DEFAULT_BUDGET, assumptions=())`,
+checks the budget with `check_budget`, and answers for the formula with
+every assumption literal true; `solve` is the one entry point. The external
+backend writes the formula, the assumptions as unit clauses, to a DIMACS
+file for a solver process configured by a command template and parses
+competition-style output ("s SATISFIABLE" / "s UNSATISFIABLE" status lines
+and "v " value lines). The bundled backend is a watched-literal CDCL solver,
+slower but dependency-free, and incremental: it keeps one solver state per
+formula and decides the assumptions first.
 
 Timeouts are results (UNKNOWN); process failures raise BackendError.
 Every SAT model is re-checked against the clause list, and the
@@ -32,6 +33,19 @@ SOLVER_CMD_ENV = "SNOWPLAN_SOLVER_CMD"
 
 # Solvers known to speak competition output, probed on PATH in this order.
 KNOWN_SOLVERS = ("varisat", "kissat", "cadical", "glucose")
+
+
+DEFAULT_BUDGET = 300.0   # seconds for a strategy run or a call given none
+# About 23 days: an external solver is awaited by poll(), whose timeout is
+# C-int milliseconds and overflows past 2,147,483 s.
+MAX_BUDGET = 2_000_000.0
+
+
+def check_budget(budget: float) -> float:
+    """`budget`, once 0 < budget <= MAX_BUDGET (NaN and infinity fail)."""
+    if not 0 < budget <= MAX_BUDGET:
+        raise ValueError(f"budget must be in (0, {MAX_BUDGET:,.0f}] s: {budget!r}")
+    return budget
 
 
 class BackendError(Exception):
@@ -105,12 +119,15 @@ class ExternalSolver:
     def __repr__(self) -> str:
         return f"ExternalSolver({self.command_template!r})"
 
-    def solve(self, formula: Formula, budget: float | None = None,
+    def solve(self, formula: Formula, budget: float = DEFAULT_BUDGET,
               assumptions=()) -> SolveOutcome:
+        check_budget(budget)
+        # built first, so a bad assumption raises before any file exists
+        dimacs = _with_units(formula, assumptions).to_dimacs()
         with tempfile.NamedTemporaryFile(
             "w", suffix=".cnf", prefix="snowplan_", delete=False
         ) as handle:
-            handle.write(_with_units(formula, assumptions).to_dimacs())
+            handle.write(dimacs)
             path = handle.name
         try:
             # not str.format: other braces in the template stay as written
@@ -192,14 +209,14 @@ class InProcessSolver:
     def __repr__(self) -> str:
         return "InProcessSolver()"
 
-    def solve(self, formula: Formula, budget: float | None = None,
+    def solve(self, formula: Formula, budget: float = DEFAULT_BUDGET,
               assumptions=()) -> SolveOutcome:
         """SAT, UNSAT or UNKNOWN for the formula with every assumption true.
 
         UNSAT under assumptions says nothing about the formula alone, and
         neither it nor UNKNOWN changes later answers.
         """
-        deadline = None if budget is None else time.monotonic() + budget
+        deadline = time.monotonic() + check_budget(budget)
         for lit in assumptions:
             if lit == 0 or abs(lit) > formula.num_vars:
                 raise ValueError(f"assumption {lit} outside allocated variables")
@@ -233,18 +250,17 @@ class _CDCL:
     The state lives across calls, after MiniSat's incremental interface:
     `load` adds the clauses appended to a formula since the last load (at
     decision level 0, so satisfied clauses are skipped and false literals
-    dropped), and `run(assumptions)` decides the assumptions first, one
-    level each, re-deciding them after every restart. Learnt clauses
-    follow from the clauses alone, so they stay valid for every later call.
-    run() returns a model dict, False for UNSAT (under the assumptions, or
-    for good once `ok` is False), or None on budget exhaustion.
+    dropped), and `run(assumptions, deadline)` decides the assumptions
+    first, one level each, re-deciding them after every restart. Learnt
+    clauses follow from the clauses alone, so they stay valid for every later
+    call. run() returns a model dict, False for UNSAT (under the assumptions,
+    or for good once `ok` is False), or None past the deadline.
     """
 
     def __init__(self) -> None:
         self.num_vars = 0
         self.loaded = 0                  # clauses of the formula read so far
         self.ok = True                   # False once UNSAT without assumptions
-        self.deadline: float | None = None
         self.val = [0]
         self.bins: list[list[int]] = [[]]
         self.watches: list[list[list[int]]] = [[]]
@@ -526,19 +542,15 @@ class _CDCL:
                 return v if phase[v] else -v
         return None
 
-    def _expired(self) -> bool:
-        return self.deadline is not None and time.monotonic() > self.deadline
-
-    def run(self, assumptions=(), deadline: float | None = None):
+    def run(self, assumptions, deadline: float):
         if not self.ok:
             return False
-        self.deadline = deadline
         try:
-            return self._search(assumptions)
+            return self._search(assumptions, deadline)
         finally:
             self._backtrack(0)
 
-    def _search(self, assumptions):
+    def _search(self, assumptions, deadline: float):
         conflicts = decisions = 0
         restart_at = 100
         luby_idx = 1
@@ -549,7 +561,7 @@ class _CDCL:
                     self.ok = False
                     return False
                 conflicts += 1
-                if not conflicts & 255 and self._expired():
+                if not conflicts & 255 and time.monotonic() > deadline:
                     return None
                 learnt, back = self._analyze(conflict)
                 self._backtrack(back)
@@ -578,7 +590,7 @@ class _CDCL:
                     self._enqueue(lit, None)
             else:
                 decisions += 1
-                if not decisions & 255 and self._expired():
+                if not decisions & 255 and time.monotonic() > deadline:
                     return None
                 decision = self._decide()
                 if decision is None:
@@ -608,7 +620,7 @@ def default_backend():
     return InProcessSolver()
 
 
-def solve(formula: Formula, budget: float | None = None, backend=None,
+def solve(formula: Formula, budget: float = DEFAULT_BUDGET, backend=None,
           assumptions=()) -> SolveOutcome:
     """Solve the formula with every assumption literal true, on `backend`
     or, by default, the one `default_backend` resolves."""

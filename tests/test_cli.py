@@ -145,13 +145,15 @@ def test_bad_timeout_env_fails_only_where_used(monkeypatch, capsys):
 
 @pytest.mark.parametrize("command", ["solve", "bench"])
 @pytest.mark.parametrize("flags, env", [(["--timeout", value], None)
-                                        for value in ("0", "-1", "nan", "inf")]
+                                        for value in ("0", "-1", "nan", "inf",
+                                                      "3e6")]
                          + [([], "nan")],
-                         ids=["0", "-1", "nan", "inf", "env-nan"])
+                         ids=["0", "-1", "nan", "inf", "3e6", "env-nan"])
 def test_invalid_timeout_fails_before_any_run(command, flags, env, tmp_path,
                                               monkeypatch, capsys):
-    """Only a finite budget above zero is accepted, from the flag or from
-    SNOWPLAN_TIMEOUT; anything else is one error line and no output."""
+    """Only a budget above zero and at most MAX_BUDGET seconds is accepted,
+    from the flag or from SNOWPLAN_TIMEOUT; anything else is one error line
+    and no output."""
     (tmp_path / "one.xsb").write_text("######\n#@$-.#\n######\n")
     if env is not None:
         monkeypatch.setenv("SNOWPLAN_TIMEOUT", env)

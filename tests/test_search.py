@@ -13,16 +13,21 @@ from snowplan.plans import ObjectAction, ParallelPlan, Step, to_lurd
 from snowplan.search import (Bounds, BoundStatus, SerializationError,
                              _deepen, _Run, ascend_parallel, descend,
                              serialize, solve_hybrid, solve_sequential)
-from snowplan.solvers import InProcessSolver, Status, solve
+from snowplan.solvers import DEFAULT_BUDGET, InProcessSolver, Status, solve
 
 FAST = 120.0
 
 
 def test_bounds_validation():
     with pytest.raises(ValueError):
-        Bounds(3, 2, BoundStatus.BOUNDED)
-    with pytest.raises(ValueError):
-        Bounds(1, 2, BoundStatus.OPTIMAL)
+        Bounds(3, 2)
+    for lower, upper, status in [(None, None, BoundStatus.UNKNOWN),
+                                 (None, 3, BoundStatus.BOUNDED),
+                                 (2, None, BoundStatus.BOUNDED),
+                                 (2, 3, BoundStatus.BOUNDED),
+                                 (3, 3, BoundStatus.OPTIMAL),
+                                 (0, 0, BoundStatus.OPTIMAL)]:
+        assert Bounds(lower, upper).status is status, (lower, upper)
     level = load_fixture("snow_pop").level
     for budget in (0, math.nan, math.inf):
         with pytest.raises(ValueError):
@@ -198,9 +203,21 @@ class _CountingBackend:
         self.calls: list[str] = []
         self.phase = ""
 
-    def solve(self, formula, budget=None, assumptions=()):
+    def solve(self, formula, budget=DEFAULT_BUDGET, assumptions=()):
         self.calls.append(self.phase)
         return self.inner.solve(formula, budget, assumptions)
+
+
+def test_spent_run_makes_no_call():
+    """Once nothing of the run is left, a SAT call is UNKNOWN without
+    reaching the backend, and no time is logged."""
+    counting = _CountingBackend()
+    run = _Run(0.05, counting)
+    encoding = encode(load_fixture("soko_corridor").level,
+                      EncodingConfig(Mode.COLLAPSED, 1))
+    time.sleep(0.1)
+    assert run.sat_call(encoding).status is Status.UNKNOWN
+    assert counting.calls == [] and run.times == []
 
 
 def test_horizon_times_count_every_sat_call(monkeypatch):
@@ -250,7 +267,7 @@ def test_horizon_times_count_every_sat_call(monkeypatch):
 class _SlowBackend:
     """Answers correctly, but each call lasts 60% of its budget."""
 
-    def solve(self, formula, budget=None, assumptions=()):
+    def solve(self, formula, budget=DEFAULT_BUDGET, assumptions=()):
         start = time.monotonic()
         out = InProcessSolver().solve(formula, assumptions=assumptions)
         time.sleep(max(0.0, 0.6 * budget - (time.monotonic() - start)))

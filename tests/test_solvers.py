@@ -1,9 +1,11 @@
 """Solver backends: bundled CDCL, external process contract, verification."""
 
 import gc
+import math
 import os
 import random
 import stat
+import tempfile
 import time
 from pathlib import Path
 
@@ -151,6 +153,30 @@ def test_external_timeout_is_unknown(tmp_path):
     out = ExternalSolver(cmd).solve(_tiny([[1]], 1), budget=0.2)
     assert out.status is Status.UNKNOWN
     assert out.model is None
+
+
+@pytest.mark.parametrize("budget", [0, -1, math.nan, math.inf, 3e6],
+                         ids=["0", "-1", "nan", "inf", "3e6"])
+@pytest.mark.parametrize("kind", ["in-process", "external"])
+def test_backends_check_their_budget(kind, budget, tmp_path):
+    """Each built-in backend accepts only a budget above zero and at most
+    MAX_BUDGET seconds, whoever calls it."""
+    backend = InProcessSolver() if kind == "in-process" else ExternalSolver(
+        _script_solver(tmp_path, 'echo "s SATISFIABLE"\necho "v 1 0"\n'))
+    with pytest.raises(ValueError, match="budget"):
+        backend.solve(_tiny([[1]], 1), budget)
+
+
+def test_external_bad_assumption_leaves_no_file(tmp_path, monkeypatch):
+    """An assumption outside the formula fails before the DIMACS file is
+    made, so no file is left in the temporary directory."""
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    cmd = _script_solver(tmp_path, 'echo "s UNSATISFIABLE"\n')
+    with pytest.raises(ValueError):
+        ExternalSolver(cmd).solve(_tiny([[1]], 1), 1.0, assumptions=[99])
+    assert list(scratch.iterdir()) == []
 
 
 def _running(pid: int) -> bool:
