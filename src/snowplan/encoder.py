@@ -38,8 +38,8 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations
 
+from . import analysis, reach
 from . import levels as lv
-from . import reach
 from .cnf import Formula
 from .game import ActionKind, Direction
 from .levels import Cell, GameTag, Level
@@ -133,9 +133,6 @@ class Encoding:
         self.jumps: list[dict[Cell, int]] = []
         self.noops: list[int] = []
         self.push_table: dict[Cell, list[ObjectAction]] = {}
-        # ball_layers[t]: the cells a ball or box can occupy at step t
-        self.ball_layers = [frozenset(cell for cell, _ in level.stacks)
-                            | level.boxes]
 
         # state variables, keyed (cell, t)
         self.snow: dict[tuple[Cell, int], int] = {}
@@ -439,31 +436,30 @@ class Encoding:
     # -- collapsed-family modes -----------------------------------------
 
     def _pushes(self, l: Cell) -> list[ObjectAction]:
-        """The object actions on a ball at l that the walls allow: those
-        whose destination l + d and pushing cell l - d are floor. Each
-        cell's list is built once."""
+        """The object actions on a ball at l that the walls allow (see
+        `analysis.push_directions`). Each cell's list is built once."""
         out = self.push_table.get(l)
         if out is None:
-            wall = self.level.is_wall
-            every = (ObjectAction(kind, l, d)
-                     for d in Direction for kind in self.kinds)
             out = self.push_table[l] = [
-                a for a in every
-                if not wall(a.destination) and not wall(a.pushing_cell)]
+                ObjectAction(kind, l, d)
+                for d in analysis.push_directions(self.level, l)
+                for kind in self.kinds]
         return out
 
+    @cached_property
+    def push_distance(self) -> dict[Cell, int]:
+        """Each cell a ball or box can reach, with the pushes the nearest
+        one needs to get there."""
+        level = self.level
+        return analysis.push_distances(
+            level, {cell for cell, _ in level.stacks} | level.boxes)
+
     def _ball_cells(self, t: int) -> frozenset[Cell]:
-        """B_t, the cells some ball or box can occupy at step t: the start
-        cells, then each layer adds every cell one push away from the last
-        (relaxed reachability as in GraphPlan's planning graph). Layers are
-        computed on demand, so a formula grown layer by layer sees the
-        same sets as a fresh one."""
-        layers = self.ball_layers
-        while len(layers) <= t:
-            last = layers[-1]
-            layers.append(last.union(
-                a.destination for l in last for a in self._pushes(l)))
-        return layers[t]
+        """B_t, the cells some ball or box can occupy at step t: those
+        whose nearest ball or box is at most t pushes away (relaxed
+        reachability as in GraphPlan's planning graph)."""
+        return frozenset(cell for cell, n in self.push_distance.items()
+                         if n <= t)
 
     def _object_actions(self, t: int) -> list[tuple[ObjectAction, int]]:
         """Create this step's object-action variables and their clauses.

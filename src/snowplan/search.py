@@ -4,9 +4,11 @@ bound, plan serialization, and sequential descend with noops.
 The hybrid driver chains all three: find a minimal-horizon parallel plan
 (its action count is an upper bound), serialize it into primitive moves,
 then probe strictly shorter sequential horizons with noop padding until an
-UNSAT answer certifies optimality. Because a satisfiable probe may contain
-several trailing noops, the upper bound can drop by more than one per
-iteration.
+UNSAT answer certifies optimality or the upper bound meets the static
+lower bound of `analysis.lower_bound`. When ascend's plan already meets
+that bound, descend encodes nothing and makes no SAT call. Because a
+satisfiable probe may contain several trailing noops, the upper bound can
+drop by more than one per iteration.
 
 Every strategy ends in `Bounds`, whose status follows from its lower and
 upper bound, and in a list of moves that the simulator has replayed to the
@@ -24,6 +26,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import encoder as enc
+from .analysis import lower_bound
 from .encoder import EncodingConfig, Mode, ReachKind
 from .game import (Direction, GameState, classify, initial_state, is_goal,
                    run_plan, step, walks)
@@ -220,23 +223,25 @@ def serialize(level: Level, plan: ParallelPlan) -> list[Direction]:
 
 
 def descend(level: Level, upper: int, budget: float = DEFAULT_BUDGET,
-            backend=None, run: _Run | None = None
+            backend=None, run: _Run | None = None, lower: int = 0
             ) -> tuple[Bounds, ParallelPlan | None]:
-    """Probe strictly below a known upper bound until UNSAT proves it optimal.
+    """Probe strictly below a known upper bound until it meets `lower`, a
+    known lower bound, or UNSAT proves it optimal.
 
     A satisfiable probe's non-noop action count becomes the new upper bound,
     which can therefore drop by more than one per iteration. One DESCEND
-    formula at horizon upper-1 serves every probe: each probe assumes its
-    goal literal, the probe for a bound u below it also assumes noop[u-1],
-    and since noops are forced to the tail, at most u-1 actions remain.
-    Reachability is always PATH. `run` defaults to a fresh one for `budget`
-    and `backend`.
+    formula at horizon upper-1 serves every probe, and it is encoded only
+    if upper exceeds lower: each probe assumes its goal literal, the probe
+    for a bound u below it also assumes noop[u-1], and since noops are
+    forced to the tail, at most u-1 actions remain. Reachability is always
+    PATH. A run cut short reports `lower` and the last upper bound. `run`
+    defaults to a fresh one for `budget` and `backend`.
     """
     run = run or _Run(budget, backend)
     best: ParallelPlan | None = None
     encoding = None
     top = upper
-    while upper > 0 and run.remaining() > 0:
+    while upper > lower and run.remaining() > 0:
         if encoding is None:
             encoding = enc.encode(level, EncodingConfig(Mode.DESCEND, top - 1))
         tail = [encoding.noops[upper - 1]] if upper < top else []
@@ -248,19 +253,21 @@ def descend(level: Level, upper: int, budget: float = DEFAULT_BUDGET,
         plan = decode(encoding, outcome.model)
         if plan.object_action_count >= upper:
             raise SerializationError("descend probe failed to shrink the plan")
+        if plan.object_action_count < lower:
+            raise SerializationError("descend plan falls below the lower bound")
         upper = plan.object_action_count
         best = plan
-    if upper == 0:
-        return run.bounds(0, 0), best
-    return run.bounds(None, upper), best
+    return run.bounds(lower, upper), best
 
 
 def solve_hybrid(level: Level, ascend_reach: ReachKind = ReachKind.TREE,
                  budget: float = DEFAULT_BUDGET,
                  backend=None) -> tuple[Bounds, list[Direction] | None]:
-    """Parallel ascend, serialize, then sequential descend with noops.
+    """Parallel ascend, serialize, then sequential descend with noops down
+    to the static lower bound (`analysis.lower_bound`).
 
-    Ascend uses `ascend_reach`; descend always encodes PATH. Both phases
+    Ascend uses `ascend_reach`; descend always encodes PATH, and it makes
+    no SAT call when ascend's plan already meets the bound. Both phases
     share one run, so `budget` bounds the whole run and the horizon times
     list ascend's SAT calls, then descend's.
     """
@@ -272,7 +279,8 @@ def solve_hybrid(level: Level, ascend_reach: ReachKind = ReachKind.TREE,
     if plan is not None:
         moves = _replayed(level, serialize(level, plan), "serialized parallel")
         t1 = time.monotonic()
-        bounds, best = descend(level, plan.object_action_count, run=run)
+        bounds, best = descend(level, plan.object_action_count, run=run,
+                               lower=lower_bound(level) or 0)
         phases["descend"] = time.monotonic() - t1
         if best is not None:
             moves = _replayed(level, serialize(level, best),

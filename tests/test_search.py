@@ -6,6 +6,8 @@ import time
 import pytest
 
 from snowplan import search
+from snowplan.analysis import lower_bound
+from snowplan.bench import run_instance
 from snowplan.encoder import EncodingConfig, Mode, ReachKind, encode
 from snowplan.fixtures import load_fixture
 from snowplan.game import ActionKind, Direction, is_goal, run_plan
@@ -13,7 +15,8 @@ from snowplan.plans import ObjectAction, ParallelPlan, Step, to_lurd
 from snowplan.search import (Bounds, BoundStatus, SerializationError,
                              _deepen, _Run, ascend_parallel, descend,
                              serialize, solve_hybrid, solve_sequential)
-from snowplan.solvers import DEFAULT_BUDGET, InProcessSolver, Status, solve
+from snowplan.solvers import (DEFAULT_BUDGET, InProcessSolver, SolveOutcome,
+                              Status, solve)
 
 FAST = 120.0
 
@@ -222,7 +225,9 @@ def test_spent_run_makes_no_call():
 
 def test_horizon_times_count_every_sat_call(monkeypatch):
     """Each strategy reports one horizon time per SAT call it made; the
-    hybrid lists ascend's calls first, then descend's."""
+    hybrid lists ascend's calls first, then descend's. The hybrid runs on
+    snow_tiny1 with PATH, where ascend's plan (6 actions) lies above both
+    the optimum (5) and the static bound (4), so descend has to probe."""
     fx = load_fixture("soko_pair")
     level, opt = fx.level, fx.object_actions_optimal
     counting = _CountingBackend()
@@ -254,7 +259,8 @@ def test_horizon_times_count_every_sat_call(monkeypatch):
 
     monkeypatch.setattr(search, "ascend_parallel", ascend)
     monkeypatch.setattr(search, "descend", descend_)
-    bounds, _ = solve_hybrid(level, budget=FAST, backend=counting)
+    bounds, _ = solve_hybrid(load_fixture("snow_tiny1").level, ReachKind.PATH,
+                             FAST, counting)
     assert bounds.status is BoundStatus.OPTIMAL
     ups = len(ascended)
     assert counting.calls == ["ascend"] * ups + ["descend"] * (
@@ -262,6 +268,72 @@ def test_horizon_times_count_every_sat_call(monkeypatch):
     assert len(counting.calls) > ups > 0
     assert len(bounds.horizon_times) == len(counting.calls)
     assert bounds.horizon_times[:ups] == ascended
+
+
+def test_hybrid_skips_descend_at_the_bound(monkeypatch):
+    """soko_pair's ascend plan meets its static bound (2), so descend
+    builds no DESCEND encoding and makes no SAT call."""
+    level = load_fixture("soko_pair").level
+    assert lower_bound(level) == 2
+    modes = []
+
+    def encode_(level, config, extend=None):
+        modes.append(config.mode)
+        return encode(level, config, extend)
+
+    monkeypatch.setattr(search.enc, "encode", encode_)
+    counting = _CountingBackend()
+    ascended, _ = ascend_parallel(level, budget=FAST, backend=counting)
+    ups = len(counting.calls)
+    assert ascended.upper == 2
+    bounds, moves = solve_hybrid(level, budget=FAST, backend=counting)
+    assert (bounds.lower, bounds.upper) == (2, 2)
+    assert len(counting.calls) == 2 * ups
+    assert len(bounds.horizon_times) == ups
+    assert Mode.DESCEND not in modes
+    assert is_goal(level, run_plan(level, moves).state)
+
+
+def test_descend_stops_at_its_lower_bound():
+    """At its lower bound descend makes no call; a plan below the bound
+    (soko_corridor's optimum is 2) means the bound is wrong."""
+    counting = _CountingBackend()
+    level = load_fixture("soko_corridor").level
+    bounds, plan = descend(level, 3, budget=FAST, backend=counting, lower=3)
+    assert (bounds.lower, bounds.upper) == (3, 3)
+    assert plan is None and counting.calls == [] and bounds.horizon_times == []
+    with pytest.raises(SerializationError, match="below the lower bound"):
+        descend(level, 5, budget=FAST, backend=counting, lower=3)
+
+
+class _UnknownBackend:
+    """Answers UNKNOWN to every call on a formula with a noop variable (a
+    DESCEND formula), or to every call with `always`."""
+
+    def __init__(self, always=False):
+        self.inner = InProcessSolver()
+        self.always = always
+
+    def solve(self, formula, budget=DEFAULT_BUDGET, assumptions=()):
+        if self.always or "noop[0]" in formula.name_to_var:
+            return SolveOutcome(Status.UNKNOWN)
+        return self.inner.solve(formula, budget, assumptions)
+
+
+def test_bounded_hybrid_record_carries_the_static_bound():
+    """snow_tiny1 with PATH: ascend's plan has 6 actions and the static
+    bound is 4. With descend cut short, the record reports both; with
+    ascend cut short, it reports neither, as before the bound."""
+    level = load_fixture("snow_tiny1").level
+    run = run_instance(level, "snow_tiny1", ReachKind.PATH, limit=FAST,
+                       backend=_UnknownBackend())
+    assert not run.solved and run.record.lurd is not None
+    assert (run.record.lb, run.record.ub, run.record.status) == (
+        4, 6, "bounded")
+    run = run_instance(level, "snow_tiny1", ReachKind.PATH, limit=FAST,
+                       backend=_UnknownBackend(always=True))
+    assert (run.record.lb, run.record.ub, run.record.status) == (
+        None, None, "unknown")
 
 
 class _SlowBackend:
