@@ -91,7 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--mode", default=_env("MODE", "hybrid"),
                          choices=["full", "collapsed", "hybrid"])
     p_bench.add_argument("--all-reach", action="store_true",
-                         help="run every reachability encoding, not just --reach")
+                         help="run every reachability encoding, not just --reach "
+                              "(--mode full, which has none, runs once)")
     run_flags(p_bench)
 
     p_enc = sub.add_parser("encode", help="emit DIMACS for one horizon")

@@ -29,10 +29,6 @@ class Fixture:
     object_actions_optimal: int | None
     flags: dict
 
-    @property
-    def text(self) -> str:
-        return render(self.level)
-
 
 def gen_random_level(seed: int, dims: tuple[int, int] = (5, 5),
                      density: float = 0.3, game: GameTag = GameTag.SNOWMAN,

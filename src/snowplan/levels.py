@@ -8,7 +8,7 @@ Snowman text format (`.snw`): '#' wall, '-' plain floor, '.' snow floor,
 digits 1..7 for ball stacks (1 small, 2 medium, 3 small-on-medium, 4 large,
 5 small-on-large, 6 medium-on-large, 7 full snowman), 'p' agent on plain
 floor, 'P' agent on snow. Sokoban levels (`.xsb`) use the community XSB
-convention.
+convention; a level may have spare goals, but not more boxes than goals.
 """
 
 from __future__ import annotations
@@ -168,7 +168,7 @@ def parse_level(text: str, game: GameTag) -> Level:
     if ball_count % 3 != 0:
         raise ParseError(f"ball count {ball_count} not divisible by 3")
     walls, boxes, goals = marked[WALL], marked[BOX], marked[GOAL]
-    if len(boxes) != len(goals):
+    if len(boxes) > len(goals):
         raise ParseError(f"{len(boxes)} boxes but {len(goals)} goals")
     if fmt.pad:
         exterior = _exterior_cells(rows, cols, walls)

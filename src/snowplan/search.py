@@ -12,11 +12,13 @@ drop by more than one per iteration.
 
 Every strategy ends in `Bounds`, whose status follows from its lower and
 upper bound, and in a list of moves that the simulator has replayed to the
-goal. Every strategy run keeps one live formula and hands it to one
-backend, so an incremental backend keeps what it learnt from one horizon to
-the next: deepening appends a layer per horizon and assumes that horizon's
-goal literal, and descend encodes once and assumes its goal literal and the
-noops at the tail.
+goal. A strategy run is one `Run`: its deadline, its backend, its SAT calls
+and its phase times. The strategies make their own; the phases
+`ascend_parallel` and `descend` take the one they share. Every run keeps
+one live formula and hands it to its backend, so an incremental backend
+keeps what it learnt from one horizon to the next: deepening appends a
+layer per horizon and assumes that horizon's goal literal, and descend
+encodes once and assumes its goal literal and the noops at the tail.
 """
 
 from __future__ import annotations
@@ -69,16 +71,17 @@ class Bounds:
         return BoundStatus.BOUNDED
 
 
-class _Run:
+class Run:
     """One strategy run, the whole contract between a strategy and a solver:
-    the deadline its budget sets, the backend (resolved once), every SAT
-    call with the seconds it took, and the `Bounds` the run reports. The
-    hybrid's ascend and descend share one run."""
+    the deadline its budget sets, the backend (resolved once, here), every
+    SAT call with the seconds it took, the seconds of each phase, and the
+    `Bounds` the run reports. The hybrid's ascend and descend share one run."""
 
-    def __init__(self, budget: float, backend=None):
+    def __init__(self, budget: float = DEFAULT_BUDGET, backend=None):
         self.deadline = time.monotonic() + check_budget(budget)
         self.backend = default_backend() if backend is None else backend
         self.times: list[float] = []
+        self.phase_times: dict[str, float] = {}
 
     def remaining(self) -> float:
         return self.deadline - time.monotonic()
@@ -90,14 +93,15 @@ class _Run:
         if budget <= 0:
             return SolveOutcome(Status.UNKNOWN)
         start = time.monotonic()
-        outcome = solve(encoding.formula, budget, self.backend,
+        outcome = solve(encoding.formula, self.backend, budget,
                         assumptions=[encoding.goal, *extra])
         self.times.append(time.monotonic() - start)
         return outcome
 
     def bounds(self, lower: int | None, upper: int | None) -> Bounds:
-        """The bounds so far, with one horizon time per SAT call made."""
-        return Bounds(lower, upper, horizon_times=list(self.times))
+        """The bounds so far, with one horizon time per SAT call made and
+        the seconds of each phase run so far."""
+        return Bounds(lower, upper, dict(self.phase_times), list(self.times))
 
 
 # The deepest horizon `_deepen` tries: a level with no plan would otherwise
@@ -106,7 +110,7 @@ HORIZON_CAP = 500
 
 
 def _deepen(level: Level, mode: Mode, reach: ReachKind,
-            run: _Run) -> tuple[int, list[Direction] | ParallelPlan | None]:
+            run: Run) -> tuple[int, list[Direction] | ParallelPlan | None]:
     """Iterative deepening from T = 0; the first SAT horizon is minimal.
 
     Returns that horizon and its plan, or, when the clock, the solver or
@@ -135,32 +139,30 @@ def solve_sequential(level: Level, mode: Mode = Mode.COLLAPSED,
     """Optimal moves (FULL) or object actions (COLLAPSED) by deepening.
 
     The moves are FULL's as decoded, or the serialized COLLAPSED plan;
-    either way the simulator has replayed them to the goal.
+    either way the simulator has replayed them to the goal. A run that ends
+    without a plan reports the lowest horizon not refuted or the static
+    bound of `analysis.lower_bound`, whichever is higher: every object
+    action is one move, so the bound holds for FULL too.
     """
     if mode not in (Mode.FULL, Mode.COLLAPSED):
         raise ValueError("solve_sequential expects FULL or COLLAPSED mode")
-    run = _Run(budget, backend)
+    run = Run(budget, backend)
     horizon, plan = _deepen(level, mode, reach, run)
     if plan is None:
-        return run.bounds(horizon, None), None
+        return run.bounds(max(horizon, lower_bound(level) or 0), None), None
     moves = plan if mode is Mode.FULL else serialize(level, plan)
     return run.bounds(horizon, horizon), _replayed(level, moves, mode.value)
 
 
-def ascend_parallel(level: Level, reach: ReachKind = ReachKind.TREE,
-                    budget: float = DEFAULT_BUDGET,
-                    backend=None, run: _Run | None = None
-                    ) -> tuple[Bounds, ParallelPlan | None]:
-    """Minimal parallel horizon; the plan's action count is an upper bound.
-
-    `run` defaults to a fresh one for `budget` and `backend`.
-    """
-    run = run or _Run(budget, backend)
+def ascend_parallel(level: Level, reach: ReachKind,
+                    run: Run) -> tuple[Bounds, ParallelPlan | None]:
+    """Minimal parallel horizon; the plan's action count is an upper bound."""
+    start = time.monotonic()
     _, plan = _deepen(level, Mode.PARALLEL, reach, run)
+    run.phase_times["ascend"] = time.monotonic() - start
     if plan is None:
         return run.bounds(None, None), None
-    ub = plan.object_action_count
-    return run.bounds(None, ub), plan
+    return run.bounds(None, plan.object_action_count), plan
 
 
 # -- serialization ------------------------------------------------------
@@ -222,9 +224,8 @@ def serialize(level: Level, plan: ParallelPlan) -> list[Direction]:
 # -- descend ------------------------------------------------------------
 
 
-def descend(level: Level, upper: int, budget: float = DEFAULT_BUDGET,
-            backend=None, run: _Run | None = None, lower: int = 0
-            ) -> tuple[Bounds, ParallelPlan | None]:
+def descend(level: Level, upper: int, run: Run,
+            lower: int = 0) -> tuple[Bounds, ParallelPlan | None]:
     """Probe strictly below a known upper bound until it meets `lower`, a
     known lower bound, or UNSAT proves it optimal.
 
@@ -234,10 +235,9 @@ def descend(level: Level, upper: int, budget: float = DEFAULT_BUDGET,
     if upper exceeds lower: each probe assumes its goal literal, the probe
     for a bound u below it also assumes noop[u-1], and since noops are
     forced to the tail, at most u-1 actions remain. Reachability is always
-    PATH. A run cut short reports `lower` and the last upper bound. `run`
-    defaults to a fresh one for `budget` and `backend`.
+    PATH. A run cut short reports `lower` and the last upper bound.
     """
-    run = run or _Run(budget, backend)
+    start = time.monotonic()
     best: ParallelPlan | None = None
     encoding = None
     top = upper
@@ -249,7 +249,8 @@ def descend(level: Level, upper: int, budget: float = DEFAULT_BUDGET,
         if outcome.status is Status.UNKNOWN:
             break
         if outcome.status is Status.UNSAT:
-            return run.bounds(upper, upper), best
+            lower = upper
+            break
         plan = decode(encoding, outcome.model)
         if plan.object_action_count >= upper:
             raise SerializationError("descend probe failed to shrink the plan")
@@ -257,6 +258,7 @@ def descend(level: Level, upper: int, budget: float = DEFAULT_BUDGET,
             raise SerializationError("descend plan falls below the lower bound")
         upper = plan.object_action_count
         best = plan
+    run.phase_times["descend"] = time.monotonic() - start
     return run.bounds(lower, upper), best
 
 
@@ -268,24 +270,18 @@ def solve_hybrid(level: Level, ascend_reach: ReachKind = ReachKind.TREE,
 
     Ascend uses `ascend_reach`; descend always encodes PATH, and it makes
     no SAT call when ascend's plan already meets the bound. Both phases
-    share one run, so `budget` bounds the whole run and the horizon times
-    list ascend's SAT calls, then descend's.
+    share one run, so `budget` bounds the whole run, the horizon times list
+    ascend's SAT calls, then descend's, and the phase times hold both.
     """
-    run = _Run(budget, backend)
-    t0 = time.monotonic()
-    bounds, plan = ascend_parallel(level, ascend_reach, run=run)
-    phases = {"ascend": time.monotonic() - t0}
-    moves = None
-    if plan is not None:
-        moves = _replayed(level, serialize(level, plan), "serialized parallel")
-        t1 = time.monotonic()
-        bounds, best = descend(level, plan.object_action_count, run=run,
-                               lower=lower_bound(level) or 0)
-        phases["descend"] = time.monotonic() - t1
-        if best is not None:
-            moves = _replayed(level, serialize(level, best),
-                              "serialized descend")
-    bounds.phase_times = phases
+    run = Run(budget, backend)
+    bounds, plan = ascend_parallel(level, ascend_reach, run)
+    if plan is None:
+        return bounds, None
+    moves = _replayed(level, serialize(level, plan), "serialized parallel")
+    bounds, best = descend(level, plan.object_action_count, run,
+                           lower_bound(level) or 0)
+    if best is not None:
+        moves = _replayed(level, serialize(level, best), "serialized descend")
     return bounds, moves
 
 

@@ -620,10 +620,7 @@ def default_backend():
     return InProcessSolver()
 
 
-def solve(formula: Formula, budget: float = DEFAULT_BUDGET, backend=None,
+def solve(formula: Formula, backend, budget: float = DEFAULT_BUDGET,
           assumptions=()) -> SolveOutcome:
-    """Solve the formula with every assumption literal true, on `backend`
-    or, by default, the one `default_backend` resolves."""
-    if backend is None:
-        backend = default_backend()
+    """Solve the formula on `backend` with every assumption literal true."""
     return backend.solve(formula, budget, assumptions)

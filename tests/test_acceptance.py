@@ -26,7 +26,7 @@ from snowplan.levels import GameTag
 from snowplan.plans import RunRecord, decode, validate_lurd
 from snowplan.reach import (bfs_reachable, encode_dag, encode_path,
                             encode_spanning_tree, grid_graph)
-from snowplan.search import (BoundStatus, descend, solve_hybrid,
+from snowplan.search import (BoundStatus, Run, descend, solve_hybrid,
                              solve_sequential)
 from snowplan.solvers import InProcessSolver, Status, solve
 
@@ -287,7 +287,7 @@ def test_criterion_6_descend_multi_step_drop(backend):
     with _verdict(6, "descend multi-step drop"):
         fx = load_fixture("soko_corridor")
         opt = fx.object_actions_optimal
-        bounds, plan = descend(fx.level, opt + 3, backend=backend)
+        bounds, plan = descend(fx.level, opt + 3, Run(backend=backend))
         assert bounds.status is BoundStatus.OPTIMAL
         assert bounds.upper == opt
         # fewer probes than single-step decrements would need

@@ -155,3 +155,14 @@ def test_run_bench_parses_each_level_once(tmp_path, backend, monkeypatch):
     assert sorted(run.reach for run in bad) == ["dag", "tree"]
     assert all(not run.solved and run.error for run in bad)
     assert all(run.solved for run in report.runs if run.instance == "one")
+
+
+def test_run_bench_runs_full_once_per_level(tmp_path, backend):
+    """FULL encodes no reachability, so every reach would repeat one run."""
+    (tmp_path / "one.xsb").write_text("######\n#@$-.#\n######\n")
+    (tmp_path / "two.xsb").write_text("#######\n#@-$-.#\n#######\n")
+    report = run_bench(tmp_path, list(ReachKind), mode="full",
+                       backend=backend)
+    assert [run.instance for run in report.runs] == ["one", "two"]
+    assert all(run.solved for run in report.runs)
+    assert {run.reach for run in report.runs} == {list(ReachKind)[0].value}

@@ -2,9 +2,12 @@
 
 import pytest
 
+from snowplan.encoder import Mode
 from snowplan.fixtures import FIXTURE_DIR
+from snowplan.game import Metric, is_goal, oracle_optimal, run_plan
 from snowplan.levels import (SUFFIXES, BallSize, GameTag, ParseError, parse_level, parse_snowman,
                              parse_sokoban_xsb, render)
+from snowplan.search import BoundStatus, solve_hybrid, solve_sequential
 
 SNOW_TEXT = """\
 #######
@@ -105,7 +108,8 @@ def test_sokoban_exterior_becomes_wall():
 
 
 @pytest.mark.parametrize("bad", [
-    "#####\n#@$-#\n#####\n",   # box/goal count mismatch
+    "#####\n#@$-#\n#####\n",   # more boxes than goals
+    "######\n#@$$.#\n######\n",  # two boxes, one goal
     "#####\n#@@.#\n#####\n",   # needs a box; also duplicate agent
     "#####\n#-$.#\n#####\n",   # missing agent
     "#####\n#@x.#\n#####\n",   # unknown character
@@ -114,6 +118,29 @@ def test_sokoban_exterior_becomes_wall():
 def test_parse_sokoban_rejects(bad):
     with pytest.raises(ParseError):
         parse_sokoban_xsb(bad)
+
+
+# two boxes, three goals: the middle goal lies between the boxes
+SPARE_GOALS = "########\n#.-$.$-#\n#--.-@-#\n########\n"
+
+
+def test_sokoban_spare_goals_round_trip():
+    level = parse_sokoban_xsb(SPARE_GOALS)
+    assert (len(level.boxes), len(level.goals)) == (2, 3)
+    assert render(level) == SPARE_GOALS
+
+
+@pytest.mark.parametrize("mode", ["hybrid", Mode.COLLAPSED])
+def test_sokoban_spare_goals_solve_to_the_oracle(mode, backend):
+    level = parse_sokoban_xsb(SPARE_GOALS)
+    assert oracle_optimal(level, Metric.OBJECT_ACTIONS) == 3
+    if mode == "hybrid":
+        bounds, moves = solve_hybrid(level, budget=60.0, backend=backend)
+    else:
+        bounds, moves = solve_sequential(level, mode, budget=60.0,
+                                         backend=backend)
+    assert bounds.status is BoundStatus.OPTIMAL and bounds.upper == 3
+    assert is_goal(level, run_plan(level, moves).state)
 
 
 def test_every_fixture_file_round_trips():

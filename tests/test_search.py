@@ -13,7 +13,7 @@ from snowplan.fixtures import load_fixture
 from snowplan.game import ActionKind, Direction, is_goal, run_plan
 from snowplan.plans import ObjectAction, ParallelPlan, Step, to_lurd
 from snowplan.search import (Bounds, BoundStatus, SerializationError,
-                             _deepen, _Run, ascend_parallel, descend,
+                             Run, _deepen, ascend_parallel, descend,
                              serialize, solve_hybrid, solve_sequential)
 from snowplan.solvers import (DEFAULT_BUDGET, InProcessSolver, SolveOutcome,
                               Status, solve)
@@ -67,7 +67,7 @@ def test_solve_sequential_rejects_other_modes():
 @pytest.mark.parametrize("reach", list(ReachKind))
 def test_ascend_upper_bound_is_sound(reach, backend):
     fx = load_fixture("soko_pair")
-    bounds, plan = ascend_parallel(fx.level, reach, FAST, backend)
+    bounds, plan = ascend_parallel(fx.level, reach, Run(FAST, backend))
     assert bounds.status is BoundStatus.BOUNDED
     assert bounds.upper >= fx.object_actions_optimal
     moves = serialize(fx.level, plan)
@@ -124,7 +124,7 @@ def test_serialize_rejects_impossible_action():
 def test_descend_confirms_optimum(backend):
     fx = load_fixture("snow_pop")
     opt = fx.object_actions_optimal
-    bounds, plan = descend(fx.level, opt, budget=FAST, backend=backend)
+    bounds, plan = descend(fx.level, opt, Run(FAST, backend))
     assert bounds.status is BoundStatus.OPTIMAL
     assert (bounds.lower, bounds.upper) == (opt, opt)
     assert plan is None                    # no probe succeeded
@@ -135,7 +135,7 @@ def test_descend_multi_step_drop(backend):
     a satisfiable shorter horizon already carries trailing noops."""
     fx = load_fixture("soko_corridor")
     opt = fx.object_actions_optimal
-    bounds, plan = descend(fx.level, opt + 3, budget=FAST, backend=backend)
+    bounds, plan = descend(fx.level, opt + 3, Run(FAST, backend))
     assert bounds.status is BoundStatus.OPTIMAL
     assert bounds.upper == opt
     # one SAT probe that skips several bounds, then the UNSAT certificate
@@ -145,7 +145,7 @@ def test_descend_multi_step_drop(backend):
 
 def test_descend_zero_upper_bound(backend):
     fx = load_fixture("snow_done")
-    bounds, plan = descend(fx.level, 0, budget=FAST, backend=backend)
+    bounds, plan = descend(fx.level, 0, Run(FAST, backend))
     assert (bounds.lower, bounds.upper) == (0, 0)
     assert bounds.status is BoundStatus.OPTIMAL
 
@@ -191,7 +191,7 @@ def test_incremental_deepening_matches_one_shot(name, mode, reach):
                      assumptions=[fresh.goal]).status is Status.SAT
 
     one_shot = next(T for T in range(31) if sat_at(T))
-    run = _Run(FAST, InProcessSolver())
+    run = Run(FAST, InProcessSolver())
     horizon, plan = _deepen(level, mode, reach, run)
     assert horizon == one_shot
     assert plan is not None
@@ -215,7 +215,7 @@ def test_spent_run_makes_no_call():
     """Once nothing of the run is left, a SAT call is UNKNOWN without
     reaching the backend, and no time is logged."""
     counting = _CountingBackend()
-    run = _Run(0.05, counting)
+    run = Run(0.05, counting)
     encoding = encode(load_fixture("soko_corridor").level,
                       EncodingConfig(Mode.COLLAPSED, 1))
     time.sleep(0.1)
@@ -237,10 +237,10 @@ def test_horizon_times_count_every_sat_call(monkeypatch):
                                      backend=counting)
         assert len(bounds.horizon_times) == len(counting.calls) > 1
     counting.calls.clear()
-    bounds, _ = ascend_parallel(level, budget=FAST, backend=counting)
+    bounds, _ = ascend_parallel(level, ReachKind.TREE, Run(FAST, counting))
     assert len(bounds.horizon_times) == len(counting.calls) > 0
     counting.calls.clear()
-    bounds, _ = descend(level, opt + 2, budget=FAST, backend=counting)
+    bounds, _ = descend(level, opt + 2, Run(FAST, counting))
     assert len(bounds.horizon_times) == len(counting.calls) > 1
 
     # solve_hybrid calls both phases by module name, so wrappers see them
@@ -283,7 +283,8 @@ def test_hybrid_skips_descend_at_the_bound(monkeypatch):
 
     monkeypatch.setattr(search.enc, "encode", encode_)
     counting = _CountingBackend()
-    ascended, _ = ascend_parallel(level, budget=FAST, backend=counting)
+    ascended, _ = ascend_parallel(level, ReachKind.TREE,
+                                  Run(FAST, counting))
     ups = len(counting.calls)
     assert ascended.upper == 2
     bounds, moves = solve_hybrid(level, budget=FAST, backend=counting)
@@ -299,11 +300,11 @@ def test_descend_stops_at_its_lower_bound():
     (soko_corridor's optimum is 2) means the bound is wrong."""
     counting = _CountingBackend()
     level = load_fixture("soko_corridor").level
-    bounds, plan = descend(level, 3, budget=FAST, backend=counting, lower=3)
+    bounds, plan = descend(level, 3, Run(FAST, counting), lower=3)
     assert (bounds.lower, bounds.upper) == (3, 3)
     assert plan is None and counting.calls == [] and bounds.horizon_times == []
     with pytest.raises(SerializationError, match="below the lower bound"):
-        descend(level, 5, budget=FAST, backend=counting, lower=3)
+        descend(level, 5, Run(FAST, counting), lower=3)
 
 
 class _UnknownBackend:
@@ -334,6 +335,19 @@ def test_bounded_hybrid_record_carries_the_static_bound():
                        backend=_UnknownBackend(always=True))
     assert (run.record.lb, run.record.ub, run.record.status) == (
         None, None, "unknown")
+
+
+@pytest.mark.parametrize("mode", [Mode.FULL, Mode.COLLAPSED])
+def test_cut_short_sequential_run_reports_the_static_bound(mode):
+    """soko_pair's static bound is 2: a sequential run whose every call is
+    UNKNOWN refutes no horizon, yet reports that bound as its lower one."""
+    level = load_fixture("soko_pair").level
+    assert lower_bound(level) == 2
+    bounds, moves = solve_sequential(level, mode, budget=FAST,
+                                     backend=_UnknownBackend(always=True))
+    assert moves is None
+    assert (bounds.lower, bounds.upper) == (2, None)
+    assert bounds.status is BoundStatus.BOUNDED
 
 
 class _SlowBackend:
