@@ -24,11 +24,10 @@ encoding's per-step action lists instead):
   (`Encoding._ball_cells`). Decoders and tests must not assume a
   roll/push/pop[r,c,D,t] for every floor cell.
   goal       goal[T]   (assumed true: the goal holds at horizon T)
-where D is one of N,S,E,W. Reachability fragments use the graph-module names
-suffixed with ",t" (and ",jt" for the jump fragment, ",ck,t" for per-ball
-path copies). A PATH fragment with suffix S also owns the source copy
-src[v S] (src[v,ck,t] for the copies, src[v,jt] for the jump path); each
-copy has the targets tgt[v,ck,t] and the selector sel[ck,t].
+where D is one of N,S,E,W. Reachability fragments, one per step, use the
+graph-module names suffixed with ",t" (",ck,t" for per-ball path copies).
+A PATH copy owns the source copy src[v,ck,t], the targets tgt[v,ck,t] and
+the selector sel[ck,t]. A PARALLEL jump reads the step's one fragment.
 """
 
 from __future__ import annotations
@@ -482,22 +481,25 @@ class Encoding:
                      else action.cell)
             self.formula.add_clause([-a, self.agent[stand, t + 1]])
 
-    def _reach_source(self, t: int) -> dict[int, int]:
-        return {self.vertex[cell]: self.agent[cell, t] for cell in self.cells}
+    def _attach_reach(self, actions, t: int,
+                      gate: dict[int, int]) -> dict[int, int]:
+        """Require each action's pushing cell reachable from the agent, and
+        return a literal per vertex that implies it is reachable.
 
-    def _attach_reach(self, actions, t: int, gate: dict[int, int]) -> None:
-        """Require each action's pushing cell reachable from the agent.
-
-        DAG and TREE give every cell a reach variable. PATH needs explicit
-        targets: one copy per ball aims at each acting step's pushing cell
-        (sequential modes use one copy, PARALLEL one per ball), and a copy
-        with no target is released through its selector literal (noop steps
-        have no target).
+        DAG and TREE give every cell a reach variable, and that map is
+        returned. PATH needs explicit targets: one copy per ball aims at each
+        acting step's pushing cell (sequential modes use one copy, PARALLEL
+        one per ball), and a copy with no target is released through its
+        selector literal (noop steps have no target). The targets of copy 0
+        are returned.
         """
         formula = self.formula
-        source = self._reach_source(t)
+        source = {self.vertex[cell]: self.agent[cell, t] for cell in self.cells}
         if self.config.reach is not ReachKind.PATH:
-            by_copy = [self._reach_vars(source, gate, f",{t}")]
+            encode_reach = (reach.encode_dag if self.config.reach is ReachKind.DAG
+                            else reach.encode_spanning_tree)
+            by_copy = [encode_reach(formula, self.graph, source, gate,
+                                    tag=f",{t}")]
         else:
             copies = 1
             if self.config.mode is Mode.PARALLEL:
@@ -511,31 +513,18 @@ class Encoding:
                 formula.at_most_one(list(tgt.values()))
                 sel = formula.new_var(f"sel[c{k},{t}]")
                 formula.define_or(sel, list(tgt.values()))
-                self._path_to(source, sel, tgt, gate, tag)
+                # a path from the source to the target while sel holds; the
+                # source copy is empty otherwise
+                src = {}
+                for v, ind in source.items():
+                    src[v] = formula.new_var(f"src[{v}{tag}]")
+                    formula.define_and(src[v], [ind, sel])
+                reach.encode_path(formula, self.graph, src, tgt, gate, tag=tag)
                 by_copy.append(tgt)
         for action, a in actions:
             p = self.vertex[action.pushing_cell]
             formula.add_clause([-a] + [tgt[p] for tgt in by_copy])
-
-    def _reach_vars(self, source: dict[int, int], gate: dict[int, int],
-                    tag: str) -> dict[int, int]:
-        """DAG/TREE: a reach variable per vertex, true only if the vertex is
-        reachable from the source through gated cells."""
-        encode_reach = (reach.encode_dag if self.config.reach is ReachKind.DAG
-                        else reach.encode_spanning_tree)
-        return encode_reach(self.formula, self.graph, source, gate, tag=tag)
-
-    def _path_to(self, source: dict[int, int], sel: int,
-                 target: dict[int, int], gate: dict[int, int],
-                 tag: str) -> None:
-        """PATH: a path from the source to the target while `sel` holds; the
-        source copy src[v{tag}] is empty otherwise."""
-        formula = self.formula
-        src = {}
-        for v, ind in source.items():
-            src[v] = formula.new_var(f"src[{v}{tag}]")
-            formula.define_and(src[v], [ind, sel])
-        reach.encode_path(formula, self.graph, src, target, gate, tag=tag)
+        return by_copy[0]
 
     def _collapsed_step(self, t: int) -> None:
         formula = self.formula
@@ -571,7 +560,7 @@ class Encoding:
         for (a1, s1), (a2, s2) in combinations(spans, 2):
             if s1 & s2:
                 formula.add_clause([-a1, -a2])
-        # exclusive jump action under the plain time-t gate
+        # exclusive jump action
         jumps = {cell: formula.new_var(f"jump[{cell[0]},{cell[1]},{t}]")
                  for cell in self.cells}
         self.jumps.append(jumps)
@@ -586,24 +575,16 @@ class Encoding:
             formula.add_clause([-jumps[cell], self.agent[cell, t + 1]])
             formula.add_clause([-self.agent[cell, t], jumping,
                           self.agent[cell, t + 1]])
-        # object actions see cells occupied now or next as obstacles
+        # object actions see cells occupied now or next as obstacles. A jump
+        # step moves no ball, so the frame axioms give free[t+1] = free[t]
+        # and this gate is the time-t gate there: the jump cell needs only
+        # the actions' reach (for PATH, copy 0, which no action needs while
+        # jumping)
         gate = {}
         for cell in self.cells:
             g = formula.new_var(f"gate[{cell[0]},{cell[1]},{t}]")
             formula.define_and(g, [self.free[cell, t], self.free[cell, t + 1]])
             gate[self.vertex[cell]] = g
-        self._attach_reach(actions, t, gate)
-        # the jump destination is reachable under the time-t gate
-        jgate = {self.vertex[cell]: self.free[cell, t]
-                 for cell in self.cells}
-        source = self._reach_source(t)
-        jtgt = {self.vertex[cell]: j for cell, j in jumps.items()}
-        tag = f",j{t}"
-        if self.config.reach is ReachKind.PATH:
-            # non-jump steps have no target; release the path through
-            # the jumping indicator
-            self._path_to(source, jumping, jtgt, jgate, tag)
-        else:
-            r = self._reach_vars(source, jgate, tag)
-            for v, j in jtgt.items():
-                formula.add_clause([-j, r[v]])
+        reached = self._attach_reach(actions, t, gate)
+        for cell, j in jumps.items():
+            formula.add_clause([-j, reached[self.vertex[cell]]])

@@ -269,17 +269,19 @@ def solve_hybrid(level: Level, ascend_reach: ReachKind = ReachKind.TREE,
     to the static lower bound (`analysis.lower_bound`).
 
     Ascend uses `ascend_reach`; descend always encodes PATH, and it makes
-    no SAT call when ascend's plan already meets the bound. Both phases
-    share one run, so `budget` bounds the whole run, the horizon times list
-    ascend's SAT calls, then descend's, and the phase times hold both.
+    no SAT call when ascend's plan already meets the bound. A run that ends
+    in ascend without a plan reports the bound as its lower bound. Both
+    phases share one run, so `budget` bounds the whole run, the horizon
+    times list ascend's SAT calls, then descend's, and the phase times hold
+    both.
     """
     run = Run(budget, backend)
-    bounds, plan = ascend_parallel(level, ascend_reach, run)
+    bound = lower_bound(level)
+    _, plan = ascend_parallel(level, ascend_reach, run)
     if plan is None:
-        return bounds, None
+        return run.bounds(bound, None), None
     moves = _replayed(level, serialize(level, plan), "serialized parallel")
-    bounds, best = descend(level, plan.object_action_count, run,
-                           lower_bound(level) or 0)
+    bounds, best = descend(level, plan.object_action_count, run, bound or 0)
     if best is not None:
         moves = _replayed(level, serialize(level, best), "serialized descend")
     return bounds, moves

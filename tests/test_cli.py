@@ -195,5 +195,5 @@ def test_solver_template_seed_substitution(tmp_path, monkeypatch, capsys):
     assert seen.read_text().split("\n") == ["7", "8", "{seed}", ""]
     records = [RunRecord.from_json(line)
                for line in capsys.readouterr().out.strip().split("\n")]
-    assert [r.status for r in records] == ["unknown"] * 3
+    assert [r.status for r in records] == ["bounded"] * 3
     assert [r.seed for r in records] == [7, 8, None]

@@ -9,8 +9,8 @@ import pytest
 
 from snowplan.encoder import Encoding, EncodingConfig, Mode, ReachKind, encode
 from snowplan.fixtures import gen_random_level, list_fixtures, load_fixture
-from snowplan.game import (ActionKind, Direction, Metric, is_goal,
-                           oracle_optimal, run_plan)
+from snowplan.game import (ActionKind, Direction, Metric, agent_region,
+                           initial_state, is_goal, oracle_optimal, run_plan)
 from snowplan.levels import GameTag, parse_level
 from snowplan.plans import decode
 from snowplan.search import serialize
@@ -146,7 +146,7 @@ def test_interference_pair_not_parallelizable(backend):
 def test_interference_pair_matches_simulator():
     """The simulator agrees: neither ordering of the two rolls works in
     sequence without extra actions in between."""
-    from snowplan.game import classify, initial_state, agent_region
+    from snowplan.game import classify
     from snowplan.plans import ObjectAction
 
     fx = load_fixture("snow_ring")
@@ -179,6 +179,37 @@ def test_self_blocking_action_needs_jump(backend):
     enc.formula.add_clause([enc.var(f"jump[{jr},{jc},0]")])
     enc.formula.add_clause([_action_var(enc, kind, (r, c), d, 1)])
     assert _sat(enc, backend, goal=False)
+
+
+@pytest.mark.parametrize("reach", REACHES)
+@pytest.mark.parametrize("name", ["snow_pop", "soko_room"])
+def test_jump_reads_the_actions_reach(name, reach, backend):
+    """A jump shares the actions' reachability fragment. That is sound
+    because a jump step moves no ball, so the actions' gate free[t] and
+    free[t+1] is the time-t gate there. PARALLEL at T = 1: under each
+    jump[c,0], no free[x,1] can differ from free[x,0] (UNSAT), and the jump
+    alone is SAT exactly when the agent can walk to c. No registry name
+    carries the ",j" tag of a separate jump fragment."""
+    level = load_fixture(name).level
+    encoding = encode(level, EncodingConfig(Mode.PARALLEL, 1, reach))
+    formula = encoding.formula
+    assert not any(",j" in n for n in formula.name_to_var)
+    differ = formula.new_var("differ")
+    flips = []
+    for cell in encoding.cells:
+        now, nxt = encoding.free[cell, 0], encoding.free[cell, 1]
+        flip = formula.new_var(f"flip[{cell[0]},{cell[1]}]")
+        formula.add_clause([-flip, now, nxt])
+        formula.add_clause([-flip, -now, -nxt])
+        flips.append(flip)
+    formula.add_clause([-differ] + flips)
+    region = agent_region(level, initial_state(level))
+    for cell, jump in encoding.jumps[0].items():
+        assert solve(formula, backend=backend, assumptions=[
+            jump, differ]).status is Status.UNSAT, cell
+        want = Status.SAT if cell in region else Status.UNSAT
+        assert solve(formula, backend=backend,
+                     assumptions=[jump]).status is want, cell
 
 
 @pytest.mark.parametrize("reach", REACHES)
@@ -410,23 +441,32 @@ def test_action_lists_match_registry(name):
                 assert _listed_names(encoding) == named, (mode, reach, T)
 
 
-# sha256 over the per-formula digests below, in loop order. A change that
-# alters formulas on purpose updates this value and says why. Last change:
-# TREE emits DAG's shared clauses first and its exactness clauses after, so
-# TREE formulas at T >= 1 hold the same clauses in another order; every
-# variable, name and goal literal, and every other formula, is unchanged.
-FORMULA_DIGEST = (
-    "5532f2a366c3bf4e26559f7815669e3daa8328d9dae63fe8c52e5c4fd668cda0")
+# Per mode, sha256 over the per-formula digests below, in loop order. A
+# change that alters formulas on purpose updates the values of its modes and
+# says why. Last change: a PARALLEL step keeps one reachability fragment and
+# each jump reads it, where the jump had its own fragment; the other three
+# modes are unchanged.
+FORMULA_DIGESTS = {
+    Mode.FULL:
+        "7ccd713f1d2a7c4b5545b55f0e0bc5308fac07b90c70c1d9c394c184fe9cbb59",
+    Mode.COLLAPSED:
+        "d757fde77e59f2d352fe2498dd5678aa5cbb08eee7c9f3267c4c84257b6ca2cd",
+    Mode.PARALLEL:
+        "4e985c3dd0bf7312d039a6d7eeb3e689f12855eafaf68bb6dd1e3092e69bbe2f",
+    Mode.DESCEND:
+        "a4f0babd5f4df69fd5d5f13bfa99aee1715817b43de3630b75efdab87a05d935",
+}
 
 
 def test_formulas_are_pinned():
     """Every fixture, mode and reach encoding at T = 0..3, grown by
     extension, gives byte-identical formulas: the DIMACS text, the name
     registry in insertion order and the goal literal are hashed."""
-    digests = []
-    for name in list_fixtures():
-        level = load_fixture(name).level
-        for mode in Mode:
+    levels = [load_fixture(name).level for name in list_fixtures()]
+    totals = {}
+    for mode in Mode:
+        digests = []
+        for level in levels:
             for reach in REACHES:
                 encoding = None
                 for T in range(4):
@@ -437,6 +477,6 @@ def test_formulas_are_pinned():
                     h.update(json.dumps(encoding.formula.name_to_var).encode())
                     h.update(str(encoding.goal).encode())
                     digests.append(h.hexdigest())
-    assert len(digests) == 720
-    total = hashlib.sha256("".join(digests).encode()).hexdigest()
-    assert total == FORMULA_DIGEST
+        assert len(digests) == 180
+        totals[mode] = hashlib.sha256("".join(digests).encode()).hexdigest()
+    assert totals == FORMULA_DIGESTS

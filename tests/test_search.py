@@ -64,14 +64,28 @@ def test_solve_sequential_rejects_other_modes():
         solve_sequential(fx.level, Mode.PARALLEL)
 
 
+# The minimal parallel horizon of every solvable fixture, the same for each
+# reach encoding. Ascend's action count is not pinned: it is whichever model
+# the solver finds first at that horizon.
+PARALLEL_HORIZON = {
+    "snow_done": 0, "soko_pair": 1,
+    "snow_pop": 2, "soko_corridor": 2, "soko_l": 2, "soko_room": 2,
+    "snow_tiny3": 3, "soko_two": 3,
+    "snow_pop2": 4, "snow_tiny1": 4, "snow_tiny2": 4, "soko_three": 4,
+    "snow_grow": 5,
+}
+
+
 @pytest.mark.parametrize("reach", list(ReachKind))
 def test_ascend_upper_bound_is_sound(reach, backend):
-    fx = load_fixture("soko_pair")
-    bounds, plan = ascend_parallel(fx.level, reach, Run(FAST, backend))
-    assert bounds.status is BoundStatus.BOUNDED
-    assert bounds.upper >= fx.object_actions_optimal
-    moves = serialize(fx.level, plan)
-    assert is_goal(fx.level, run_plan(fx.level, moves).state)
+    for name, horizon in PARALLEL_HORIZON.items():
+        fx = load_fixture(name)
+        bounds, plan = ascend_parallel(fx.level, reach, Run(FAST, backend))
+        assert bounds.status is BoundStatus.BOUNDED, name
+        assert bounds.upper >= fx.object_actions_optimal, name
+        assert len(plan.steps) == horizon, name
+        moves = serialize(fx.level, plan)
+        assert is_goal(fx.level, run_plan(fx.level, moves).state), name
 
 
 def test_serialize_single_action_plan():
@@ -324,7 +338,7 @@ class _UnknownBackend:
 def test_bounded_hybrid_record_carries_the_static_bound():
     """snow_tiny1 with PATH: ascend's plan has 6 actions and the static
     bound is 4. With descend cut short, the record reports both; with
-    ascend cut short, it reports neither, as before the bound."""
+    ascend cut short, it reports the bound alone."""
     level = load_fixture("snow_tiny1").level
     run = run_instance(level, "snow_tiny1", ReachKind.PATH, limit=FAST,
                        backend=_UnknownBackend())
@@ -334,7 +348,7 @@ def test_bounded_hybrid_record_carries_the_static_bound():
     run = run_instance(level, "snow_tiny1", ReachKind.PATH, limit=FAST,
                        backend=_UnknownBackend(always=True))
     assert (run.record.lb, run.record.ub, run.record.status) == (
-        None, None, "unknown")
+        4, None, "bounded")
 
 
 @pytest.mark.parametrize("mode", [Mode.FULL, Mode.COLLAPSED])
