@@ -53,8 +53,13 @@ class Formula:
                     raise ValueError(f"literal {lit} outside allocated variables")
 
     def add_clause(self, lits: list[int]) -> None:
-        self._check(lits)
-        self.clauses.append(list(lits))
+        """Append a copy of `lits`, once every literal lies within +-1..n."""
+        clause = list(lits)
+        n = self.num_vars
+        for lit in clause:
+            if not 0 < abs(lit) <= n:
+                raise ValueError(f"literal {lit} outside allocated variables")
+        self.clauses.append(clause)
 
     # -- gadgets ----------------------------------------------------------
     # Each gadget checks its literals once, then appends its clauses. Every
@@ -140,7 +145,7 @@ class Formula:
         if k == 0:
             return
         if k == 1:
-            self.add_clause(list(lits))
+            self.add_clause(lits)
             return
         self.at_most_k([-lit for lit in lits], len(lits) - k)
 

@@ -553,13 +553,17 @@ class Encoding:
         actions = self._object_actions(t)
         avars = [a for _, a in actions]
         # direct interference: the balls' source/destination cells of two
-        # simultaneous actions must not intersect
-        spans = []
-        for action, a in actions:
-            spans.append((a, {action.cell, action.destination}))
-        for (a1, s1), (a2, s2) in combinations(spans, 2):
-            if s1 & s2:
-                formula.add_clause([-a1, -a2])
+        # simultaneous actions must not intersect. Pairs (i, j), i < j, in
+        # lexicographic order, found through the actions at each cell
+        at_cell: dict[Cell, list[int]] = {}
+        for j, (action, _) in enumerate(actions):
+            for cell in (action.cell, action.destination):
+                at_cell.setdefault(cell, []).append(j)
+        for i, (action, a) in enumerate(actions):
+            later = {j for cell in (action.cell, action.destination)
+                     for j in at_cell[cell] if j > i}
+            for j in sorted(later):
+                formula.add_clause([-a, -actions[j][1]])
         # exclusive jump action
         jumps = {cell: formula.new_var(f"jump[{cell[0]},{cell[1]},{t}]")
                  for cell in self.cells}

@@ -184,14 +184,6 @@ def parse_level(text: str, game: GameTag) -> Level:
                  game=game)
 
 
-def parse_snowman(text: str) -> Level:
-    return parse_level(text, GameTag.SNOWMAN)
-
-
-def parse_sokoban_xsb(text: str) -> Level:
-    return parse_level(text, GameTag.SOKOBAN)
-
-
 def render(level: Level) -> str:
     glyphs = FORMATS[level.game].glyphs.items()
     glyph_of = {frozenset(marks): glyph for glyph, marks in reversed(glyphs)}

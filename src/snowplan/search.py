@@ -14,7 +14,8 @@ Every strategy ends in `Bounds`, whose status follows from its lower and
 upper bound, and in a list of moves that the simulator has replayed to the
 goal. A strategy run is one `Run`: its deadline, its backend, its SAT calls
 and its phase times. The strategies make their own; the phases
-`ascend_parallel` and `descend` take the one they share. Every run keeps
+`ascend_parallel` and `descend` take the one they share. Ascend returns
+its plan alone, and `run.bounds` reports the bounds. Every run keeps
 one live formula and hands it to its backend, so an incremental backend
 keeps what it learnt from one horizon to the next: deepening appends a
 layer per horizon and assumes that horizon's goal literal, and descend
@@ -155,14 +156,14 @@ def solve_sequential(level: Level, mode: Mode = Mode.COLLAPSED,
 
 
 def ascend_parallel(level: Level, reach: ReachKind,
-                    run: Run) -> tuple[Bounds, ParallelPlan | None]:
-    """Minimal parallel horizon; the plan's action count is an upper bound."""
+                    run: Run) -> ParallelPlan | None:
+    """A plan at the minimal parallel horizon, whose action count is an
+    upper bound, or None once the run is spent; the SAT calls and the
+    phase time go to `run`."""
     start = time.monotonic()
     _, plan = _deepen(level, Mode.PARALLEL, reach, run)
     run.phase_times["ascend"] = time.monotonic() - start
-    if plan is None:
-        return run.bounds(None, None), None
-    return run.bounds(None, plan.object_action_count), plan
+    return plan
 
 
 # -- serialization ------------------------------------------------------
@@ -277,7 +278,7 @@ def solve_hybrid(level: Level, ascend_reach: ReachKind = ReachKind.TREE,
     """
     run = Run(budget, backend)
     bound = lower_bound(level)
-    _, plan = ascend_parallel(level, ascend_reach, run)
+    plan = ascend_parallel(level, ascend_reach, run)
     if plan is None:
         return run.bounds(bound, None), None
     moves = _replayed(level, serialize(level, plan), "serialized parallel")

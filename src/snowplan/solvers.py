@@ -84,9 +84,10 @@ def check_model(formula: Formula, model: dict[int, bool]) -> bool:
     return True
 
 
-def _verified(formula: Formula, assignment: dict[int, bool],
+def _verified(formula: Formula, model: dict[int, bool],
               assumptions) -> SolveOutcome:
-    model = {v: assignment.get(v, False) for v in range(1, formula.num_vars + 1)}
+    """SAT with `model`, a value for every variable 1..n, once it satisfies
+    the formula and the assumptions."""
     if not (check_model(formula, model)
             and all(model[abs(lit)] == (lit > 0) for lit in assumptions)):
         raise BackendError("backend returned an assignment that violates the formula")
@@ -179,7 +180,9 @@ class ExternalSolver:
             )
         if status is Status.SAT:
             assignment = {abs(v): v > 0 for v in values if v != 0}
-            return _verified(formula, assignment, assumptions)
+            model = {v: assignment.get(v, False)
+                     for v in range(1, formula.num_vars + 1)}
+            return _verified(formula, model, assumptions)
         return SolveOutcome(status)
 
 
@@ -248,13 +251,18 @@ class _CDCL:
     the clause lists is O(number of variables).
 
     The state lives across calls, after MiniSat's incremental interface:
-    `load` adds the clauses appended to a formula since the last load (at
-    decision level 0, so satisfied clauses are skipped and false literals
-    dropped), and `run(assumptions, deadline)` decides the assumptions
-    first, one level each, re-deciding them after every restart. Learnt
-    clauses follow from the clauses alone, so they stay valid for every later
-    call. run() returns a model dict, False for UNSAT (under the assumptions,
-    or for good once `ok` is False), or None past the deadline.
+    `load` adds the clauses appended to a formula since the last load, at
+    decision level 0, in one pass per clause as MiniSat's `addClause` does.
+    A binary clause over unassigned variables goes to `bins`, and a longer
+    one with no literal assigned and no variable repeated is watched as a
+    copy. Every other clause goes through `_add_clause`, the one place
+    that skips satisfied clauses and tautologies, drops false and repeated
+    literals and enqueues units; both ways leave the same state.
+    `run(assumptions, deadline)` decides the assumptions first, one level
+    each, re-deciding them after every restart. Learnt clauses follow from
+    the clauses alone, so they stay valid for every later call. run()
+    returns a model dict, False for UNSAT (under the assumptions, or for
+    good once `ok` is False), or None past the deadline.
     """
 
     def __init__(self) -> None:
@@ -293,12 +301,32 @@ class _CDCL:
             self.pos += range(len(self.heap), len(self.heap) + k)
             self.heap += range(n + 1, n + k + 1)
             self.num_vars = n + k
+        # the two common cases inline, as `_add_clause` would add them
+        val, bins, watches = self.val, self.bins, self.watches
+        assigned = val.__getitem__
         clauses = formula.clauses
         for i in range(self.loaded, len(clauses)):
-            self._add_clause(clauses[i])
+            c = clauses[i]
+            size = len(c)
+            if size == 2:
+                a, b = c
+                if not val[a] and not val[b] and a != b and a != -b:
+                    bins[a].append(b)
+                    bins[b].append(a)
+                    continue
+            elif (size > 2 and not any(map(assigned, c))
+                  and len(set(map(abs, c))) == size):
+                c = c[:]
+                watches[c[0]].append(c)
+                watches[c[1]].append(c)
+                continue
+            self._add_clause(c)
         self.loaded = len(clauses)
 
     def _add_clause(self, clause: list[int]) -> None:
+        """Add one clause at decision level 0: skip it when satisfied or a
+        tautology, drop false and repeated literals, enqueue a unit, and
+        clear `ok` when nothing is left."""
         val = self.val
         if len(clause) == 2:
             a, b = clause

@@ -7,7 +7,7 @@ import pytest
 from snowplan.fixtures import (FixtureError, freeze_fixture, gen_random_level,
                                list_fixtures, load_fixture)
 from snowplan.game import Metric, oracle_optimal
-from snowplan.levels import GameTag, parse_sokoban_xsb, render
+from snowplan.levels import GameTag, parse_level, render
 
 
 def test_corpus_is_present():
@@ -29,7 +29,7 @@ def test_frozen_values_still_match_oracle():
 
 
 def test_freeze_round_trip(tmp_path):
-    level = parse_sokoban_xsb("######\n#@$-.#\n######\n")
+    level = parse_level("######\n#@$-.#\n######\n", GameTag.SOKOBAN)
     fx = freeze_fixture(level, "demo", tmp_path, flags={"k": 1})
     assert (fx.moves_optimal, fx.object_actions_optimal) == (2, 2)
     again = load_fixture("demo", tmp_path)
@@ -41,7 +41,7 @@ def test_freeze_round_trip(tmp_path):
 
 
 def test_freeze_cap_exceeded(tmp_path):
-    level = parse_sokoban_xsb("######\n#@$-.#\n######\n")
+    level = parse_level("######\n#@$-.#\n######\n", GameTag.SOKOBAN)
     with pytest.raises(FixtureError):
         freeze_fixture(level, "capped", tmp_path, cap=1)
 

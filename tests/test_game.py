@@ -4,17 +4,17 @@ from snowplan.fixtures import load_fixture
 from snowplan.game import (ActionKind, Direction, Metric, agent_region,
                            classify, initial_state, is_goal, oracle_optimal,
                            run_plan)
-from snowplan.levels import BallSize, parse_snowman, parse_sokoban_xsb
+from snowplan.levels import BallSize, GameTag, parse_level
 
 E, W, N, S = Direction.E, Direction.W, Direction.N, Direction.S
 
 
 def snow(text):
-    return parse_snowman(text)
+    return parse_level(text, GameTag.SNOWMAN)
 
 
 def soko(text):
-    return parse_sokoban_xsb(text)
+    return parse_level(text, GameTag.SOKOBAN)
 
 
 def test_move_and_wall_rejection():

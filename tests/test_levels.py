@@ -5,8 +5,8 @@ import pytest
 from snowplan.encoder import Mode
 from snowplan.fixtures import FIXTURE_DIR
 from snowplan.game import Metric, is_goal, oracle_optimal, run_plan
-from snowplan.levels import (SUFFIXES, BallSize, GameTag, ParseError, parse_level, parse_snowman,
-                             parse_sokoban_xsb, render)
+from snowplan.levels import (SUFFIXES, BallSize, GameTag, ParseError,
+                             parse_level, render)
 from snowplan.search import BoundStatus, solve_hybrid, solve_sequential
 
 SNOW_TEXT = """\
@@ -25,7 +25,7 @@ SOKO_TEXT = """\
 
 
 def test_parse_snowman_basic():
-    level = parse_snowman(SNOW_TEXT)
+    level = parse_level(SNOW_TEXT, GameTag.SNOWMAN)
     assert level.game is GameTag.SNOWMAN
     assert level.agent == (1, 1)
     assert level.snow == {(2, 3)}
@@ -38,12 +38,12 @@ def test_parse_snowman_basic():
 
 
 def test_snowman_round_trip():
-    level = parse_snowman(SNOW_TEXT)
+    level = parse_level(SNOW_TEXT, GameTag.SNOWMAN)
     assert render(level) == SNOW_TEXT
 
 
 def test_snowman_agent_on_snow():
-    level = parse_snowman("#####\n#P7-#\n#####\n")
+    level = parse_level("#####\n#P7-#\n#####\n", GameTag.SNOWMAN)
     assert level.agent in level.snow
     assert render(level) == "#####\n#P7-#\n#####\n"
 
@@ -51,7 +51,7 @@ def test_snowman_agent_on_snow():
 def test_snowman_all_digits_round_trip():
     text = "#########\n#1234567#\n#p------#\n#########\n"
     # 1+1+2+1+2+2+3 = 12 balls, divisible by 3
-    level = parse_snowman(text)
+    level = parse_level(text, GameTag.SNOWMAN)
     assert render(level) == text
 
 
@@ -67,11 +67,11 @@ def test_snowman_all_digits_round_trip():
 ])
 def test_parse_snowman_rejects(bad):
     with pytest.raises(ParseError):
-        parse_snowman(bad)
+        parse_level(bad, GameTag.SNOWMAN)
 
 
 def test_parse_sokoban_basic():
-    level = parse_sokoban_xsb(SOKO_TEXT)
+    level = parse_level(SOKO_TEXT, GameTag.SOKOBAN)
     assert level.game is GameTag.SOKOBAN
     assert level.agent == (1, 1)
     assert level.boxes == {(1, 2)}
@@ -80,12 +80,12 @@ def test_parse_sokoban_basic():
 
 
 def test_sokoban_round_trip():
-    level = parse_sokoban_xsb(SOKO_TEXT)
+    level = parse_level(SOKO_TEXT, GameTag.SOKOBAN)
     assert render(level) == SOKO_TEXT
 
 
 def test_sokoban_overlay_glyphs():
-    level = parse_sokoban_xsb("######\n#+$*-#\n######\n")
+    level = parse_level("######\n#+$*-#\n######\n", GameTag.SOKOBAN)
     assert level.agent == (1, 1)
     assert level.agent in level.goals
     assert level.boxes == {(1, 2), (1, 3)}
@@ -94,14 +94,14 @@ def test_sokoban_overlay_glyphs():
 
 
 def test_sokoban_pads_ragged_lines():
-    level = parse_sokoban_xsb("#####\n#@$.#\n####\n")
+    level = parse_level("#####\n#@$.#\n####\n", GameTag.SOKOBAN)
     assert level.rows == 3 and level.cols == 5
     assert (2, 4) in level.walls       # padded exterior cell counts as wall
 
 
 def test_sokoban_exterior_becomes_wall():
     text = "-#####\n-#@$.#\n-#####\n"
-    level = parse_sokoban_xsb(text)
+    level = parse_level(text, GameTag.SOKOBAN)
     assert (0, 0) in level.walls
     assert (1, 0) in level.walls
     assert (1, 2) == level.agent
@@ -117,7 +117,7 @@ def test_sokoban_exterior_becomes_wall():
 ])
 def test_parse_sokoban_rejects(bad):
     with pytest.raises(ParseError):
-        parse_sokoban_xsb(bad)
+        parse_level(bad, GameTag.SOKOBAN)
 
 
 # two boxes, three goals: the middle goal lies between the boxes
@@ -125,14 +125,14 @@ SPARE_GOALS = "########\n#.-$.$-#\n#--.-@-#\n########\n"
 
 
 def test_sokoban_spare_goals_round_trip():
-    level = parse_sokoban_xsb(SPARE_GOALS)
+    level = parse_level(SPARE_GOALS, GameTag.SOKOBAN)
     assert (len(level.boxes), len(level.goals)) == (2, 3)
     assert render(level) == SPARE_GOALS
 
 
 @pytest.mark.parametrize("mode", ["hybrid", Mode.COLLAPSED])
 def test_sokoban_spare_goals_solve_to_the_oracle(mode, backend):
-    level = parse_sokoban_xsb(SPARE_GOALS)
+    level = parse_level(SPARE_GOALS, GameTag.SOKOBAN)
     assert oracle_optimal(level, Metric.OBJECT_ACTIONS) == 3
     if mode == "hybrid":
         bounds, moves = solve_hybrid(level, budget=60.0, backend=backend)
@@ -157,7 +157,7 @@ def test_parse_level_dispatch():
 
 
 def test_floor_and_is_wall():
-    level = parse_sokoban_xsb(SOKO_TEXT)
+    level = parse_level(SOKO_TEXT, GameTag.SOKOBAN)
     assert (1, 1) in level.floor
     assert (0, 0) not in level.floor
     assert level.is_wall((0, 0))

@@ -80,7 +80,9 @@ PARALLEL_HORIZON = {
 def test_ascend_upper_bound_is_sound(reach, backend):
     for name, horizon in PARALLEL_HORIZON.items():
         fx = load_fixture(name)
-        bounds, plan = ascend_parallel(fx.level, reach, Run(FAST, backend))
+        run = Run(FAST, backend)
+        plan = ascend_parallel(fx.level, reach, run)
+        bounds = run.bounds(None, plan.object_action_count)
         assert bounds.status is BoundStatus.BOUNDED, name
         assert bounds.upper >= fx.object_actions_optimal, name
         assert len(plan.steps) == horizon, name
@@ -251,8 +253,9 @@ def test_horizon_times_count_every_sat_call(monkeypatch):
                                      backend=counting)
         assert len(bounds.horizon_times) == len(counting.calls) > 1
     counting.calls.clear()
-    bounds, _ = ascend_parallel(level, ReachKind.TREE, Run(FAST, counting))
-    assert len(bounds.horizon_times) == len(counting.calls) > 0
+    run = Run(FAST, counting)
+    ascend_parallel(level, ReachKind.TREE, run)
+    assert len(run.times) == len(counting.calls) > 0
     counting.calls.clear()
     bounds, _ = descend(level, opt + 2, Run(FAST, counting))
     assert len(bounds.horizon_times) == len(counting.calls) > 1
@@ -261,11 +264,11 @@ def test_horizon_times_count_every_sat_call(monkeypatch):
     counting.calls.clear()
     ascended = []
 
-    def ascend(*args, **kwargs):
+    def ascend(level, reach, run):
         counting.phase = "ascend"
-        out = ascend_parallel(*args, **kwargs)
-        ascended.extend(out[0].horizon_times)
-        return out
+        plan = ascend_parallel(level, reach, run)
+        ascended.extend(run.times)
+        return plan
 
     def descend_(*args, **kwargs):
         counting.phase = "descend"
@@ -297,10 +300,9 @@ def test_hybrid_skips_descend_at_the_bound(monkeypatch):
 
     monkeypatch.setattr(search.enc, "encode", encode_)
     counting = _CountingBackend()
-    ascended, _ = ascend_parallel(level, ReachKind.TREE,
-                                  Run(FAST, counting))
+    ascended = ascend_parallel(level, ReachKind.TREE, Run(FAST, counting))
     ups = len(counting.calls)
-    assert ascended.upper == 2
+    assert ascended.object_action_count == 2
     bounds, moves = solve_hybrid(level, budget=FAST, backend=counting)
     assert (bounds.lower, bounds.upper) == (2, 2)
     assert len(counting.calls) == 2 * ups

@@ -8,13 +8,16 @@ import stat
 import tempfile
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from snowplan.cnf import Formula, parse_dimacs
+from snowplan.encoder import EncodingConfig, Mode, ReachKind, encode
+from snowplan.fixtures import list_fixtures, load_fixture
 from snowplan.solvers import (BackendError, ExternalSolver, InProcessSolver,
-                              Status, _luby, check_model, default_backend,
-                              solve, SOLVER_CMD_ENV)
+                              Status, _CDCL, _luby, check_model,
+                              default_backend, solve, SOLVER_CMD_ENV)
 
 from conftest import brute_force_models, is_satisfiable_brute
 
@@ -361,3 +364,95 @@ def test_one_state_per_formula_until_collected():
     del f
     gc.collect()
     assert len(solver._states) == 1
+
+
+# -- clause loading -----------------------------------------------------
+
+
+def _load_per_clause(cdcl: _CDCL, formula: Formula) -> None:
+    """The reference load: grow the variables, then one `_add_clause` per
+    new clause."""
+    start = cdcl.loaded
+    cdcl.load(SimpleNamespace(num_vars=formula.num_vars, clauses=[]))
+    for clause in formula.clauses[start:]:
+        cdcl._add_clause(clause)
+    cdcl.loaded = len(formula.clauses)
+
+
+def _loaded_state(cdcl: _CDCL):
+    return (cdcl.bins, [[tuple(c) for c in ws] for ws in cdcl.watches],
+            cdcl.trail, cdcl.ok)
+
+
+def _configs():
+    yield Mode.FULL, ReachKind.PATH
+    for mode in (Mode.COLLAPSED, Mode.PARALLEL, Mode.DESCEND):
+        for reach in ReachKind:
+            yield mode, reach
+
+
+@pytest.mark.parametrize("name", list_fixtures())
+def test_load_matches_per_clause_reference(name):
+    """`load` leaves the state that one `_add_clause` per clause leaves, on
+    every fixture, mode and reach (FULL with PATH only) at T = 0..3. Each
+    formula grows by extension with a solve in between, so later loads
+    meet literals assigned at level 0."""
+    level = load_fixture(name).level
+    for mode, reach in _configs():
+        fast, ref = _CDCL(), _CDCL()
+        encoding = None
+        for T in range(4):
+            encoding = encode(level, EncodingConfig(mode, T, reach), encoding)
+            formula = encoding.formula
+            fast.load(formula)
+            _load_per_clause(ref, formula)
+            assert _loaded_state(fast) == _loaded_state(ref), (mode, reach, T)
+            deadline = time.monotonic() + 60
+            result = fast.run([encoding.goal], deadline)
+            assert result is not None, (mode, reach, T)
+            assert ref.run([encoding.goal], deadline) == result
+            if result is False:
+                formula.add_clause([-encoding.goal])
+        assert fast.trail, (mode, reach)
+
+
+# Level 0 holds 1 and 6 true and 2 false; 3, 4 and 5 are unassigned.
+UNITS = [[1], [-2], [6]]
+
+
+@pytest.mark.parametrize("clause,bins,watched,trail,ok", [
+    ([3, 4], {3: [4], 4: [3]}, [], [], True),
+    ([3, 3], {}, [], [3], True),                     # repeated literal
+    ([3, -3], {}, [], [], True),                     # tautology
+    ([1, 3], {}, [], [], True),                      # satisfied at level 0
+    ([-1, 3], {}, [], [3], True),                    # false literal: unit
+    ([3, 2], {}, [], [3], True),
+    ([-1, 2], {}, [], [], False),                    # empty
+    ([3, 4, 5], {}, [(3, 4, 5)], [], True),
+    ([3, 4, 3], {3: [4], 4: [3]}, [], [], True),     # repeated literal
+    ([3, 4, 5, 4], {}, [(3, 4, 5)], [], True),
+    ([3, 4, -3], {}, [], [], True),                  # tautology
+    ([3, 4, 1], {}, [], [], True),                   # satisfied at level 0
+    ([3, -1, 4, 5], {}, [(3, 4, 5)], [], True),      # false literal dropped
+    ([3, -1, 4], {3: [4], 4: [3]}, [], [], True),
+    ([-1, 3, 2], {}, [], [3], True),                 # reduced to a unit
+    ([-1, 2, -6], {}, [], [], False),                # reduced to empty
+], ids=lambda v: str(v).replace(" ", ""))
+def test_load_simplifies_at_level_0(clause, bins, watched, trail, ok):
+    """A clause loaded after the units lands where its simplification at
+    level 0 puts it, as the per-clause reference puts it; a watched clause
+    is a copy, so the solver never reorders the formula's own clause."""
+    formula = _tiny(UNITS + [clause], 6)
+    fast, ref = _CDCL(), _CDCL()
+    fast.load(formula)
+    _load_per_clause(ref, formula)
+    assert _loaded_state(fast) == _loaded_state(ref)
+    lits = [lit for v in range(1, 7) for lit in (v, -v)]
+    assert {lit: fast.bins[lit] for lit in lits if fast.bins[lit]} == bins
+    held = {id(c): c for ws in fast.watches for c in ws}
+    assert sorted(tuple(c) for c in held.values()) == watched
+    assert all(c is not formula.clauses[-1] for c in held.values())
+    for c in held.values():
+        assert all(c in fast.watches[lit] for lit in c[:2])
+    assert fast.trail == [1, -2, 6] + trail
+    assert fast.ok is ok
