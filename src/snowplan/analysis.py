@@ -3,14 +3,19 @@ object is ignored.
 
 Every object action moves one ball or box one cell, from l to l + d, with
 the agent on the pushing cell l - d. Ignoring the other objects and the
-agent's route, that needs only both cells to be floor. The fewest such
-pushes from an object's start cell to a cell is then a lower bound on the
-object actions that bring it there. The encoder prunes its object-action
-slots with these distances, and `lower_bound` sums them into a bound on a
-level's optimum.
+agent's route, that needs only both cells to be floor. Two tables follow:
+
+- `object_distances`: per ball or box, the fewest such pushes from its
+  start cell to each cell, a lower bound on the object actions that bring
+  it there. `lower_bound` sums them into a bound on a level's optimum.
+- `live_cells`: the cells with a push route to a target, a cell every
+  object must end on (a goal, or a cell three balls can reach). An object
+  pushed anywhere else can never finish: Sokoban's dead squares.
+
+The encoder prunes its object-action slots with both.
 """
 
-from collections import deque
+from collections import Counter, deque
 
 from .game import Direction
 from .levels import Cell, GameTag, Level
@@ -25,10 +30,10 @@ def push_directions(level: Level, cell: Cell) -> list[Direction]:
             and not level.is_wall((r - d.value[0], c - d.value[1]))]
 
 
-def push_distances(level: Level, starts) -> dict[Cell, int]:
-    """The fewest pushes from the nearest of the `starts` to each cell an
-    object can be pushed to from there (breadth-first search)."""
-    dist = {cell: 0 for cell in starts}
+def push_distances(level: Level, start: Cell) -> dict[Cell, int]:
+    """The fewest pushes from `start` to each cell an object can be pushed
+    to from there (breadth-first search)."""
+    dist = {start: 0}
     queue = deque(dist)
     while queue:
         cell = queue.popleft()
@@ -38,6 +43,46 @@ def push_distances(level: Level, starts) -> dict[Cell, int]:
                 dist[nxt] = dist[cell] + 1
                 queue.append(nxt)
     return dist
+
+
+def object_distances(level: Level) -> list[dict[Cell, int]]:
+    """`push_distances` from each ball (stacks in level order, each bottom
+    to top) or box (in sorted order) alone. Balls stacked on one cell
+    share one table."""
+    starts = ([cell for cell, sizes in level.stacks for _ in sizes]
+              if level.game is GameTag.SNOWMAN else sorted(level.boxes))
+    tables = {cell: push_distances(level, cell) for cell in set(starts)}
+    return [tables[cell] for cell in starts]
+
+
+def live_cells(level: Level, dists: list[dict[Cell, int]]
+               ) -> frozenset[Cell] | None:
+    """The cells from which some sequence of relaxed pushes reaches a
+    target (a breadth-first search of reversed pushes); None when there is
+    no target, so nothing is pruned.
+
+    Every object ends on a target: Sokoban boxes on goals, snowballs on a
+    cell that three balls share, so on one that at least three of `dists`
+    (`object_distances`) reach. Each cell an object occupies on the way
+    is therefore live.
+    """
+    if level.game is GameTag.SOKOBAN:
+        live = set(level.goals)
+    else:
+        reached = Counter(cell for dist in dists for cell in dist)
+        live = {cell for cell, balls in reached.items() if balls >= 3}
+    queue = deque(live)
+    while queue:
+        r, c = queue.popleft()
+        for d in Direction:
+            # an object pushed in d lands here from `prev`, the agent behind it
+            dr, dc = d.value
+            prev = (r - dr, c - dc)
+            if (prev not in live and not level.is_wall(prev)
+                    and not level.is_wall((r - 2 * dr, c - 2 * dc))):
+                live.add(prev)
+                queue.append(prev)
+    return frozenset(live) or None
 
 
 def lower_bound(level: Level) -> int | None:
@@ -51,23 +96,19 @@ def lower_bound(level: Level) -> int | None:
     With more snowmen the bound is 0.
     """
     if level.game is GameTag.SOKOBAN:
-        boxes, goals = sorted(level.boxes), sorted(level.goals)
-        if len(boxes) > len(goals):
+        goals = sorted(level.goals)
+        if len(level.boxes) > len(goals):
             return None
-        if not boxes:
+        if not level.boxes:
             return 0
         # no assignment of finite distances costs this much
-        far = len(boxes) * len(level.floor)
-        cost = []
-        for box in boxes:
-            dist = push_distances(level, [box])
-            cost.append([dist.get(goal, far) for goal in goals])
-        total = _min_assignment(cost)
+        far = len(level.boxes) * len(level.floor)
+        total = _min_assignment([[dist.get(goal, far) for goal in goals]
+                                 for dist in object_distances(level)])
         return total if total < far else None
-    balls = [cell for cell, sizes in level.stacks for _ in sizes]
-    if len(balls) != 3:
+    if sum(len(sizes) for _, sizes in level.stacks) != 3:
         return 0
-    dists = [push_distances(level, [cell]) for cell in balls]
+    dists = object_distances(level)
     return min((sum(d[cell] for d in dists) for cell in dists[0]
                 if all(cell in d for d in dists)), default=None)
 

@@ -20,14 +20,23 @@ encoding's per-step action lists instead):
              roll/push/pop[r,c,D,t]                     (others; r,c = ball cell)
              jump[r,c,t]  noop[t]
   In COLLAPSED, PARALLEL and DESCEND an object-action name exists only for
-  a live slot: a ball cell r,c that some ball or box can reach in t pushes
-  (`Encoding._ball_cells`). Decoders and tests must not assume a
-  roll/push/pop[r,c,D,t] for every floor cell.
+  a live slot (`Encoding._pushes`): a ball cell r,c that some ball or box
+  can reach in t pushes (`Encoding._ball_cells`), a ball cell and
+  destination that are not dead (`analysis.live_cells`), and for PUSH and
+  POP a second ball that can be at the destination or at r,c by step t.
+  Decoders and tests must not assume a roll/push/pop[r,c,D,t] for every
+  floor cell.
   goal       goal[T]   (assumed true: the goal holds at horizon T)
 where D is one of N,S,E,W. Reachability fragments, one per step, use the
 graph-module names suffixed with ",t" (",ck,t" for per-ball path copies).
 A PATH copy owns the source copy src[v,ck,t], the targets tgt[v,ck,t] and
 the selector sel[ck,t]. A PARALLEL jump reads the step's one fragment.
+
+Solved without `goal[T]`, a COLLAPSED, PARALLEL or DESCEND formula allows
+any T-step run that never moves a ball onto a dead cell (one with no push
+route to a goal, or to a cell three balls can reach), nor off one. No plan
+visits a dead cell, so under `goal[T]` the answers are those of the
+unpruned formula. FULL prunes nothing and allows any T-step run.
 """
 
 from __future__ import annotations
@@ -93,7 +102,8 @@ def encode(level: Level, config: EncodingConfig,
 
     The goal at the horizon is a set of clauses guarded by a fresh `goal[T]`
     variable (`Encoding.goal`): solve under the assumption `goal[T]` for a
-    plan that reaches the goal at T, or without it for any T-step run. Pass
+    plan that reaches the goal at T, or without it for any T-step run that
+    never moves a ball onto a dead cell (see the module docstring). Pass
     the result back as `extend` to grow it in place to a later horizon;
     layers already in `extend` are not encoded again, and the config may
     differ from its config only in a higher horizon.
@@ -131,7 +141,7 @@ class Encoding:
         self.actions: list[list[tuple[ObjectAction, int]]] = []
         self.jumps: list[dict[Cell, int]] = []
         self.noops: list[int] = []
-        self.push_table: dict[Cell, list[ObjectAction]] = {}
+        self.push_table: dict[Cell, list[tuple[ObjectAction, int]]] = {}
 
         # state variables, keyed (cell, t)
         self.snow: dict[tuple[Cell, int], int] = {}
@@ -434,24 +444,36 @@ class Encoding:
 
     # -- collapsed-family modes -----------------------------------------
 
-    def _pushes(self, l: Cell) -> list[ObjectAction]:
-        """The object actions on a ball at l that the walls allow (see
-        `analysis.push_directions`). Each cell's list is built once."""
-        out = self.push_table.get(l)
-        if out is None:
-            out = self.push_table[l] = [
-                ObjectAction(kind, l, d)
-                for d in analysis.push_directions(self.level, l)
-                for kind in self.kinds]
-        return out
+    @cached_property
+    def object_distance(self) -> list[dict[Cell, int]]:
+        """Per ball or box, the pushes it needs to reach each cell
+        (`analysis.object_distances`)."""
+        return analysis.object_distances(self.level)
+
+    @cached_property
+    def ball_sizes(self) -> list[lv.BallSize]:
+        """Each ball's starting size, in `object_distance` order."""
+        return [size for _, sizes in self.level.stacks for size in sizes]
 
     @cached_property
     def push_distance(self) -> dict[Cell, int]:
         """Each cell a ball or box can reach, with the pushes the nearest
         one needs to get there."""
-        level = self.level
-        return analysis.push_distances(
-            level, {cell for cell, _ in level.stacks} | level.boxes)
+        out: dict[Cell, int] = {}
+        for dist in self.object_distance:
+            for cell, n in dist.items():
+                if n < out.get(cell, n + 1):
+                    out[cell] = n
+        return out
+
+    @cached_property
+    def live_cells(self) -> frozenset[Cell]:
+        """The cells a ball or box may occupy on its way to the goal
+        (`analysis.live_cells`); every floor cell when the relaxation has
+        no target, a level `analysis.lower_bound` already finds
+        unsolvable."""
+        return (analysis.live_cells(self.level, self.object_distance)
+                or self.level.floor)
 
     def _ball_cells(self, t: int) -> frozenset[Cell]:
         """B_t, the cells some ball or box can occupy at step t: those
@@ -460,17 +482,52 @@ class Encoding:
         return frozenset(cell for cell, n in self.push_distance.items()
                          if n <= t)
 
+    def _pair_step(self, l: Cell, b: Cell) -> int | None:
+        """The first step at which a ball that did not start large can be
+        at l while another ball is at b; None if no such pair exists. The
+        ball pushed onto a stack, or the top popped off one, is never
+        large: a large ball never shrinks and never tops a stack."""
+        dists = self.object_distance
+        return min((max(di[l], dj[b]) for i, di in enumerate(dists)
+                    if l in di and self.ball_sizes[i] is not lv.BallSize.LARGE
+                    for j, dj in enumerate(dists) if j != i and b in dj),
+                   default=None)
+
+    def _pushes(self, l: Cell) -> list[tuple[ObjectAction, int]]:
+        """The object actions on a ball at l, each with the first step it
+        can happen at. The walls must allow the push (see
+        `analysis.push_directions`), and l and the destination must both
+        be live. ROLL needs only the ball at l, which `_ball_cells`
+        checks, so it opens at step 0. PUSH needs a second ball at the
+        destination, POP one at l: each opens at its `_pair_step`, and
+        never if no such pair exists. Each cell's list is built once."""
+        out = self.push_table.get(l)
+        if out is None:
+            out = self.push_table[l] = []
+            live = self.live_cells
+            for d in analysis.push_directions(self.level, l):
+                b = d.apply(l)
+                if l not in live or b not in live:
+                    continue
+                for kind in self.kinds:
+                    opens = (0 if kind is ActionKind.ROLL else self._pair_step(
+                        l, l if kind is ActionKind.POP else b))
+                    if opens is not None:
+                        out.append((ObjectAction(kind, l, d), opens))
+        return out
+
     def _object_actions(self, t: int) -> list[tuple[ObjectAction, int]]:
         """Create this step's object-action variables and their clauses.
 
         Actions are named by the ball cell l; the agent acts from the pushing
         cell p = l - d and the ball heads to b = l + d (all three on floor).
-        Only cells in B_t get actions: no ball can be anywhere else yet, and
-        each action needs a ball at l.
+        Only cells in B_t get actions, since each action needs a ball at l,
+        and only the slots of `_pushes` open by step t.
         """
-        live = self._ball_cells(t)
+        ball_cells = self._ball_cells(t)
         out = [(a, self._object_action(a.kind, l, l, a.direction, t))
-               for l in self.cells if l in live for a in self._pushes(l)]
+               for l in self.cells if l in ball_cells
+               for a, opens in self._pushes(l) if opens <= t]
         self.actions.append(out)
         return out
 
@@ -564,11 +621,11 @@ class Encoding:
                      for j in at_cell[cell] if j > i}
             for j in sorted(later):
                 formula.add_clause([-a, -actions[j][1]])
-        # exclusive jump action
+        # exclusive jump action; at most one, since each jump[c,t] implies
+        # agent[c,t+1] and the agent's exactly-one at t+1 allows one cell
         jumps = {cell: formula.new_var(f"jump[{cell[0]},{cell[1]},{t}]")
                  for cell in self.cells}
         self.jumps.append(jumps)
-        formula.at_most_one(list(jumps.values()))
         jumping = formula.new_var(f"jumping[{t}]")
         formula.define_or(jumping, list(jumps.values()))
         for a in avars:

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from snowplan import analysis
-from snowplan.analysis import (_min_assignment, lower_bound, push_directions,
+from snowplan.analysis import (_min_assignment, live_cells, lower_bound,
+                               object_distances, push_directions,
                                push_distances)
 from snowplan.fixtures import gen_random_level, list_fixtures, load_fixture
 from snowplan.game import Direction, Metric, oracle_optimal
@@ -76,8 +77,47 @@ def test_push_distances_follow_the_walls():
     level = load_fixture("soko_corridor").level
     assert push_directions(level, (1, 2)) == [Direction.E, Direction.W]
     assert push_directions(level, (1, 1)) == []
-    assert push_distances(level, [(1, 2)]) == {
+    assert push_distances(level, (1, 2)) == {
         (1, 2): 0, (1, 3): 1, (1, 1): 1, (1, 4): 2}
+
+
+def test_object_distances_one_table_per_ball():
+    """snow_pop: the large and medium stacked at (1,4) share one table;
+    the small at (2,3) has its own."""
+    level = load_fixture("snow_pop").level
+    large, medium, small = object_distances(level)
+    assert large is medium and large == push_distances(level, (1, 4))
+    assert small == push_distances(level, (2, 3))
+
+
+def test_live_cells_are_those_with_a_push_route_to_a_target():
+    """soko_corridor (#@$-.#): the goal (1,4) is reached from (1,3) and
+    (1,2); the west cell (1,1) has no pushing cell behind it. A Sokoban
+    level with no goal, and a snowman level where no cell is reachable by
+    three balls, have no target and no live set."""
+    level = load_fixture("soko_corridor").level
+    assert live_cells(level, object_distances(level)) == {
+        (1, 2), (1, 3), (1, 4)}
+    no_goal = dataclasses.replace(level, goals=frozenset())
+    assert live_cells(no_goal, object_distances(no_goal)) is None
+    for name in ("snow_ring", "snow_selfblock"):
+        level = load_fixture(name).level
+        assert live_cells(level, object_distances(level)) is None
+
+
+def test_live_cells_hold_every_oracle_solvable_start():
+    """Every ball or box of a solvable fixture starts on a live cell, and
+    every Sokoban goal is live."""
+    for name in list_fixtures():
+        fx = load_fixture(name)
+        if fx.object_actions_optimal is None:
+            continue
+        level = fx.level
+        live = live_cells(level, object_distances(level))
+        starts = {cell for cell, _ in level.stacks} | level.boxes
+        assert starts <= live, name
+        if level.game is GameTag.SOKOBAN:
+            assert level.goals <= live, name
 
 
 def test_bound_with_two_snowmen_is_zero():

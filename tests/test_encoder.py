@@ -7,6 +7,7 @@ import re
 
 import pytest
 
+from snowplan.analysis import push_directions
 from snowplan.encoder import Encoding, EncodingConfig, Mode, ReachKind, encode
 from snowplan.fixtures import gen_random_level, list_fixtures, load_fixture
 from snowplan.game import (ActionKind, Direction, Metric, agent_region,
@@ -362,11 +363,12 @@ def _action_count(encoding):
 
 
 def test_actions_only_on_live_ball_cells(monkeypatch):
-    """soko_pair PARALLEL at T=2: four rolls at step 0 (two boxes, two
-    directions each), eight at step 1, instead of one per floor cell."""
+    """soko_pair PARALLEL at T=2: two rolls at step 0 (each box east; west
+    lies the dead corner (1,1) or (3,1)), six at step 1, instead of one
+    per floor cell."""
     level = load_fixture("soko_pair").level
     config = EncodingConfig(Mode.PARALLEL, 2)
-    assert _action_count(encode(level, config)) == 12
+    assert _action_count(encode(level, config)) == 8
     monkeypatch.setattr(Encoding, "_ball_cells", _every_floor_cell)
     assert _action_count(encode(level, config)) > 12
 
@@ -380,6 +382,131 @@ def test_ball_cells_grow_one_push_per_step():
     row = [frozenset((1, c) for c in cols)
            for cols in ([2], [1, 2, 3], [1, 2, 3, 4], [1, 2, 3, 4])]
     assert [encoding._ball_cells(t) for t in range(4)] == row
+
+
+# -- slots pruned by the two-way push analysis: pairs and dead cells -------
+
+
+def _slots(level, T, kind="roll|push|pop", mode=Mode.COLLAPSED):
+    """(kind, ball cell, direction, step) of every object-action name of
+    the mode's formula at horizon T."""
+    pattern = re.compile(rf"^({kind})\[(\d+),(\d+),([NSEW]),(\d+)\]$")
+    out = set()
+    for name in encode(level, EncodingConfig(mode, T)).formula.name_to_var:
+        if match := pattern.match(name):
+            k, r, c, d, t = match.groups()
+            out.add((k, (int(r), int(c)), d, int(t)))
+    return out
+
+
+def _walled_draws():
+    """5x5 rooms with a tenth of the interior walled, snowman (three balls)
+    and Sokoban (two boxes), that the oracle solves. A returned optimum is
+    exact: the breadth-first search found it."""
+    draws = []
+    for game in GameTag:
+        for seed in range(1, 101):
+            level = gen_random_level(seed, dims=(5, 5), density=0.1, game=game,
+                                     objects=3 if game is GameTag.SNOWMAN else 2)
+            opt = oracle_optimal(level, Metric.OBJECT_ACTIONS)
+            if opt is not None:
+                draws.append(pytest.param(level, opt,
+                                          id=f"{game.value}{seed}"))
+    return draws
+
+
+def _solvable_cases():
+    fixtures = [load_fixture(name) for name in list_fixtures()]
+    return [pytest.param(fx.level, fx.object_actions_optimal, id=fx.name)
+            for fx in fixtures
+            if fx.object_actions_optimal is not None] + _walled_draws()
+
+
+@pytest.mark.parametrize("level,opt", _solvable_cases())
+def test_pruned_collapsed_optimum_is_the_oracles(level, opt, backend):
+    """With pairs and dead cells pruned, COLLAPSED is UNSAT under the goal
+    below the oracle optimum and SAT at it, grown by extension."""
+    encoding = None
+    for T in range(opt + 1):
+        encoding = encode(level, EncodingConfig(Mode.COLLAPSED, T), encoding)
+        want = Status.SAT if T == opt else Status.UNSAT
+        assert _status(encoding, backend) is want, T
+
+
+def test_walled_draws_have_dead_cells():
+    """The draws above exercise the dead-cell rule: in each, some cell a
+    ball or box can reach is dead."""
+    draws = _walled_draws()
+    assert len(draws) >= 5
+    for draw in draws:
+        encoding = Encoding(draw.values[0], EncodingConfig(Mode.COLLAPSED, 0))
+        assert set(encoding.push_distance) - encoding.live_cells, draw.id
+
+
+def test_pop_at_step_zero_only_on_an_initial_stack():
+    """At step 0 a POP needs two balls on its cell, so only a starting
+    stack of two or more can pop (snow_pop2: the small on the medium at
+    (2,2), every direction the walls allow); a lone ball cannot."""
+    for name in list_fixtures():
+        level = load_fixture(name).level
+        stacks = {cell for cell, sizes in level.stacks if len(sizes) >= 2}
+        pops = {cell for _, cell, _, t in _slots(level, 1, "pop") if t == 0}
+        assert pops <= stacks, name
+    pops = {(cell, d) for _, cell, d, t in
+            _slots(load_fixture("snow_pop2").level, 1, "pop") if t == 0}
+    assert pops == {((2, 2), "E"), ((2, 2), "S"), ((2, 2), "W")}
+
+
+def test_push_needs_a_second_ball_within_t_pushes():
+    """snow_tiny3 (#p----#/#-1-2-#/#--4--#): the small at (2,2) can be
+    pushed east onto (2,3) only from step 1, when the medium at (2,4) can
+    be there after one push; the medium, pushed west onto (2,3), likewise
+    waits for the small."""
+    slots = _slots(load_fixture("snow_tiny3").level, 3, "push")
+    assert {t for _, cell, d, t in slots if (cell, d) == ((2, 2), "E")} == {1, 2}
+    assert {t for _, cell, d, t in slots if (cell, d) == ((2, 4), "W")} == {1, 2}
+
+
+def test_a_large_ball_is_never_pushed():
+    """A large ball never shrinks, so it is never the pushed ball: beside
+    the medium at step 0, the medium may be pushed onto the large but not
+    the large onto the medium. In snow_tiny3 no push acts on the large's
+    cell (3,3) before step 2, when the small can be there."""
+    level = parse_level("#######\n#p----#\n#-42-1#\n#-----#\n#######",
+                        GameTag.SNOWMAN)
+    assert _slots(level, 1, "push") == {("push", (2, 3), "W", 0)}
+    slots = _slots(load_fixture("snow_tiny3").level, 3, "push")
+    assert {t for _, cell, _, t in slots if cell == (3, 3)} == {2}
+
+
+@pytest.mark.parametrize("mode", PRUNED_MODES)
+def test_no_slot_moves_a_box_onto_a_dead_cell(mode):
+    """#####/#@ $#/#  .#/#####: the box sits in a dead corner and gets no
+    slot at all. soko_pair's boxes never roll west, into the dead corners
+    (1,1) and (3,1), from which no push leads back to a goal."""
+    level = parse_level("#####\n#@ $#\n#  .#\n#####", GameTag.SOKOBAN)
+    assert (1, 3) not in Encoding(level, EncodingConfig(mode, 0)).live_cells
+    assert _slots(level, 3, mode=mode) == set()
+    level = load_fixture("soko_pair").level
+    assert {(1, 1), (3, 1)}.isdisjoint(
+        Encoding(level, EncodingConfig(mode, 0)).live_cells)
+    slots = _slots(level, 3, mode=mode)
+    assert slots and all(d != "W" for _, cell, d, _ in slots
+                         if cell in ((1, 2), (3, 2)))
+
+
+@pytest.mark.parametrize("name", ["snow_ring", "snow_selfblock"])
+def test_no_target_keeps_every_slot(name):
+    """No cell is reachable by all three balls, so the relaxation has no
+    target: nothing counts as dead, and every cell of B_t rolls in every
+    direction the walls allow."""
+    level = load_fixture(name).level
+    encoding = Encoding(level, EncodingConfig(Mode.PARALLEL, 0))
+    assert encoding.live_cells == level.floor
+    rolls = _slots(level, 3, "roll", Mode.PARALLEL)
+    assert rolls == {("roll", cell, d.name, t) for t in range(3)
+                     for cell in encoding._ball_cells(t)
+                     for d in push_directions(level, cell)}
 
 
 @pytest.mark.parametrize("mode", list(Mode))
@@ -443,18 +570,19 @@ def test_action_lists_match_registry(name):
 
 # Per mode, sha256 over the per-formula digests below, in loop order. A
 # change that alters formulas on purpose updates the values of its modes and
-# says why. Last change: a PARALLEL step keeps one reachability fragment and
-# each jump reads it, where the jump had its own fragment; the other three
-# modes are unchanged.
+# says why. Last change: COLLAPSED, PARALLEL and DESCEND drop the object-action
+# slots that move a ball onto or off a dead cell, and PUSH and POP slots no
+# pair of balls can fill by their step; PARALLEL also drops the jumps'
+# at-most-one, which the agent's exactly-one implies. FULL is unchanged.
 FORMULA_DIGESTS = {
     Mode.FULL:
         "7ccd713f1d2a7c4b5545b55f0e0bc5308fac07b90c70c1d9c394c184fe9cbb59",
     Mode.COLLAPSED:
-        "d757fde77e59f2d352fe2498dd5678aa5cbb08eee7c9f3267c4c84257b6ca2cd",
+        "e48b03c956fb12006d8ab3f010de5c0c91d7021ef46a8023a9b1cd8419994e72",
     Mode.PARALLEL:
-        "4e985c3dd0bf7312d039a6d7eeb3e689f12855eafaf68bb6dd1e3092e69bbe2f",
+        "4aa9f3dd37a199023f51529b218afa57d7bd8f117d7bce46f09b00d60b252104",
     Mode.DESCEND:
-        "a4f0babd5f4df69fd5d5f13bfa99aee1715817b43de3630b75efdab87a05d935",
+        "9edb55fdf5b6ff9f4c23c2be6cba6a6f68a71ab2c2ac6d277cbb4baed3335558",
 }
 
 
