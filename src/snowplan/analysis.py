@@ -12,13 +12,14 @@ agent's route, that needs only both cells to be floor. Two tables follow:
   object must end on (a goal, or a cell three balls can reach). An object
   pushed anywhere else can never finish: Sokoban's dead squares.
 
-The encoder prunes its object-action slots with both.
+`slots` combines both into the one table of object-action slots the
+encoder creates, each with the first step it can happen at.
 """
 
 from collections import Counter, deque
 
-from .game import Direction
-from .levels import Cell, GameTag, Level
+from .game import ActionKind, Direction, ObjectAction
+from .levels import BallSize, Cell, GameTag, Level
 
 
 def push_directions(level: Level, cell: Cell) -> list[Direction]:
@@ -83,6 +84,61 @@ def live_cells(level: Level, dists: list[dict[Cell, int]]
                 live.add(prev)
                 queue.append(prev)
     return frozenset(live) or None
+
+
+def slots(level: Level) -> list[tuple[ObjectAction, int]]:
+    """Every object action the relaxation allows, each with the first step
+    it can happen at: ball cells in sorted order, then `push_directions`
+    order, then ROLL, PUSH, POP.
+
+    The ball cell l and its destination must both be live (`live_cells`;
+    every floor cell when there is no target). A ROLL needs only a ball or
+    box at l, so it opens at the nearest one's distance to l: l is in
+    GraphPlan's B_t, the cells some object can occupy at step t, exactly
+    from that step on. A PUSH needs a second ball at the destination, a
+    POP one at l: each opens at the first step a ball that did not start
+    large can be at l while another ball is there, and never if no such
+    pair exists. The pushed ball, or the top popped off a stack, is never
+    large: a large ball never shrinks and never tops a stack.
+    """
+    dists = object_distances(level)
+    live = live_cells(level, dists) or level.floor
+    # each cell's balls or boxes nearest first, as (pushes, index)
+    near: dict[Cell, list[tuple[int, int]]] = {}
+    for i, dist in enumerate(dists):
+        for cell, n in dist.items():
+            near.setdefault(cell, []).append((n, i))
+    for balls in near.values():
+        balls.sort()
+    sizes = [size for _, stack in level.stacks for size in stack]
+    large = {i for i, size in enumerate(sizes) if size is BallSize.LARGE}
+    out = []
+    for l in sorted(near.keys() & live):
+        here = near[l]
+        movable = [(n, i) for n, i in here if i not in large]
+        for d in push_directions(level, l):
+            b = d.apply(l)
+            if b not in live:
+                continue
+            out.append((ObjectAction(ActionKind.ROLL, l, d), here[0][0]))
+            if level.game is GameTag.SOKOBAN:
+                continue
+            for kind, other in ((ActionKind.PUSH, near.get(b, [])),
+                                (ActionKind.POP, here)):
+                opens = _pair_step(movable, other)
+                if opens is not None:
+                    out.append((ObjectAction(kind, l, d), opens))
+    return out
+
+
+def _pair_step(first: list[tuple[int, int]],
+               second: list[tuple[int, int]]) -> int | None:
+    """The least max(m, n) over (m, i) in `first` and (n, j) in `second`
+    with i != j, both lists nearest first; None if no such pair. Some
+    optimal pair lies in the first two of each: past them, each list
+    still has a nearer entry whose index differs from the other side's."""
+    return min((max(m, n) for m, i in first[:2] for n, j in second[:2]
+                if i != j), default=None)
 
 
 def lower_bound(level: Level) -> int | None:

@@ -20,12 +20,11 @@ encoding's per-step action lists instead):
              roll/push/pop[r,c,D,t]                     (others; r,c = ball cell)
              jump[r,c,t]  noop[t]
   In COLLAPSED, PARALLEL and DESCEND an object-action name exists only for
-  a live slot (`Encoding._pushes`): a ball cell r,c that some ball or box
-  can reach in t pushes (`Encoding._ball_cells`), a ball cell and
-  destination that are not dead (`analysis.live_cells`), and for PUSH and
-  POP a second ball that can be at the destination or at r,c by step t.
-  Decoders and tests must not assume a roll/push/pop[r,c,D,t] for every
-  floor cell.
+  a slot of `analysis.slots` open by step t (`Encoding.slots`): a ball
+  cell r,c and destination that are not dead, a ball or box that can be
+  at r,c by step t, and for PUSH and POP a second ball that can be at the
+  destination or at r,c by then. Decoders and tests must not assume a
+  roll/push/pop[r,c,D,t] for every floor cell.
   goal       goal[T]   (assumed true: the goal holds at horizon T)
 where D is one of N,S,E,W. Reachability fragments, one per step, use the
 graph-module names suffixed with ",t" (",ck,t" for per-ball path copies).
@@ -49,7 +48,7 @@ from itertools import combinations
 from . import analysis, reach
 from . import levels as lv
 from .cnf import Formula
-from .game import ActionKind, Direction
+from .game import ActionKind, Direction, ObjectAction
 from .levels import Cell, GameTag, Level
 
 
@@ -64,25 +63,6 @@ class ReachKind(enum.Enum):
     PATH = "path"
     DAG = "dag"
     TREE = "tree"
-
-
-@dataclass(frozen=True)
-class ObjectAction:
-    """One ball or box moved one cell: the agent stands on the pushing cell
-    and acts in `direction` on the object at `cell`."""
-
-    kind: ActionKind     # ROLL, PUSH or POP
-    cell: Cell           # the ball/box cell being acted on
-    direction: Direction
-
-    @cached_property
-    def pushing_cell(self) -> Cell:
-        dr, dc = self.direction.value
-        return (self.cell[0] - dr, self.cell[1] - dc)
-
-    @cached_property
-    def destination(self) -> Cell:
-        return self.direction.apply(self.cell)
 
 
 @dataclass(frozen=True)
@@ -141,7 +121,6 @@ class Encoding:
         self.actions: list[list[tuple[ObjectAction, int]]] = []
         self.jumps: list[dict[Cell, int]] = []
         self.noops: list[int] = []
-        self.push_table: dict[Cell, list[tuple[ObjectAction, int]]] = {}
 
         # state variables, keyed (cell, t)
         self.snow: dict[tuple[Cell, int], int] = {}
@@ -281,7 +260,7 @@ class Encoding:
         a = formula.new_var(f"{kind.value}[{r},{c},{d.name},{t}]")
         for lit in needs:
             formula.add_clause([-a, lit])
-        getattr(self, f"_{kind.value}_clauses")(a, l, d.apply(l), t)
+        self._EFFECTS[kind](self, a, l, d.apply(l), t)
         return a
 
     def _land(self, a: int, b: Cell, t: int, table) -> None:
@@ -374,6 +353,9 @@ class Encoding:
         if self.snowman:
             self._lic(self.snow_clear, b, t, a)
 
+    _EFFECTS = {ActionKind.ROLL: _roll_clauses, ActionKind.PUSH: _push_clauses,
+                ActionKind.POP: _pop_clauses}
+
     # -- frame axioms ---------------------------------------------------
 
     def _frame(self, now: int, nxt: int, rise: list[int],
@@ -445,89 +427,20 @@ class Encoding:
     # -- collapsed-family modes -----------------------------------------
 
     @cached_property
-    def object_distance(self) -> list[dict[Cell, int]]:
-        """Per ball or box, the pushes it needs to reach each cell
-        (`analysis.object_distances`)."""
-        return analysis.object_distances(self.level)
-
-    @cached_property
-    def ball_sizes(self) -> list[lv.BallSize]:
-        """Each ball's starting size, in `object_distance` order."""
-        return [size for _, sizes in self.level.stacks for size in sizes]
-
-    @cached_property
-    def push_distance(self) -> dict[Cell, int]:
-        """Each cell a ball or box can reach, with the pushes the nearest
-        one needs to get there."""
-        out: dict[Cell, int] = {}
-        for dist in self.object_distance:
-            for cell, n in dist.items():
-                if n < out.get(cell, n + 1):
-                    out[cell] = n
-        return out
-
-    @cached_property
-    def live_cells(self) -> frozenset[Cell]:
-        """The cells a ball or box may occupy on its way to the goal
-        (`analysis.live_cells`); every floor cell when the relaxation has
-        no target, a level `analysis.lower_bound` already finds
-        unsolvable."""
-        return (analysis.live_cells(self.level, self.object_distance)
-                or self.level.floor)
-
-    def _ball_cells(self, t: int) -> frozenset[Cell]:
-        """B_t, the cells some ball or box can occupy at step t: those
-        whose nearest ball or box is at most t pushes away (relaxed
-        reachability as in GraphPlan's planning graph)."""
-        return frozenset(cell for cell, n in self.push_distance.items()
-                         if n <= t)
-
-    def _pair_step(self, l: Cell, b: Cell) -> int | None:
-        """The first step at which a ball that did not start large can be
-        at l while another ball is at b; None if no such pair exists. The
-        ball pushed onto a stack, or the top popped off one, is never
-        large: a large ball never shrinks and never tops a stack."""
-        dists = self.object_distance
-        return min((max(di[l], dj[b]) for i, di in enumerate(dists)
-                    if l in di and self.ball_sizes[i] is not lv.BallSize.LARGE
-                    for j, dj in enumerate(dists) if j != i and b in dj),
-                   default=None)
-
-    def _pushes(self, l: Cell) -> list[tuple[ObjectAction, int]]:
-        """The object actions on a ball at l, each with the first step it
-        can happen at. The walls must allow the push (see
-        `analysis.push_directions`), and l and the destination must both
-        be live. ROLL needs only the ball at l, which `_ball_cells`
-        checks, so it opens at step 0. PUSH needs a second ball at the
-        destination, POP one at l: each opens at its `_pair_step`, and
-        never if no such pair exists. Each cell's list is built once."""
-        out = self.push_table.get(l)
-        if out is None:
-            out = self.push_table[l] = []
-            live = self.live_cells
-            for d in analysis.push_directions(self.level, l):
-                b = d.apply(l)
-                if l not in live or b not in live:
-                    continue
-                for kind in self.kinds:
-                    opens = (0 if kind is ActionKind.ROLL else self._pair_step(
-                        l, l if kind is ActionKind.POP else b))
-                    if opens is not None:
-                        out.append((ObjectAction(kind, l, d), opens))
-        return out
+    def slots(self) -> list[tuple[ObjectAction, int]]:
+        """Every object action the relaxation allows, with the first step
+        it can happen at (`analysis.slots`)."""
+        return analysis.slots(self.level)
 
     def _object_actions(self, t: int) -> list[tuple[ObjectAction, int]]:
-        """Create this step's object-action variables and their clauses.
+        """Create this step's object-action variables and their clauses,
+        one per slot open by step t.
 
         Actions are named by the ball cell l; the agent acts from the pushing
         cell p = l - d and the ball heads to b = l + d (all three on floor).
-        Only cells in B_t get actions, since each action needs a ball at l,
-        and only the slots of `_pushes` open by step t.
         """
-        ball_cells = self._ball_cells(t)
-        out = [(a, self._object_action(a.kind, l, l, a.direction, t))
-               for l in self.cells if l in ball_cells
-               for a, opens in self._pushes(l) if opens <= t]
+        out = [(a, self._object_action(a.kind, a.cell, a.cell, a.direction, t))
+               for a, opens in self.slots if opens <= t]
         self.actions.append(out)
         return out
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .levels import BallSize, Cell, GameTag, Level
 
@@ -30,6 +31,25 @@ class ActionKind(enum.Enum):
     ROLL = "roll"
     PUSH = "push"
     POP = "pop"
+
+
+@dataclass(frozen=True)
+class ObjectAction:
+    """One ball or box moved one cell: the agent stands on the pushing cell
+    and acts in `direction` on the object at `cell`."""
+
+    kind: ActionKind     # ROLL, PUSH or POP
+    cell: Cell           # the ball/box cell being acted on
+    direction: Direction
+
+    @cached_property
+    def pushing_cell(self) -> Cell:
+        dr, dc = self.direction.value
+        return (self.cell[0] - dr, self.cell[1] - dc)
+
+    @cached_property
+    def destination(self) -> Cell:
+        return self.direction.apply(self.cell)
 
 
 class Metric(enum.Enum):

@@ -15,8 +15,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 
-from .encoder import Encoding, Mode, ObjectAction
-from .game import ActionKind, Direction, classify, initial_state, is_goal, run_plan
+from .encoder import Encoding, Mode
+from .game import (ActionKind, Direction, ObjectAction, classify, initial_state,
+                   is_goal, run_plan)
 from .levels import Cell, Level
 
 _LETTER = {Direction.W: "l", Direction.N: "u", Direction.E: "r", Direction.S: "d"}

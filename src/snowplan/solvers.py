@@ -164,7 +164,7 @@ class ExternalSolver:
         values: list[int] = []
         for line in stdout.splitlines():
             if line.startswith("s "):
-                token = line.split(None, 1)[1].strip()
+                token = line[2:].strip()
                 if token == "SATISFIABLE":
                     status = Status.SAT
                 elif token == "UNSATISFIABLE":
@@ -172,7 +172,10 @@ class ExternalSolver:
                 elif token == "UNKNOWN":
                     status = Status.UNKNOWN
             elif line.startswith("v ") or line == "v":
-                values.extend(int(tok) for tok in line[1:].split())
+                try:
+                    values.extend(int(tok) for tok in line[1:].split())
+                except ValueError:
+                    raise BackendError(f"bad value line: {line[:500]}") from None
         if status is None:
             raise BackendError(
                 f"no status line from solver (exit {returncode}): "

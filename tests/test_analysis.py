@@ -120,6 +120,20 @@ def test_live_cells_hold_every_oracle_solvable_start():
             assert level.goals <= live, name
 
 
+
+def test_pair_step_is_the_best_pair_of_distinct_balls():
+    """`_pair_step` reads only the first two entries of each nearest-first
+    list, yet equals the best over every pair of distinct balls."""
+    rng = random.Random(5)
+    for _ in range(500):
+        first, second = (sorted((rng.randrange(5), i)
+                                for i in rng.sample(range(6), rng.randrange(5)))
+                         for _ in range(2))
+        best = min((max(m, n) for m, i in first for n, j in second if i != j),
+                   default=None)
+        assert analysis._pair_step(first, second) == best
+
+
 def test_bound_with_two_snowmen_is_zero():
     level = parse_level("#######\n#p1-2-#\n#-4-1-#\n#-2-4-#\n#######",
                         GameTag.SNOWMAN)

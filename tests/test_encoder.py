@@ -7,11 +7,13 @@ import re
 
 import pytest
 
-from snowplan.analysis import push_directions
+from snowplan import analysis
+from snowplan.analysis import live_cells, object_distances, push_directions
 from snowplan.encoder import Encoding, EncodingConfig, Mode, ReachKind, encode
 from snowplan.fixtures import gen_random_level, list_fixtures, load_fixture
-from snowplan.game import (ActionKind, Direction, Metric, agent_region,
-                           initial_state, is_goal, oracle_optimal, run_plan)
+from snowplan.game import (ActionKind, Direction, Metric, ObjectAction,
+                           agent_region, initial_state, is_goal,
+                           oracle_optimal, run_plan)
 from snowplan.levels import GameTag, parse_level
 from snowplan.plans import decode
 from snowplan.search import serialize
@@ -148,7 +150,6 @@ def test_interference_pair_matches_simulator():
     """The simulator agrees: neither ordering of the two rolls works in
     sequence without extra actions in between."""
     from snowplan.game import classify
-    from snowplan.plans import ObjectAction
 
     fx = load_fixture("snow_ring")
     pair = [ObjectAction(ActionKind(k), (r, c), Direction[d])
@@ -289,8 +290,26 @@ _ACTION_NAME = re.compile(r"^(roll|push|pop)\[")
 PRUNED_MODES = (Mode.COLLAPSED, Mode.PARALLEL, Mode.DESCEND)
 
 
-def _every_floor_cell(self, t):
-    return frozenset(self.cells)
+def _live(level):
+    """The live cells, every floor cell when the relaxation has no target."""
+    return live_cells(level, object_distances(level)) or level.floor
+
+
+def _ball_cells(level, t):
+    """B_t: the cells some ball or box can be pushed to in t pushes."""
+    return frozenset(cell for dist in object_distances(level)
+                     for cell, n in dist.items() if n <= t)
+
+
+def _unpruned_slots(level):
+    """The table of `analysis.slots` with B_t and the pair rule off: every
+    slot whose ball cell and destination are live, open at step 0."""
+    live = _live(level)
+    kinds = ((ActionKind.ROLL, ActionKind.PUSH, ActionKind.POP)
+             if level.game is GameTag.SNOWMAN else (ActionKind.ROLL,))
+    return [(ObjectAction(kind, cell, d), 0) for cell in sorted(live)
+            for d in push_directions(level, cell) if d.apply(cell) in live
+            for kind in kinds]
 
 
 def _random_draws(count=20):
@@ -320,7 +339,7 @@ def _statuses(level, mode, reach, top, backend, unpruned, monkeypatch):
     encoding = None
     with monkeypatch.context() as m:
         if unpruned:
-            m.setattr(Encoding, "_ball_cells", _every_floor_cell)
+            m.setattr(analysis, "slots", _unpruned_slots)
         for T in range(top + 1):
             encoding = encode(level, EncodingConfig(mode, T, reach), encoding)
             out.append((_status(encoding, backend),
@@ -330,9 +349,10 @@ def _statuses(level, mode, reach, top, backend, unpruned, monkeypatch):
 
 @pytest.mark.parametrize("level,opt", _soundness_cases())
 def test_pruning_keeps_every_status(level, opt, backend, monkeypatch):
-    """Pruned and unpruned formulas (every floor cell live) agree on
-    SAT/UNSAT at T = 0..opt (0..3 with no optimum) in every pruned mode and
-    reach encoding, with and without the goal."""
+    """Pruned and unpruned formulas (every live slot open at step 0, so
+    neither B_t nor the pair rule prunes) agree on SAT/UNSAT at
+    T = 0..opt (0..3 with no optimum) in every pruned mode and reach
+    encoding, with and without the goal."""
     top = 3 if opt is None else opt
     for mode in PRUNED_MODES:
         for reach in REACHES:
@@ -353,7 +373,7 @@ def test_full_formulas_ignore_ball_cells(name, monkeypatch):
     level = load_fixture(name).level
     configs = [EncodingConfig(Mode.FULL, T) for T in range(3)]
     pruned = [_formula(level, config) for config in configs]
-    monkeypatch.setattr(Encoding, "_ball_cells", _every_floor_cell)
+    monkeypatch.setattr(analysis, "slots", _unpruned_slots)
     assert [_formula(level, config) for config in configs] == pruned
 
 
@@ -369,19 +389,23 @@ def test_actions_only_on_live_ball_cells(monkeypatch):
     level = load_fixture("soko_pair").level
     config = EncodingConfig(Mode.PARALLEL, 2)
     assert _action_count(encode(level, config)) == 8
-    monkeypatch.setattr(Encoding, "_ball_cells", _every_floor_cell)
+    monkeypatch.setattr(analysis, "slots", _unpruned_slots)
     assert _action_count(encode(level, config)) > 12
 
 
 def test_ball_cells_grow_one_push_per_step():
     """soko_corridor (#@$-.#): the box can go one cell west or east at
     step 0, one more east at step 1, and then no further (the west cell has
-    no pushing cell behind it, the east end is a wall)."""
+    no pushing cell behind it, the east end is a wall). A roll opens at the
+    step its cell joins B_t: east from (1,2) at 0, either way from (1,3) at
+    1 (west from (1,2) leads into the dead cell (1,1))."""
     level = load_fixture("soko_corridor").level
-    encoding = encode(level, EncodingConfig(Mode.COLLAPSED, 0))
     row = [frozenset((1, c) for c in cols)
            for cols in ([2], [1, 2, 3], [1, 2, 3, 4], [1, 2, 3, 4])]
-    assert [encoding._ball_cells(t) for t in range(4)] == row
+    assert [_ball_cells(level, t) for t in range(4)] == row
+    assert {(a.cell, a.direction.name): opens
+            for a, opens in analysis.slots(level)} == {
+        ((1, 2), "E"): 0, ((1, 3), "E"): 1, ((1, 3), "W"): 1}
 
 
 # -- slots pruned by the two-way push analysis: pairs and dead cells -------
@@ -439,8 +463,9 @@ def test_walled_draws_have_dead_cells():
     draws = _walled_draws()
     assert len(draws) >= 5
     for draw in draws:
-        encoding = Encoding(draw.values[0], EncodingConfig(Mode.COLLAPSED, 0))
-        assert set(encoding.push_distance) - encoding.live_cells, draw.id
+        level = draw.values[0]
+        reached = set().union(*object_distances(level))
+        assert reached - _live(level), draw.id
 
 
 def test_pop_at_step_zero_only_on_an_initial_stack():
@@ -485,11 +510,10 @@ def test_no_slot_moves_a_box_onto_a_dead_cell(mode):
     slot at all. soko_pair's boxes never roll west, into the dead corners
     (1,1) and (3,1), from which no push leads back to a goal."""
     level = parse_level("#####\n#@ $#\n#  .#\n#####", GameTag.SOKOBAN)
-    assert (1, 3) not in Encoding(level, EncodingConfig(mode, 0)).live_cells
+    assert (1, 3) not in _live(level)
     assert _slots(level, 3, mode=mode) == set()
     level = load_fixture("soko_pair").level
-    assert {(1, 1), (3, 1)}.isdisjoint(
-        Encoding(level, EncodingConfig(mode, 0)).live_cells)
+    assert {(1, 1), (3, 1)}.isdisjoint(_live(level))
     slots = _slots(level, 3, mode=mode)
     assert slots and all(d != "W" for _, cell, d, _ in slots
                          if cell in ((1, 2), (3, 2)))
@@ -501,11 +525,10 @@ def test_no_target_keeps_every_slot(name):
     target: nothing counts as dead, and every cell of B_t rolls in every
     direction the walls allow."""
     level = load_fixture(name).level
-    encoding = Encoding(level, EncodingConfig(Mode.PARALLEL, 0))
-    assert encoding.live_cells == level.floor
+    assert _live(level) == level.floor
     rolls = _slots(level, 3, "roll", Mode.PARALLEL)
     assert rolls == {("roll", cell, d.name, t) for t in range(3)
-                     for cell in encoding._ball_cells(t)
+                     for cell in _ball_cells(level, t)
                      for d in push_directions(level, cell)}
 
 

@@ -1,6 +1,8 @@
-"""Every name a module imports is used in that module."""
+"""Every name a module imports is used in that module, and every private
+function in `src/` is used somewhere in `src/`."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -25,3 +27,24 @@ def test_no_unused_imports():
               for path in sorted((ROOT / folder).rglob("*.py"))
               if path.name != "__init__.py" and (names := _unused_imports(path))}
     assert unused == {}
+
+
+def _references(tree: ast.AST) -> Counter:
+    """Each name read in the tree, as a bare name or as an attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def test_every_private_function_is_used():
+    """Each `def _name` (dunders aside) is referenced outside its own body,
+    so a name reached only through a string (`getattr`) fails too."""
+    trees = [ast.parse(path.read_text())
+             for path in sorted((ROOT / "src").rglob("*.py"))]
+    used = sum((_references(tree) for tree in trees), Counter())
+    defs = [node for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.startswith("_") and not node.name.endswith("__")]
+    unused = sorted(node.name for node in defs
+                    if used[node.name] <= _references(node)[node.name])
+    assert unused == []

@@ -146,9 +146,14 @@ def test_external_lying_solver_rejected(tmp_path):
 
 
 def test_external_garbage_is_backend_error(tmp_path):
-    cmd = _script_solver(tmp_path, 'echo "no status here"\n')
-    with pytest.raises(BackendError):
-        ExternalSolver(cmd).solve(_tiny([[1]], 1))
+    """No status line, a value that is not an integer, and a status line
+    with no status each raise BackendError."""
+    for script in ('echo "no status here"\n',
+                   'echo "s SATISFIABLE"\necho "v 1 x 0"\n',
+                   'echo "s "\n'):
+        cmd = _script_solver(tmp_path, script)
+        with pytest.raises(BackendError):
+            ExternalSolver(cmd).solve(_tiny([[1]], 1))
 
 
 def test_external_timeout_is_unknown(tmp_path):
