@@ -56,11 +56,10 @@ def object_distances(level: Level) -> list[dict[Cell, int]]:
     return [tables[cell] for cell in starts]
 
 
-def live_cells(level: Level, dists: list[dict[Cell, int]]
-               ) -> frozenset[Cell] | None:
+def live_cells(level: Level, dists: list[dict[Cell, int]]) -> frozenset[Cell]:
     """The cells from which some sequence of relaxed pushes reaches a
-    target (a breadth-first search of reversed pushes); None when there is
-    no target, so nothing is pruned.
+    target (a breadth-first search of reversed pushes); every floor cell
+    when there is no target, so nothing is pruned.
 
     Every object ends on a target: Sokoban boxes on goals, snowballs on a
     cell that three balls share, so on one that at least three of `dists`
@@ -83,7 +82,7 @@ def live_cells(level: Level, dists: list[dict[Cell, int]]
                     and not level.is_wall((r - 2 * dr, c - 2 * dc))):
                 live.add(prev)
                 queue.append(prev)
-    return frozenset(live) or None
+    return frozenset(live) or level.floor
 
 
 def slots(level: Level) -> list[tuple[ObjectAction, int]]:
@@ -91,18 +90,18 @@ def slots(level: Level) -> list[tuple[ObjectAction, int]]:
     it can happen at: ball cells in sorted order, then `push_directions`
     order, then ROLL, PUSH, POP.
 
-    The ball cell l and its destination must both be live (`live_cells`;
-    every floor cell when there is no target). A ROLL needs only a ball or
-    box at l, so it opens at the nearest one's distance to l: l is in
-    GraphPlan's B_t, the cells some object can occupy at step t, exactly
-    from that step on. A PUSH needs a second ball at the destination, a
-    POP one at l: each opens at the first step a ball that did not start
-    large can be at l while another ball is there, and never if no such
-    pair exists. The pushed ball, or the top popped off a stack, is never
-    large: a large ball never shrinks and never tops a stack.
+    The ball cell l and its destination must both be live (`live_cells`).
+    A ROLL needs only a ball or box at l, so it opens at the nearest one's
+    distance to l: l is in GraphPlan's B_t, the cells some object can
+    occupy at step t, exactly from that step on. A PUSH needs a second
+    ball at the destination, a POP one at l: each opens at the first step
+    a ball that did not start large can be at l while another ball is
+    there, and never if no such pair exists. The pushed ball, or the top
+    popped off a stack, is never large: a large ball never shrinks and
+    never tops a stack.
     """
     dists = object_distances(level)
-    live = live_cells(level, dists) or level.floor
+    live = live_cells(level, dists)
     # each cell's balls or boxes nearest first, as (pushes, index)
     near: dict[Cell, list[tuple[int, int]]] = {}
     for i, dist in enumerate(dists):

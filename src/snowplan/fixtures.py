@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .game import Metric, oracle_optimal
+from .game import Metric, OracleCapError, oracle_optimal
 from .levels import FORMATS, BallSize, GameTag, Level, parse_level, render
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent.parent / "fixtures"
@@ -32,7 +32,7 @@ class Fixture:
 
 def gen_random_level(seed: int, dims: tuple[int, int] = (5, 5),
                      density: float = 0.3, game: GameTag = GameTag.SNOWMAN,
-                     objects: int = 3, snow_density: float = 0.2) -> Level:
+                     objects: int = 3) -> Level:
     """Reproducible random level; solvability is not guaranteed."""
     rows, cols = dims
     if rows > 6 or cols > 6:
@@ -51,7 +51,7 @@ def gen_random_level(seed: int, dims: tuple[int, int] = (5, 5),
         sizes = [BallSize(s) for s in ([1, 2, 3] * ((objects + 2) // 3))[:objects]]
         stacks = tuple(sorted(
             (cell, (size,)) for cell, size in zip(rest[:objects], sizes)))
-        snow = frozenset(c for c in rest[objects:] if rng.random() < snow_density)
+        snow = frozenset(c for c in rest[objects:] if rng.random() < 0.2)
         return Level(rows, cols, frozenset(walls), snow, stacks,
                      frozenset(), frozenset(), agent, GameTag.SNOWMAN)
     boxes = frozenset(rest[:objects])
@@ -62,13 +62,16 @@ def gen_random_level(seed: int, dims: tuple[int, int] = (5, 5),
 
 def freeze_fixture(level: Level, name: str, directory: Path | None = None,
                    cap: int = 1_000_000, flags: dict | None = None) -> Fixture:
-    """Compute oracle optima and write the fixture file plus metadata sidecar."""
+    """Compute oracle optima and write the fixture file plus metadata
+    sidecar. A level with no plan freezes with `None` (JSON `null`) optima;
+    one whose oracle search passes `cap` states raises FixtureError."""
     directory = FIXTURE_DIR if directory is None else directory
     directory.mkdir(parents=True, exist_ok=True)
-    moves = oracle_optimal(level, Metric.MOVES, cap)
-    actions = oracle_optimal(level, Metric.OBJECT_ACTIONS, cap)
-    if moves is None or actions is None:
-        raise FixtureError(f"oracle cap exceeded for fixture {name!r}")
+    try:
+        moves = oracle_optimal(level, Metric.MOVES, cap)
+        actions = oracle_optimal(level, Metric.OBJECT_ACTIONS, cap)
+    except OracleCapError:
+        raise FixtureError(f"oracle cap exceeded for fixture {name!r}") from None
     fixture = Fixture(name, level, moves, actions, flags or {})
     (directory / (name + FORMATS[level.game].suffix)).write_text(render(level))
     meta = {

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -214,55 +215,49 @@ def _region_key(level: Level, state: GameState) -> GameState:
     )
 
 
+class OracleCapError(Exception):
+    """The oracle saw more states than its cap before finishing."""
+
+
 def oracle_optimal(level: Level, metric: Metric, cap: int = 1_000_000) -> int | None:
-    """Exact optimum by BFS over simulator states; None if cap exceeded."""
-    if metric is Metric.MOVES:
-        return _oracle_moves(level, cap)
-    return _oracle_object_actions(level, cap)
-
-
-def _oracle_moves(level: Level, cap: int) -> int | None:
-    start = initial_state(level)
+    """Exact optimum by BFS over simulator states: primitive moves, or
+    object actions with the agent's cell collapsed to its walking region.
+    None means every reachable state was seen and none is a goal: the level
+    has no plan. Raises OracleCapError once more than `cap` states are seen."""
+    start, successors = initial_state(level), _moves
+    if metric is Metric.OBJECT_ACTIONS:
+        start, successors = _region_key(level, start), _object_actions
     if is_goal(level, start):
         return 0
     seen = {start}
     queue = deque([(start, 0)])
     while queue:
         state, dist = queue.popleft()
-        for d in Direction:
-            nxt = step(level, state, d)
-            if nxt is None or nxt in seen:
+        for nxt in successors(level, state):
+            if nxt in seen:
                 continue
             if is_goal(level, nxt):
                 return dist + 1
             seen.add(nxt)
             if len(seen) > cap:
-                return None
+                raise OracleCapError(f"oracle saw more than {cap} states")
             queue.append((nxt, dist + 1))
     return None
 
 
-def _oracle_object_actions(level: Level, cap: int) -> int | None:
-    start = _region_key(level, initial_state(level))
-    if is_goal(level, start):
-        return 0
-    seen = {start}
-    queue = deque([(start, 0)])
-    while queue:
-        state, dist = queue.popleft()
-        for pos in agent_region(level, state):
-            placed = GameState(pos, state.snow, state.stacks, state.boxes)
-            for d in Direction:
-                result = classify(level, placed, d)
-                if result is None or result[0] is ActionKind.MOVE:
-                    continue
-                nxt = _region_key(level, result[1])
-                if nxt in seen:
-                    continue
-                if is_goal(level, nxt):
-                    return dist + 1
-                seen.add(nxt)
-                if len(seen) > cap:
-                    return None
-                queue.append((nxt, dist + 1))
-    return None
+def _moves(level: Level, state: GameState) -> Iterator[GameState]:
+    """The states one primitive move leads to."""
+    for d in Direction:
+        nxt = step(level, state, d)
+        if nxt is not None:
+            yield nxt
+
+
+def _object_actions(level: Level, state: GameState) -> Iterator[GameState]:
+    """The region-keyed states one object action leads to."""
+    for pos in agent_region(level, state):
+        placed = GameState(pos, state.snow, state.stacks, state.boxes)
+        for d in Direction:
+            result = classify(level, placed, d)
+            if result is not None and result[0] is not ActionKind.MOVE:
+                yield _region_key(level, result[1])

@@ -94,15 +94,15 @@ def test_live_cells_are_those_with_a_push_route_to_a_target():
     """soko_corridor (#@$-.#): the goal (1,4) is reached from (1,3) and
     (1,2); the west cell (1,1) has no pushing cell behind it. A Sokoban
     level with no goal, and a snowman level where no cell is reachable by
-    three balls, have no target and no live set."""
+    three balls, have no target: every floor cell is live."""
     level = load_fixture("soko_corridor").level
     assert live_cells(level, object_distances(level)) == {
         (1, 2), (1, 3), (1, 4)}
     no_goal = dataclasses.replace(level, goals=frozenset())
-    assert live_cells(no_goal, object_distances(no_goal)) is None
+    assert live_cells(no_goal, object_distances(no_goal)) == no_goal.floor
     for name in ("snow_ring", "snow_selfblock"):
         level = load_fixture(name).level
-        assert live_cells(level, object_distances(level)) is None
+        assert live_cells(level, object_distances(level)) == level.floor
 
 
 def test_live_cells_hold_every_oracle_solvable_start():

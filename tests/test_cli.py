@@ -70,6 +70,8 @@ def test_encode_writes_dimacs(tmp_path, capsys):
     assert out.read_text().startswith("p cnf ")
     assert main(["encode", CORRIDOR, "--horizon", "1"]) == EXIT_OK
     assert capsys.readouterr().out.startswith("p cnf ")
+    assert main(["encode", CORRIDOR, "--horizon", "-1"]) == EXIT_ERROR
+    assert capsys.readouterr().err == "error: horizon must be >= 0\n"
 
 
 @pytest.mark.parametrize("flag, value", [("--timeout", "5.0"), ("--seed", "1"),
@@ -197,3 +199,32 @@ def test_solver_template_seed_substitution(tmp_path, monkeypatch, capsys):
                for line in capsys.readouterr().out.strip().split("\n")]
     assert [r.status for r in records] == ["bounded"] * 3
     assert [r.seed for r in records] == [7, 8, None]
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_backend_error_during_a_run(command, tmp_path, capsys):
+    """A solver whose answer cannot be read ends each run with one error
+    line: `solve` emits no record and exits 1, `bench` names the level and
+    reach of each failed run and still prints its summary."""
+    script = tmp_path / "badsolver.sh"
+    script.write_text('#!/bin/sh\necho "s SATISFIABLE"\necho "v 1 x 0"\n')
+    script.chmod(script.stat().st_mode | stat.S_IXUSR)
+    levels = tmp_path / "levels"
+    levels.mkdir()
+    (levels / "one.xsb").write_text("######\n#@$-.#\n######\n")
+    args = [command, CORRIDOR] if command == "solve" else [
+        command, str(levels), "--all-reach"]
+    code = main(args + ["--solver-cmd", f"{script} {{input}}"])
+    captured = capsys.readouterr()
+    if command == "solve":
+        assert code == EXIT_ERROR
+        assert captured.out == ""
+        assert captured.err == "error: bad value line: v 1 x 0\n"
+    else:
+        assert code == EXIT_OK
+        assert captured.err.splitlines() == [
+            f"error [one/{reach}]: bad value line: v 1 x 0"
+            for reach in ("path", "dag", "tree")]
+        summary = json.loads(captured.out)["summary"]
+        assert {(stats["instances"], stats["timeouts"])
+                for stats in summary.values()} == {(1, 1)}

@@ -292,7 +292,7 @@ PRUNED_MODES = (Mode.COLLAPSED, Mode.PARALLEL, Mode.DESCEND)
 
 def _live(level):
     """The live cells, every floor cell when the relaxation has no target."""
-    return live_cells(level, object_distances(level)) or level.floor
+    return live_cells(level, object_distances(level))
 
 
 def _ball_cells(level, t):

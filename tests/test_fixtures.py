@@ -4,9 +4,8 @@ import json
 
 import pytest
 
-from snowplan.fixtures import (FixtureError, freeze_fixture, gen_random_level,
-                               list_fixtures, load_fixture)
-from snowplan.game import Metric, oracle_optimal
+from snowplan.fixtures import (FIXTURE_DIR, FixtureError, freeze_fixture,
+                               gen_random_level, list_fixtures, load_fixture)
 from snowplan.levels import GameTag, parse_level, render
 
 
@@ -18,14 +17,19 @@ def test_corpus_is_present():
     assert len(frozen) >= 10
 
 
-def test_frozen_values_still_match_oracle():
+def test_frozen_values_still_match_oracle(tmp_path):
     """The sidecar numbers were computed before the planner existed; the
-    oracle must still reproduce them exactly."""
-    for name in ("snow_tiny1", "snow_pop", "soko_corridor", "soko_pair"):
+    oracle must still reproduce them exactly. Re-freezing every fixture,
+    with its own flags, writes back the committed files byte for byte,
+    the levels with no plan (`null` optima) included."""
+    names = list_fixtures()
+    for name in names:
         fx = load_fixture(name)
-        assert oracle_optimal(fx.level, Metric.MOVES) == fx.moves_optimal
-        assert (oracle_optimal(fx.level, Metric.OBJECT_ACTIONS)
-                == fx.object_actions_optimal)
+        freeze_fixture(fx.level, name, tmp_path, flags=fx.flags)
+    committed = [p for p in sorted(FIXTURE_DIR.iterdir()) if p.stem in names]
+    assert len(committed) == 2 * len(names)
+    for path in committed:
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 def test_freeze_round_trip(tmp_path):

@@ -1,9 +1,11 @@
 """Game semantics: moves, rolls, pushes, pops, snow growth, and the oracle."""
 
+import pytest
+
 from snowplan.fixtures import load_fixture
-from snowplan.game import (ActionKind, Direction, Metric, agent_region,
-                           classify, initial_state, is_goal, oracle_optimal,
-                           run_plan)
+from snowplan.game import (ActionKind, Direction, Metric, OracleCapError,
+                           agent_region, classify, initial_state, is_goal,
+                           oracle_optimal, run_plan)
 from snowplan.levels import BallSize, GameTag, parse_level
 
 E, W, N, S = Direction.E, Direction.W, Direction.N, Direction.S
@@ -164,6 +166,9 @@ def test_oracle_solved_at_start_is_zero():
     assert oracle_optimal(fx.level, Metric.OBJECT_ACTIONS) == 0
 
 
-def test_oracle_cap_returns_none():
+def test_oracle_past_cap_raises():
+    """Past its cap the oracle raises rather than answer: its None means
+    only that the level has no plan."""
     fx = load_fixture("snow_tiny1")
-    assert oracle_optimal(fx.level, Metric.MOVES, cap=2) is None
+    with pytest.raises(OracleCapError):
+        oracle_optimal(fx.level, Metric.MOVES, cap=2)

@@ -105,6 +105,12 @@ def test_sokoban_exterior_becomes_wall():
     assert (0, 0) in level.walls
     assert (1, 0) in level.walls
     assert (1, 2) == level.agent
+    # the exterior spreads past the border: (1,1) joins it through (1,0)
+    level = parse_level("  ####\n  #@ #\n###$ #\n#  . #\n######\n",
+                        GameTag.SOKOBAN)
+    assert (1, 1) in level.walls
+    assert len(level.floor) == 8
+    assert oracle_optimal(level, Metric.OBJECT_ACTIONS) == 1
 
 
 @pytest.mark.parametrize("bad", [
@@ -114,6 +120,7 @@ def test_sokoban_exterior_becomes_wall():
     "#####\n#-$.#\n#####\n",   # missing agent
     "#####\n#@x.#\n#####\n",   # unknown character
     "######\n#@$7.#\n######\n",  # a snowman glyph
+    "  ####\n $#@.#\n  ####\n",     # a box outside the walls
 ])
 def test_parse_sokoban_rejects(bad):
     with pytest.raises(ParseError):
