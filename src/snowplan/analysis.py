@@ -28,7 +28,7 @@ def push_directions(level: Level, cell: Cell) -> list[Direction]:
     r, c = cell
     return [d for d in Direction
             if not level.is_wall(d.apply(cell))
-            and not level.is_wall((r - d.value[0], c - d.value[1]))]
+            and not level.is_wall((r - d.dr, c - d.dc))]
 
 
 def push_distances(level: Level, start: Cell) -> dict[Cell, int]:
@@ -76,7 +76,7 @@ def live_cells(level: Level, dists: list[dict[Cell, int]]) -> frozenset[Cell]:
         r, c = queue.popleft()
         for d in Direction:
             # an object pushed in d lands here from `prev`, the agent behind it
-            dr, dc = d.value
+            dr, dc = d.dr, d.dc
             prev = (r - dr, c - dc)
             if (prev not in live and not level.is_wall(prev)
                     and not level.is_wall((r - 2 * dr, c - 2 * dc))):

@@ -1,4 +1,11 @@
-"""CNF construction: variable pool, clause list, cardinality constraints, DIMACS."""
+"""CNF construction: variable pool, clause list, cardinality constraints, DIMACS.
+
+A formula owns its clause lists: `Formula.add_clause` appends the list it
+is given, not a copy. A caller therefore passes a list that nothing else
+holds (a list display, a concatenation or a `list(...)` copy), and no one
+changes a clause once it is in `clauses`. Every gadget here builds fresh
+lists or copies the caller's.
+"""
 
 from __future__ import annotations
 
@@ -53,13 +60,13 @@ class Formula:
                     raise ValueError(f"literal {lit} outside allocated variables")
 
     def add_clause(self, lits: list[int]) -> None:
-        """Append a copy of `lits`, once every literal lies within +-1..n."""
-        clause = list(lits)
+        """Append `lits` itself, not a copy, once every literal lies within
+        +-1..n: the formula owns the list from then on."""
         n = self.num_vars
-        for lit in clause:
+        for lit in lits:
             if not 0 < abs(lit) <= n:
                 raise ValueError(f"literal {lit} outside allocated variables")
-        self.clauses.append(clause)
+        self.clauses.append(lits)
 
     # -- gadgets ----------------------------------------------------------
     # Each gadget checks its literals once, then appends its clauses. Every
@@ -145,7 +152,7 @@ class Formula:
         if k == 0:
             return
         if k == 1:
-            self.add_clause(lits)
+            self.add_clause(list(lits))
             return
         self.at_most_k([-lit for lit in lits], len(lits) - k)
 

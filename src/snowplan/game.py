@@ -23,8 +23,15 @@ class Direction(enum.Enum):
     E = (0, 1)
     W = (0, -1)
 
+    def __init__(self, dr: int, dc: int) -> None:
+        # the delta as plain attributes, which the encoder and the
+        # analysis read in their inner loops: `value` is a property and
+        # costs about ten times as much per read
+        self.dr = dr
+        self.dc = dc
+
     def apply(self, cell: Cell) -> Cell:
-        return (cell[0] + self.value[0], cell[1] + self.value[1])
+        return (cell[0] + self.dr, cell[1] + self.dc)
 
 
 class ActionKind(enum.Enum):
@@ -45,8 +52,8 @@ class ObjectAction:
 
     @cached_property
     def pushing_cell(self) -> Cell:
-        dr, dc = self.direction.value
-        return (self.cell[0] - dr, self.cell[1] - dc)
+        d = self.direction
+        return (self.cell[0] - d.dr, self.cell[1] - d.dc)
 
     @cached_property
     def destination(self) -> Cell:

@@ -256,11 +256,12 @@ class _CDCL:
     The state lives across calls, after MiniSat's incremental interface:
     `load` adds the clauses appended to a formula since the last load, at
     decision level 0, in one pass per clause as MiniSat's `addClause` does.
-    A binary clause over unassigned variables goes to `bins`, and a longer
-    one with no literal assigned and no variable repeated is watched as a
-    copy. Every other clause goes through `_add_clause`, the one place
-    that skips satisfied clauses and tautologies, drops false and repeated
-    literals and enqueues units; both ways leave the same state.
+    A binary clause over unassigned variables goes to `bins`, a longer one
+    with no literal assigned and no variable repeated is watched as a copy,
+    and a clause with a true literal is skipped, all inline. Every other
+    clause goes through `_add_clause`, which also skips satisfied clauses,
+    skips tautologies, drops false and repeated literals and enqueues
+    units; both ways leave the same state.
     `run(assumptions, deadline)` decides the assumptions first, one level
     each, re-deciding them after every restart. Learnt clauses follow from
     the clauses alone, so they stay valid for every later call. run()
@@ -286,6 +287,11 @@ class _CDCL:
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
+        # search counts over every call: conflicts met, branching
+        # decisions made and literals implied by `_propagate`
+        self.conflicts = 0
+        self.decisions = 0
+        self.propagations = 0
 
     def load(self, formula: Formula) -> None:
         """Take in the formula's new variables and new clauses."""
@@ -304,7 +310,7 @@ class _CDCL:
             self.pos += range(len(self.heap), len(self.heap) + k)
             self.heap += range(n + 1, n + k + 1)
             self.num_vars = n + k
-        # the two common cases inline, as `_add_clause` would add them
+        # the three common cases inline, as `_add_clause` would take them
         val, bins, watches = self.val, self.bins, self.watches
         assigned = val.__getitem__
         clauses = formula.clauses
@@ -313,16 +319,23 @@ class _CDCL:
             size = len(c)
             if size == 2:
                 a, b = c
-                if not val[a] and not val[b] and a != b and a != -b:
-                    bins[a].append(b)
-                    bins[b].append(a)
-                    continue
-            elif (size > 2 and not any(map(assigned, c))
-                  and len(set(map(abs, c))) == size):
-                c = c[:]
-                watches[c[0]].append(c)
-                watches[c[1]].append(c)
-                continue
+                va, vb = val[a], val[b]
+                if not va and not vb:
+                    if a != b and a != -b:
+                        bins[a].append(b)
+                        bins[b].append(a)
+                        continue
+                elif va > 0 or vb > 0:
+                    continue    # satisfied at level 0
+            elif size > 2:
+                if not any(map(assigned, c)):
+                    if len(set(map(abs, c))) == size:
+                        c = c[:]
+                        watches[c[0]].append(c)
+                        watches[c[1]].append(c)
+                        continue
+                elif 1 in map(assigned, c):
+                    continue    # satisfied at level 0
             self._add_clause(c)
         self.loaded = len(clauses)
 
@@ -331,15 +344,6 @@ class _CDCL:
         tautology, drop false and repeated literals, enqueue a unit, and
         clear `ok` when nothing is left."""
         val = self.val
-        if len(clause) == 2:
-            a, b = clause
-            if not val[a] and not val[b]:
-                if a == b:
-                    self._enqueue(a, None)
-                elif a != -b:
-                    self.bins[a].append(b)
-                    self.bins[b].append(a)
-                return
         lits: list[int] = []
         for lit in clause:
             v = val[lit]
@@ -366,26 +370,9 @@ class _CDCL:
             self.watches[lits[1]].append(lits)
 
     # -- VSIDS heap -----------------------------------------------------
-
-    def _heap_up(self, i: int) -> None:
-        heap, pos, act = self.heap, self.pos, self.activity
-        v = heap[i]
-        a = act[v]
-        while i:
-            parent = (i - 1) >> 1
-            u = heap[parent]
-            if act[u] >= a:
-                break
-            heap[i] = u
-            pos[u] = i
-            i = parent
-        heap[i] = v
-        pos[v] = i
-
-    def _heap_insert(self, v: int) -> None:
-        self.pos[v] = len(self.heap)
-        self.heap.append(v)
-        self._heap_up(self.pos[v])
+    # `heap` is a max-heap of variables on `activity`, and pos[v] is v's
+    # index in it. `_analyze` bumps and sifts up, and `_backtrack`
+    # re-inserts, inline.
 
     def _heap_pop(self) -> int:
         heap, pos, act = self.heap, self.pos, self.activity
@@ -412,22 +399,12 @@ class _CDCL:
             pos[last] = i
         return top
 
-    def _bump(self, v: int) -> None:
-        act = self.activity
-        act[v] += self.var_inc
-        if act[v] > 1e100:
-            for u in range(1, self.num_vars + 1):
-                act[u] *= 1e-100
-            self.var_inc *= 1e-100
-        if self.pos[v] >= 0:
-            self._heap_up(self.pos[v])
-
     # -- assignment -----------------------------------------------------
 
     def _enqueue(self, lit: int, reason) -> None:
         self.val[lit] = 1
         self.val[-lit] = -1
-        v = abs(lit)
+        v = lit if lit > 0 else -lit
         self.level[v] = len(self.trail_lim)
         self.reason[v] = reason
         self.trail.append(lit)
@@ -438,22 +415,26 @@ class _CDCL:
         bins, watches = self.bins, self.watches
         lvl = len(self.trail_lim)
         head = self.qhead
+        start = len(trail)
         while head < len(trail):
             false_lit = -trail[head]
             head += 1
             for other in bins[false_lit]:
                 v = val[other]
-                if v == 0:
+                if not v:
                     val[other] = 1
                     val[-other] = -1
-                    var = abs(other)
+                    var = other if other > 0 else -other
                     level[var] = lvl
                     reason[var] = false_lit
                     trail.append(other)
                 elif v < 0:
                     self.qhead = len(trail)
+                    self.propagations += len(trail) - start
                     return [other, false_lit]
             ws = watches[false_lit]
+            if not ws:
+                continue
             i = j = 0
             n = len(ws)
             while i < n:
@@ -485,82 +466,135 @@ class _CDCL:
                             i += 1
                         del ws[j:]
                         self.qhead = len(trail)
+                        self.propagations += len(trail) - start
                         return c
                     val[first] = 1
                     val[-first] = -1
-                    var = abs(first)
+                    var = first if first > 0 else -first
                     level[var] = lvl
                     reason[var] = c
                     trail.append(first)
             del ws[j:]
         self.qhead = head
+        self.propagations += len(trail) - start
         return None
 
     def _analyze(self, conflict: list[int]) -> tuple[list[int], int]:
         """First-UIP learning with local minimization; returns
         (learnt clause, backjump level), asserting literal first and a
-        literal of the backjump level second."""
+        literal of the backjump level second.
+
+        Each variable met above level 0 is bumped once: its activity grows
+        by `var_inc` (past 1e100, every activity and `var_inc` scale by
+        1e-100), then it sifts up the heap if it is in it."""
         seen, level, reason, trail = self.seen, self.level, self.reason, self.trail
+        act, heap, pos = self.activity, self.heap, self.pos
+        inc = self.var_inc
         cur = len(self.trail_lim)
-        learnt = [0]
+        learnt: list[int] = []           # the literals below level `cur`
         marked: list[int] = []
         counter = 0
         idx = len(trail) - 1
         antecedents = conflict
         while True:
             for q in antecedents:
-                v = abs(q)
+                v = q if q > 0 else -q
                 if not seen[v] and level[v]:
                     seen[v] = True
                     marked.append(v)
-                    self._bump(v)
+                    a = act[v] + inc
+                    act[v] = a
+                    if a > 1e100:
+                        act[:] = [x * 1e-100 for x in act]
+                        inc = self.var_inc = inc * 1e-100
+                        a = act[v]
+                    i = pos[v]
+                    if i > 0:            # in the heap and not its root
+                        while i:
+                            parent = (i - 1) >> 1
+                            u = heap[parent]
+                            if act[u] >= a:
+                                break
+                            heap[i] = u
+                            pos[u] = i
+                            i = parent
+                        heap[i] = v
+                        pos[v] = i
                     if level[v] == cur:
                         counter += 1
                     else:
                         learnt.append(q)
-            while not seen[abs(trail[idx])]:
-                idx -= 1
             p = trail[idx]
+            while not seen[p if p > 0 else -p]:
+                idx -= 1
+                p = trail[idx]
             idx -= 1
             counter -= 1
             if not counter:
                 break
-            r = reason[abs(p)]
+            r = reason[p if p > 0 else -p]
             antecedents = (r,) if type(r) is int else r
-        learnt[0] = -p
         # drop literals whose reason lies inside the clause (lower levels
         # only, so every marked variable there is a clause literal)
-        out = [learnt[0]]
-        for q in learnt[1:]:
-            r = reason[abs(q)]
-            if type(r) is int:
-                r = (r,)
-            if r is None or any(not seen[abs(x)] and level[abs(x)] for x in r):
+        out = [-p]
+        for q in learnt:
+            r = reason[q if q > 0 else -q]
+            if r is None:
                 out.append(q)
+            elif type(r) is int:
+                x = r if r > 0 else -r
+                if not seen[x] and level[x]:
+                    out.append(q)
+            else:
+                for x in r:
+                    if x < 0:
+                        x = -x
+                    if not seen[x] and level[x]:
+                        out.append(q)
+                        break
         for v in marked:
             seen[v] = False
         if len(out) == 1:
             return out, 0
         best = 1
+        q = out[1]
+        back = level[q if q > 0 else -q]
         for j in range(2, len(out)):
-            if level[abs(out[j])] > level[abs(out[best])]:
-                best = j
+            q = out[j]
+            lv = level[q if q > 0 else -q]
+            if lv > back:
+                best, back = j, lv
         out[1], out[best] = out[best], out[1]
-        return out, level[abs(out[1])]
+        return out, back
 
     def _backtrack(self, target_level: int) -> None:
+        """Undo every level above `target_level`, latest literal first:
+        save each variable's phase and put it back in the heap, sifted
+        up, if it is out."""
         if len(self.trail_lim) <= target_level:
             return
-        val, phase, pos, trail = self.val, self.phase, self.pos, self.trail
+        val, phase, trail = self.val, self.phase, self.trail
+        heap, pos, act = self.heap, self.pos, self.activity
         limit = self.trail_lim[target_level]
-        for k in range(len(trail) - 1, limit - 1, -1):
-            lit = trail[k]
+        for lit in reversed(trail[limit:]):
             val[lit] = 0
             val[-lit] = 0
-            v = abs(lit)
+            v = lit if lit > 0 else -lit
             phase[v] = lit > 0
             if pos[v] < 0:
-                self._heap_insert(v)
+                i = len(heap)
+                heap.append(v)
+                a = act[v]
+                while i:
+                    parent = (i - 1) >> 1
+                    u = heap[parent]
+                    if act[u] >= a:
+                        break
+                    heap[i] = u
+                    pos[u] = i
+                    i = parent
+                heap[i] = v
+                pos[v] = i
         del trail[limit:]
         del self.trail_lim[target_level:]
         self.qhead = limit
@@ -576,59 +610,60 @@ class _CDCL:
     def run(self, assumptions, deadline: float):
         if not self.ok:
             return False
-        try:
-            return self._search(assumptions, deadline)
-        finally:
-            self._backtrack(0)
-
-    def _search(self, assumptions, deadline: float):
+        trail, trail_lim, val = self.trail, self.trail_lim, self.val
         conflicts = decisions = 0
         restart_at = 100
         luby_idx = 1
-        while True:
-            conflict = self._propagate()
-            if conflict is not None:
-                if not self.trail_lim:
-                    self.ok = False
-                    return False
-                conflicts += 1
-                if not conflicts & 255 and time.monotonic() > deadline:
-                    return None
-                learnt, back = self._analyze(conflict)
-                self._backtrack(back)
-                if len(learnt) == 1:
-                    self._enqueue(learnt[0], None)
-                elif len(learnt) == 2:
-                    self.bins[learnt[0]].append(learnt[1])
-                    self.bins[learnt[1]].append(learnt[0])
-                    self._enqueue(learnt[0], learnt[1])
+        try:
+            while True:
+                conflict = self._propagate()
+                if conflict is not None:
+                    conflicts += 1
+                    if not trail_lim:
+                        self.ok = False
+                        return False
+                    if not conflicts & 255 and time.monotonic() > deadline:
+                        return None
+                    learnt, back = self._analyze(conflict)
+                    self._backtrack(back)
+                    first = learnt[0]
+                    if len(learnt) == 1:
+                        self._enqueue(first, None)
+                    elif len(learnt) == 2:
+                        self.bins[first].append(learnt[1])
+                        self.bins[learnt[1]].append(first)
+                        self._enqueue(first, learnt[1])
+                    else:
+                        self.watches[first].append(learnt)
+                        self.watches[learnt[1]].append(learnt)
+                        self._enqueue(first, learnt)
+                    self.var_inc /= 0.95
+                    if conflicts >= restart_at:
+                        luby_idx += 1
+                        restart_at = conflicts + 100 * _luby(luby_idx)
+                        self._backtrack(0)
+                elif len(trail_lim) < len(assumptions):
+                    lit = assumptions[len(trail_lim)]
+                    if val[lit] < 0:
+                        return False  # the assumptions contradict the formula
+                    # one level per assumption, even one already true
+                    trail_lim.append(len(trail))
+                    if not val[lit]:
+                        self._enqueue(lit, None)
                 else:
-                    self.watches[learnt[0]].append(learnt)
-                    self.watches[learnt[1]].append(learnt)
-                    self._enqueue(learnt[0], learnt)
-                self.var_inc /= 0.95
-                if conflicts >= restart_at:
-                    luby_idx += 1
-                    restart_at = conflicts + 100 * _luby(luby_idx)
-                    self._backtrack(0)
-            elif len(self.trail_lim) < len(assumptions):
-                lit = assumptions[len(self.trail_lim)]
-                if self.val[lit] < 0:
-                    return False  # the assumptions contradict the formula
-                # one level per assumption, even one already true
-                self.trail_lim.append(len(self.trail))
-                if not self.val[lit]:
-                    self._enqueue(lit, None)
-            else:
-                decisions += 1
-                if not decisions & 255 and time.monotonic() > deadline:
-                    return None
-                decision = self._decide()
-                if decision is None:
-                    val = self.val
-                    return {v: val[v] > 0 for v in range(1, self.num_vars + 1)}
-                self.trail_lim.append(len(self.trail))
-                self._enqueue(decision, None)
+                    if not decisions & 255 and time.monotonic() > deadline:
+                        return None
+                    decision = self._decide()
+                    if decision is None:
+                        return {v: val[v] > 0
+                                for v in range(1, self.num_vars + 1)}
+                    decisions += 1
+                    trail_lim.append(len(trail))
+                    self._enqueue(decision, None)
+        finally:
+            self.conflicts += conflicts
+            self.decisions += decisions
+            self._backtrack(0)
 
 
 def _luby(i: int) -> int:

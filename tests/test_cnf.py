@@ -44,6 +44,39 @@ def test_add_clause_validates_literals():
         f.add_clause([2])
 
 
+def test_add_clause_keeps_the_given_list():
+    """The formula owns the list it is given: no copy is made."""
+    f = Formula()
+    f.new_var()
+    clause = [1]
+    f.add_clause(clause)
+    assert f.clauses[0] is clause
+
+
+@pytest.mark.parametrize("gadget", [
+    lambda f, lits, guard: f.at_least_k(lits, 1),
+    lambda f, lits, guard: f.at_least_k(lits, 2),
+    lambda f, lits, guard: f.exactly_one(lits),
+    lambda f, lits, guard: f.exactly_one(lits, guard),
+    lambda f, lits, guard: f.exactly_one([], guard),
+    lambda f, lits, guard: f.define_or(5, lits),
+    lambda f, lits, guard: f.define_and(5, lits),
+], ids=["at_least_1", "at_least_2", "exactly_one", "exactly_one_guarded",
+        "guard_only", "define_or", "define_and"])
+def test_gadgets_keep_no_caller_list(gadget):
+    """A gadget hands `add_clause` no list of its caller's, so changing
+    the caller's lists after the call leaves the formula as it was."""
+    f = Formula()
+    for _ in range(5):
+        f.new_var()
+    lits, guard = [1, -2, 3, 4], [-5]
+    gadget(f, lits, guard)
+    before = [list(c) for c in f.clauses]
+    lits[:] = [5]
+    guard[:] = [2, 3]
+    assert f.clauses == before
+
+
 def test_exactly_one_singleton():
     f = Formula()
     x = f.new_var("x")

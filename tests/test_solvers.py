@@ -12,9 +12,11 @@ from types import SimpleNamespace
 
 import pytest
 
+from snowplan import solvers
 from snowplan.cnf import Formula, parse_dimacs
 from snowplan.encoder import EncodingConfig, Mode, ReachKind, encode
 from snowplan.fixtures import list_fixtures, load_fixture
+from snowplan.search import solve_hybrid, solve_sequential
 from snowplan.solvers import (BackendError, ExternalSolver, InProcessSolver,
                               Status, _CDCL, _luby, check_model,
                               default_backend, solve, SOLVER_CMD_ENV)
@@ -89,6 +91,45 @@ def test_cdcl_pigeonhole(pigeons, holes, want):
     """Small pigeonhole formulas need learning and backjumping to decide."""
     out = InProcessSolver().solve(_pigeonhole(pigeons, holes))
     assert out.status is want
+
+
+def _check_heap(cdcl: _CDCL) -> None:
+    """`heap` is a max-heap on `activity`, `pos` is its inverse (-1 for a
+    variable out of it), and every unassigned variable is in it."""
+    heap, pos, act = cdcl.heap, cdcl.pos, cdcl.activity
+    for i, v in enumerate(heap):
+        assert pos[v] == i
+        assert not i or act[heap[(i - 1) >> 1]] >= act[v]
+    assert sum(p >= 0 for p in pos[1:]) == len(heap)
+    assert all(pos[v] >= 0 for v in range(1, cdcl.num_vars + 1)
+               if not cdcl.val[v])
+
+
+def test_vsids_heap_after_rescale():
+    """With `var_inc` preset just below the 1e100 threshold, bumps soon
+    push an activity past it and every activity scales down by 1e-100.
+    The answer stays UNSAT, and the heap is intact afterwards."""
+    cdcl = _CDCL()
+    cdcl.var_inc = 0.99e100
+    cdcl.load(_pigeonhole(6, 5))
+    assert cdcl.run([], time.monotonic() + 60) is False
+    assert cdcl.conflicts > 1 and cdcl.var_inc < 1e100   # it rescaled
+    assert max(cdcl.activity) < 1e100
+    _check_heap(cdcl)
+
+
+def test_vsids_heap_between_calls():
+    """The heap is intact after SAT calls and after UNSAT calls under
+    assumptions, on one state that learns across them."""
+    rng = random.Random(3)
+    cdcl = _CDCL()
+    cdcl.load(_pigeonhole(6, 6))
+    for _ in range(20):
+        lits = rng.sample(range(1, cdcl.num_vars + 1), 3)
+        cdcl.run([rng.choice([-1, 1]) * v for v in lits],
+                 time.monotonic() + 60)
+        _check_heap(cdcl)
+    assert cdcl.conflicts > 0
 
 
 def test_cdcl_budget_is_unknown():
@@ -438,6 +479,8 @@ UNITS = [[1], [-2], [6]]
     ([3, 4, 5, 4], {}, [(3, 4, 5)], [], True),
     ([3, 4, -3], {}, [], [], True),                  # tautology
     ([3, 4, 1], {}, [], [], True),                   # satisfied at level 0
+    ([3, 1], {}, [], [], True),                      # satisfied, 2nd literal
+    ([3, 4, 5, 1], {}, [], [], True),                # satisfied, last literal
     ([3, -1, 4, 5], {}, [(3, 4, 5)], [], True),      # false literal dropped
     ([3, -1, 4], {3: [4], 4: [3]}, [], [], True),
     ([-1, 3, 2], {}, [], [3], True),                 # reduced to a unit
@@ -461,3 +504,43 @@ def test_load_simplifies_at_level_0(clause, bins, watched, trail, ok):
         assert all(c in fast.watches[lit] for lit in c[:2])
     assert fast.trail == [1, -2, 6] + trail
     assert fast.ok is ok
+
+
+# -- search counts ------------------------------------------------------
+
+# (conflicts, decisions, propagations) summed over every solver state of a
+# run with the bundled CDCL, from the first version that counted them. A
+# change to the search (decisions, learning, restarts) moves them; it
+# updates them here and says why, as for FORMULA_DIGESTS.
+SEARCH_COUNTS = {
+    "soko_three/full": (393, 872, 149346),
+    "snow_tiny3/hybrid-tree": (120, 500, 10273),
+}
+
+
+def test_search_counts_are_pinned(monkeypatch):
+    """FULL deepening on soko_three and hybrid with TREE on snow_tiny3
+    make exactly the pinned conflicts, decisions and propagations."""
+    states = []
+
+    class Counted(_CDCL):
+        def __init__(self):
+            super().__init__()
+            states.append(self)
+
+    monkeypatch.setattr(solvers, "_CDCL", Counted)
+    runs = {
+        "soko_three/full": lambda backend: solve_sequential(
+            load_fixture("soko_three").level, Mode.FULL, backend=backend),
+        "snow_tiny3/hybrid-tree": lambda backend: solve_hybrid(
+            load_fixture("snow_tiny3").level, ReachKind.TREE,
+            backend=backend),
+    }
+    counts = {}
+    for key, run in runs.items():
+        states.clear()
+        bounds, _ = run(InProcessSolver())
+        assert bounds.lower == bounds.upper, key
+        counts[key] = tuple(sum(getattr(s, name) for s in states) for name in
+                            ("conflicts", "decisions", "propagations"))
+    assert counts == SEARCH_COUNTS
