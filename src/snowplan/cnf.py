@@ -23,34 +23,21 @@ from itertools import combinations
 LADDER_MIN = 64
 
 
-class RegistryError(Exception):
-    """A semantic variable name was registered twice."""
-
-
 class Formula:
     """A CNF formula under construction.
 
     Variables are dense positive integers starting at 1; literals are signed
-    ints in DIMACS convention. Named variables are tracked in an injective
-    registry so models can be decoded back into domain terms.
+    ints in DIMACS convention.
     """
 
     def __init__(self) -> None:
         self.num_vars = 0
         self.clauses: list[list[int]] = []
-        self.name_to_var: dict[str, int] = {}
 
-    def new_var(self, name: str | None = None) -> int:
-        """Allocate a fresh variable, optionally registered under `name`."""
-        if name is not None:
-            if name in self.name_to_var:
-                raise RegistryError(f"variable name already registered: {name!r}")
-            self.name_to_var[name] = self.num_vars + 1
+    def new_var(self) -> int:
+        """Allocate a fresh variable."""
         self.num_vars += 1
         return self.num_vars
-
-    def var(self, name: str) -> int:
-        return self.name_to_var[name]
 
     def _check(self, *lit_lists) -> None:
         n = self.num_vars
@@ -87,7 +74,7 @@ class Formula:
 
     def at_most_one(self, lits: list[int]) -> None:
         """At-most-one: k(k-1)/2 binary clauses below LADDER_MIN literals,
-        else a Sinz ladder of 3k-4 clauses over k-1 unnamed variables."""
+        else a Sinz ladder of 3k-4 clauses over k-1 fresh variables."""
         self._check(lits)
         self._at_most_one(lits, [])
 
@@ -126,7 +113,7 @@ class Formula:
     def _counter(self, lits: list[int], k: int, head: list[int]) -> None:
         """Sinz's sequential counter (CP 2005): at most k of `lits`, for
         1 <= k < len(lits), each clause prefixed by `head`. reg[i][j] is a
-        fresh unnamed variable, implied when at least j+1 of lits[0..i]
+        fresh variable, implied when at least j+1 of lits[0..i]
         are true."""
         n = len(lits)
         base = self.num_vars + 1

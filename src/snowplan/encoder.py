@@ -8,28 +8,19 @@ object actions per step under forall-step semantics (any ordering of a step
 serializes), plus an exclusive jump action. DESCEND is COLLAPSED with a noop
 action so horizons below a known upper bound can be probed.
 
-`encode` returns an `Encoding`: the formula together with the per-step
+`encode` returns an `Encoding`: the formula together with the tables that
+hold its literals, the state variables keyed by (cell, t) and the per-step
 action lists a plan is read from. Passed back as `extend`, it grows in
 place to a later horizon.
 
-Registry name grammar (for tests and debugging; the plan decoder reads the
-encoding's per-step action lists instead):
-  state      snow[r,c,t]  bs[r,c,t]  bm[r,c,t]  bl[r,c,t]
-             agent[r,c,t]  box[r,c,t]  free[r,c,t]
-  actions    dir[D,t] and move/roll/push/pop[r,c,D,t]   (FULL; r,c = agent cell)
-             roll/push/pop[r,c,D,t]                     (others; r,c = ball cell)
-             jump[r,c,t]  noop[t]
-  In COLLAPSED, PARALLEL and DESCEND an object-action name exists only for
-  a slot of `analysis.slots` open by step t (`Encoding.slots`): a ball
-  cell r,c and destination that are not dead, a ball or box that can be
-  at r,c by step t, and for PUSH and POP a second ball that can be at the
-  destination or at r,c by then. Decoders and tests must not assume a
-  roll/push/pop[r,c,D,t] for every floor cell.
-  goal       goal[T]   (assumed true: the goal holds at horizon T)
-where D is one of N,S,E,W. Reachability fragments, one per step, use the
-graph-module names suffixed with ",t" (",ck,t" for per-ball path copies).
-A PATH copy owns the source copy src[v,ck,t], the targets tgt[v,ck,t] and
-the selector sel[ck,t]. A PARALLEL jump reads the step's one fragment.
+In COLLAPSED, PARALLEL and DESCEND, step t has an object action only for a
+slot of `analysis.slots` open by step t (`Encoding.slots`): a ball cell
+and destination that are not dead, a ball or box that can be at the ball
+cell by step t, and for PUSH and POP a second ball that can be at the
+destination or at the ball cell by then. Decoders and tests must not
+assume an action for every floor cell. Each step has one reachability
+fragment (PATH: one copy per ball in PARALLEL), which a PARALLEL jump
+reads too.
 
 Solved without `goal[T]`, a COLLAPSED, PARALLEL or DESCEND formula allows
 any T-step run that never moves a ball onto a dead cell (one with no push
@@ -139,9 +130,6 @@ class Encoding:
         self.agent_out: dict[tuple[Cell, int], list[int]] = {}
         self._grow(config, 0)
 
-    def var(self, name: str) -> int:
-        return self.formula.var(name)
-
     def _grow(self, config: EncodingConfig, first: int) -> None:
         """Append layers first..config.horizon, then the goal at the
         horizon."""
@@ -186,23 +174,21 @@ class Encoding:
 
     def _make_state_vars(self, t: int) -> None:
         formula = self.formula
-        for (r, c) in self.cells:
-            cell = (r, c)
-            self.agent[cell, t] = formula.new_var(f"agent[{r},{c},{t}]")
+        for cell in self.cells:
+            self.agent[cell, t] = formula.new_var()
             if self.snowman:
-                self.snow[cell, t] = formula.new_var(f"snow[{r},{c},{t}]")
-                self.bs[cell, t] = formula.new_var(f"bs[{r},{c},{t}]")
-                self.bm[cell, t] = formula.new_var(f"bm[{r},{c},{t}]")
-                self.bl[cell, t] = formula.new_var(f"bl[{r},{c},{t}]")
+                self.snow[cell, t] = formula.new_var()
+                self.bs[cell, t] = formula.new_var()
+                self.bm[cell, t] = formula.new_var()
+                self.bl[cell, t] = formula.new_var()
             else:
-                self.box[cell, t] = formula.new_var(f"box[{r},{c},{t}]")
+                self.box[cell, t] = formula.new_var()
 
     def _make_free_vars(self, t: int) -> None:
         """free[v,t] is true iff no ball/box occupies v at time t."""
         formula = self.formula
-        for (r, c) in self.cells:
-            cell = (r, c)
-            fv = formula.new_var(f"free[{r},{c},{t}]")
+        for cell in self.cells:
+            fv = formula.new_var()
             self.free[cell, t] = fv
             formula.define_or(-fv, self._flags(cell, t))
 
@@ -226,7 +212,7 @@ class Encoding:
         """A new variable goal[T], and the goal at T as clauses that hold
         while it is true."""
         formula = self.formula
-        guard = formula.new_var(f"goal[{T}]")
+        guard = formula.new_var()
         if self.snowman:
             # no partial snowman anywhere: the three size flags agree per cell
             for cell in self.cells:
@@ -251,13 +237,12 @@ class Encoding:
 
     # -- object-action effect tables ------------------------------------
 
-    def _object_action(self, kind: ActionKind, at: Cell, l: Cell, d: Direction,
-                       t: int, needs=()) -> int:
-        """A new `kind` variable named by cell `at`, implying each literal
-        of `needs`, then the effects of moving the ball at l one cell in d."""
+    def _object_action(self, kind: ActionKind, l: Cell, d: Direction, t: int,
+                       needs=()) -> int:
+        """A new `kind` variable implying each literal of `needs`, then the
+        effects of moving the ball at l one cell in d."""
         formula = self.formula
-        r, c = at
-        a = formula.new_var(f"{kind.value}[{r},{c},{d.name},{t}]")
+        a = formula.new_var()
         for lit in needs:
             formula.add_clause([-a, lit])
         self._EFFECTS[kind](self, a, l, d.apply(l), t)
@@ -394,11 +379,10 @@ class Encoding:
 
     def _full_step(self, t: int) -> None:
         formula = self.formula
-        dirs = {d: formula.new_var(f"dir[{d.name},{t}]") for d in Direction}
+        dirs = {d: formula.new_var() for d in Direction}
         self.dirs.append(dirs)
         formula.exactly_one(list(dirs.values()))
         for cell in self.cells:
-            r, c = cell
             for d in Direction:
                 m = d.apply(cell)
                 if self.level.is_wall(m):
@@ -406,7 +390,7 @@ class Encoding:
                     formula.add_clause([-self.agent[cell, t], -dirs[d]])
                     continue
                 here = (self.agent[cell, t], dirs[d])
-                mo = formula.new_var(f"move[{r},{c},{d.name},{t}]")
+                mo = formula.new_var()
                 cases = [mo]
                 for lit in here:
                     formula.add_clause([-mo, lit])
@@ -415,7 +399,7 @@ class Encoding:
                     formula.add_clause([-mo, -flag])
                 if not self.level.is_wall(d.apply(m)):
                     for kind in self.kinds:
-                        a = self._object_action(kind, cell, m, d, t, here)
+                        a = self._object_action(kind, m, d, t, here)
                         cases.append(a)
                         if kind is ActionKind.POP:
                             formula.add_clause([-a, self.agent[cell, t + 1]])
@@ -436,10 +420,10 @@ class Encoding:
         """Create this step's object-action variables and their clauses,
         one per slot open by step t.
 
-        Actions are named by the ball cell l; the agent acts from the pushing
+        Each acts on the ball at its cell l; the agent acts from the pushing
         cell p = l - d and the ball heads to b = l + d (all three on floor).
         """
-        out = [(a, self._object_action(a.kind, a.cell, a.cell, a.direction, t))
+        out = [(a, self._object_action(a.kind, a.cell, a.direction, t))
                for a, opens in self.slots if opens <= t]
         self.actions.append(out)
         return out
@@ -468,28 +452,26 @@ class Encoding:
         if self.config.reach is not ReachKind.PATH:
             encode_reach = (reach.encode_dag if self.config.reach is ReachKind.DAG
                             else reach.encode_spanning_tree)
-            by_copy = [encode_reach(formula, self.graph, source, gate,
-                                    tag=f",{t}")]
+            by_copy = [encode_reach(formula, self.graph, source, gate)]
         else:
             copies = 1
             if self.config.mode is Mode.PARALLEL:
                 balls = sum(len(s) for _, s in self.level.stacks)
                 copies = max(1, balls or len(self.level.boxes))
             by_copy = []
-            for k in range(copies):
-                tag = f",c{k},{t}"
-                tgt = {v: formula.new_var(f"tgt[{v}{tag}]")
+            for _ in range(copies):
+                tgt = {v: formula.new_var()
                        for v in range(self.graph.num_vertices)}
                 formula.at_most_one(list(tgt.values()))
-                sel = formula.new_var(f"sel[c{k},{t}]")
+                sel = formula.new_var()
                 formula.define_or(sel, list(tgt.values()))
                 # a path from the source to the target while sel holds; the
                 # source copy is empty otherwise
                 src = {}
                 for v, ind in source.items():
-                    src[v] = formula.new_var(f"src[{v}{tag}]")
+                    src[v] = formula.new_var()
                     formula.define_and(src[v], [ind, sel])
-                reach.encode_path(formula, self.graph, src, tgt, gate, tag=tag)
+                reach.encode_path(formula, self.graph, src, tgt, gate)
                 by_copy.append(tgt)
         for action, a in actions:
             p = self.vertex[action.pushing_cell]
@@ -501,7 +483,7 @@ class Encoding:
         actions = self._object_actions(t)
         avars = [a for _, a in actions]
         if self.config.mode is Mode.DESCEND:
-            noop = formula.new_var(f"noop[{t}]")
+            noop = formula.new_var()
             for cell in self.cells:
                 formula.add_clause([-noop, -self.agent[cell, t],
                               self.agent[cell, t + 1]])
@@ -536,10 +518,9 @@ class Encoding:
                 formula.add_clause([-a, -actions[j][1]])
         # exclusive jump action; at most one, since each jump[c,t] implies
         # agent[c,t+1] and the agent's exactly-one at t+1 allows one cell
-        jumps = {cell: formula.new_var(f"jump[{cell[0]},{cell[1]},{t}]")
-                 for cell in self.cells}
+        jumps = {cell: formula.new_var() for cell in self.cells}
         self.jumps.append(jumps)
-        jumping = formula.new_var(f"jumping[{t}]")
+        jumping = formula.new_var()
         formula.define_or(jumping, list(jumps.values()))
         for a in avars:
             formula.add_clause([-jumping, -a])
@@ -556,7 +537,7 @@ class Encoding:
         # jumping)
         gate = {}
         for cell in self.cells:
-            g = formula.new_var(f"gate[{cell[0]},{cell[1]},{t}]")
+            g = formula.new_var()
             formula.define_and(g, [self.free[cell, t], self.free[cell, t + 1]])
             gate[self.vertex[cell]] = g
         reached = self._attach_reach(actions, t, gate)

@@ -161,7 +161,15 @@ TIMING_FIELDS = ("horizon_times", "phase_times")
 
 @dataclass
 class RunRecord:
-    """One line of machine-readable output per solver run."""
+    """One line of machine-readable output per solver run.
+
+    `reach` is the reachability encoding the run was asked for; in a
+    hybrid run that is ascend's, and descend always encodes PATH.
+    `horizon_times` holds one wall time per SAT call, ascend's calls first,
+    then descend's. `lb` and `ub` are null when the run has no such bound.
+    A hybrid run on a level that `analysis.lower_bound` proves has no plan
+    also reports a null `lb`: no status says "infeasible" yet.
+    """
 
     instance: str
     game: str

@@ -17,11 +17,6 @@ the graph, and transitivity is stated only on its triangles. Their size is
 at most the number of vertices times d^2, d the most later neighbours any
 vertex has at its elimination (1-4 on the fixtures, 7 on a 60-cell room),
 where the all-pairs order was quadratic in the vertices.
-
-Registry naming, where tag carries e.g. the timestep: "r[v{tag}]",
-"path[v{tag}]"; "edge[u,v{tag}]" and "tree[u,v{tag}]" on each arc (u, v), that
-is each edge in either direction; "ord[u,v{tag}]" on each chordal-completion
-edge in either direction (see `Graph.elimination`).
 """
 
 from __future__ import annotations
@@ -141,8 +136,8 @@ def _arcs(graph: Graph) -> list[tuple[int, int]]:
     return [(u, v) for u, nb in enumerate(graph.neighbors) for v in nb]
 
 
-def _acyclic(formula: Formula, graph: Graph, arc_lits: dict[tuple[int, int], int],
-             tag: str) -> None:
+def _acyclic(formula: Formula, graph: Graph,
+             arc_lits: dict[tuple[int, int], int]) -> None:
     """Forbid every directed cycle among the arcs whose literal is true.
 
     Vertex elimination: a strict order `ord` on the edges of the graph's
@@ -163,8 +158,8 @@ def _acyclic(formula: Formula, graph: Graph, arc_lits: dict[tuple[int, int], int
     ordv: dict[tuple[int, int], int] = {}
     for v, later in graph.elimination:
         for u in later:
-            ordv[v, u] = formula.new_var(f"ord[{v},{u}{tag}]")
-            ordv[u, v] = formula.new_var(f"ord[{u},{v}{tag}]")
+            ordv[v, u] = formula.new_var()
+            ordv[u, v] = formula.new_var()
             formula.add_clause([-ordv[v, u], -ordv[u, v]])
     for arc, lit in arc_lits.items():
         formula.add_clause([-lit, ordv[arc]])
@@ -176,11 +171,11 @@ def _acyclic(formula: Formula, graph: Graph, arc_lits: dict[tuple[int, int], int
                     formula.add_clause([into, -ordv[v, w], ordv[u, w]])
 
 
-def _justified(formula: Formula, graph: Graph, source: Endpoint, gate: Gate,
-               tag: str, arc_name: str) -> tuple[dict, dict, dict]:
+def _justified(formula: Formula, graph: Graph, source: Endpoint,
+               gate: Gate) -> tuple[dict, dict, dict]:
     """The clauses DAG and TREE share: reach literals justified by an
     acyclic choice of arcs. Returns the reach literals, the arc literals
-    (named `arc_name`) and the source map.
+    and the source map.
 
     Each edge gives two arcs, one per direction. The source is reached and
     free. Every reached non-source vertex is free and selects an incoming
@@ -189,9 +184,8 @@ def _justified(formula: Formula, graph: Graph, source: Endpoint, gate: Gate,
     from any reached vertex ends at the source through free cells.
     """
     n = graph.num_vertices
-    r = {v: formula.new_var(f"r[{v}{tag}]") for v in range(n)}
-    arcs = {(u, v): formula.new_var(f"{arc_name}[{u},{v}{tag}]")
-            for u, v in _arcs(graph)}
+    r = {v: formula.new_var() for v in range(n)}
+    arcs = {arc: formula.new_var() for arc in _arcs(graph)}
     src = _endpoint_lits(formula, source, n)
 
     _assert_endpoint_free(formula, src, gate)
@@ -208,19 +202,19 @@ def _justified(formula: Formula, graph: Graph, source: Endpoint, gate: Gate,
         formula.add_clause([-lit, r[u]])
         if gate is not None:
             formula.add_clause([-lit, gate[v]])
-    _acyclic(formula, graph, arcs, tag)
+    _acyclic(formula, graph, arcs)
     return r, arcs, src
 
 
 def encode_dag(formula: Formula, graph: Graph, source: Endpoint,
-               gate: Gate = None, tag: str = "") -> dict[int, int]:
-    """Acyclic-justification reachability: `_justified` with `edge[u,v]` arcs.
+               gate: Gate = None) -> dict[int, int]:
+    """Acyclic-justification reachability: the reach literals of `_justified`.
 
     Sound for st-queries: with a unit r[t] asserted, the formula is SAT iff t
     is reachable from the source through free cells; in every model the
     true-r set is a subset of the reachable set.
     """
-    return _justified(formula, graph, source, gate, tag, "edge")[0]
+    return _justified(formula, graph, source, gate)[0]
 
 
 def _at_least_two(formula: Formula, guard: list[int], lits: list[int]) -> None:
@@ -237,7 +231,7 @@ def _at_most_two(formula: Formula, guard: list[int], lits: list[int]) -> None:
 
 
 def encode_path(formula: Formula, graph: Graph, source: Endpoint, target: Endpoint,
-                gate: Gate = None, tag: str = "") -> dict[int, int]:
+                gate: Gate = None) -> dict[int, int]:
     """Path-membership encoding: endpoints degree one, interior degree two.
 
     SAT iff the target is reachable from the source through free cells.
@@ -246,7 +240,7 @@ def encode_path(formula: Formula, graph: Graph, source: Endpoint, target: Endpoi
     n = graph.num_vertices
     nbs = graph.neighbors
 
-    p = {v: formula.new_var(f"path[{v}{tag}]") for v in range(n)}
+    p = {v: formula.new_var() for v in range(n)}
     src = _endpoint_lits(formula, source, n)
     tgt = _endpoint_lits(formula, target, n)
     _assert_endpoint_free(formula, src, gate)
@@ -275,17 +269,17 @@ def encode_path(formula: Formula, graph: Graph, source: Endpoint, target: Endpoi
 
 
 def encode_spanning_tree(formula: Formula, graph: Graph, source: Endpoint,
-                         gate: Gate = None, tag: str = "") -> dict[int, int]:
+                         gate: Gate = None) -> dict[int, int]:
     """Spanning-tree reachability: DAG plus exactness clauses.
 
     Each model's true-r set equals the source's connected component within
-    the free cells. The `_justified` arcs, named `tree[u,v]` (u is the
+    the free cells. The `_justified` arcs, read as tree[u,v] (u is the
     parent of v), form a tree rooted at the source, and these clauses make
     it span the component: reachability propagates across free edges, the
     source parents each free neighbour, each vertex has at most one parent
     and the source has none, and a parent arc's child is reached.
     """
-    r, tree, src = _justified(formula, graph, source, gate, tag, "tree")
+    r, tree, src = _justified(formula, graph, source, gate)
     for (u, v), t in tree.items():
         gated = [] if gate is None else [-gate[v]]
         formula.add_clause([-r[u]] + gated + [r[v]])

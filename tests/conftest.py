@@ -1,4 +1,5 @@
-"""Shared test helpers: brute-force CNF enumeration and level builders."""
+"""Shared test helpers: brute-force CNF enumeration, action literals and
+the solver backend."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ from itertools import product
 import pytest
 
 from snowplan.cnf import Formula
+from snowplan.game import ActionKind, Direction, ObjectAction
 from snowplan.solvers import default_backend
 
 
@@ -30,6 +32,14 @@ def is_satisfiable_brute(formula: Formula) -> bool:
                for clause in formula.clauses):
             return True
     return False
+
+
+def action_lit(encoding, t: int, kind: str, cell, direction: str) -> int:
+    """The literal of an object action at step t, read from the encoding's
+    action list (COLLAPSED, PARALLEL and DESCEND); `kind` and `direction`
+    are spelt as in fixture flags, e.g. "roll" and "E"."""
+    action = ObjectAction(ActionKind(kind), cell, Direction[direction])
+    return dict(encoding.actions[t])[action]
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,6 @@ rebecca.snw, lucy.snw, and lydia.snw to enable it; it skips otherwise.
 
 import itertools
 import random
-import re
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -29,6 +28,8 @@ from snowplan.reach import (bfs_reachable, encode_dag, encode_path,
 from snowplan.search import (BoundStatus, Run, descend, solve_hybrid,
                              solve_sequential)
 from snowplan.solvers import InProcessSolver, Status, solve
+
+from conftest import action_lit
 
 ASSET_DIR = Path(__file__).resolve().parent.parent / "assets"
 
@@ -66,7 +67,7 @@ def _random_small_graph(rng):
 def _gate(f, free, n):
     gate = {}
     for v in range(n):
-        lit = f.new_var(f"free{v}")
+        lit = f.new_var()
         f.add_clause([lit] if v in free else [-lit])
         gate[v] = lit
     return gate
@@ -191,13 +192,8 @@ def _objects_only(state: GameState):
 
 def _cap_step_width(encoding, k):
     """At most k object actions per step, added on top of the encoding."""
-    by_t = {}
-    pattern = re.compile(r"^(?:roll|push|pop)\[\d+,\d+,[NSEW],(\d+)\]$")
-    for name, var in encoding.formula.name_to_var.items():
-        if match := pattern.match(name):
-            by_t.setdefault(int(match.group(1)), []).append(var)
-    for lits in by_t.values():
-        encoding.formula.at_most_k(lits, k)
+    for actions in encoding.actions:
+        encoding.formula.at_most_k([a for _, a in actions], k)
 
 
 def test_criterion_4_forall_step_serializability(backend):
@@ -257,24 +253,24 @@ def test_criterion_5_example_reconstructions(backend):
         singles_ok = []
         for kind, r, c, d in pair:
             enc = encode(fx.level, one_step)
-            enc.formula.add_clause([enc.var(f"{kind}[{r},{c},{d},0]")])
+            enc.formula.add_clause([action_lit(enc, 0, kind, (r, c), d)])
             singles_ok.append(
                 solve(enc.formula, backend=backend).status is Status.SAT)
         assert singles_ok == [True, True]
         enc = encode(fx.level, one_step)
         for kind, r, c, d in pair:
-            enc.formula.add_clause([enc.var(f"{kind}[{r},{c},{d},0]")])
+            enc.formula.add_clause([action_lit(enc, 0, kind, (r, c), d)])
         assert solve(enc.formula, backend=backend).status is Status.UNSAT
 
         fx = load_fixture("snow_selfblock")
         kind, r, c, d = fx.flags["self_block_action"]
         jr, jc = fx.flags["jump_cell"]
         enc = encode(fx.level, one_step)
-        enc.formula.add_clause([enc.var(f"{kind}[{r},{c},{d},0]")])
+        enc.formula.add_clause([action_lit(enc, 0, kind, (r, c), d)])
         assert solve(enc.formula, backend=backend).status is Status.UNSAT
         enc = encode(fx.level, EncodingConfig(Mode.PARALLEL, 2, ReachKind.TREE))
-        enc.formula.add_clause([enc.var(f"jump[{jr},{jc},0]")])
-        enc.formula.add_clause([enc.var(f"{kind}[{r},{c},{d},1]")])
+        enc.formula.add_clause([enc.jumps[0][jr, jc]])
+        enc.formula.add_clause([action_lit(enc, 1, kind, (r, c), d)])
         assert solve(enc.formula, backend=backend).status is Status.SAT
 
 

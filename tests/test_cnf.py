@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from snowplan.cnf import LADDER_MIN, Formula, RegistryError, parse_dimacs
+from snowplan.cnf import LADDER_MIN, Formula, parse_dimacs
 from snowplan.encoder import EncodingConfig, Mode, ReachKind, encode
 from snowplan.fixtures import load_fixture
 from snowplan.solvers import InProcessSolver, Status
@@ -15,29 +15,13 @@ from conftest import brute_force_models
 
 def test_dense_allocation_from_one():
     f = Formula()
-    assert f.new_var("x") == 1
-    assert f.new_var() == 2
-    assert f.new_var("y") == 3
+    assert [f.new_var() for _ in range(3)] == [1, 2, 3]
     assert f.num_vars == 3
-
-
-def test_duplicate_name_rejected():
-    f = Formula()
-    f.new_var("x")
-    with pytest.raises(RegistryError):
-        f.new_var("x")
-
-
-def test_registry_is_injective():
-    f = Formula()
-    ids = [f.new_var(f"v{i}") for i in range(10)]
-    assert len(set(ids)) == 10
-    assert all(f.var(f"v{i}") == ids[i] for i in range(10))
 
 
 def test_add_clause_validates_literals():
     f = Formula()
-    f.new_var("x")
+    f.new_var()
     with pytest.raises(ValueError):
         f.add_clause([0])
     with pytest.raises(ValueError):
@@ -79,14 +63,14 @@ def test_gadgets_keep_no_caller_list(gadget):
 
 def test_exactly_one_singleton():
     f = Formula()
-    x = f.new_var("x")
+    x = f.new_var()
     f.exactly_one([x])
     assert f.clauses == [[x]]
 
 
 def test_exactly_one_pair_shape():
     f = Formula()
-    x, y = f.new_var("x"), f.new_var("y")
+    x, y = f.new_var(), f.new_var()
     f.exactly_one([x, y])
     assert f.clauses == [[x, y], [-x, -y]]
 
@@ -145,19 +129,18 @@ def test_exactly_one_below_ladder_is_pairwise():
 def test_exactly_one_from_ladder_min_is_a_ladder(guard):
     k = LADDER_MIN
     f = Formula()
-    f.new_var("g")
-    f.new_var("h")
+    f.new_var()
+    f.new_var()
     lits = [f.new_var() for _ in range(k)]
     f.exactly_one(lits, list(guard))
     assert f.num_vars == 2 + k + (k - 1)
-    assert sorted(f.name_to_var.values()) == [1, 2]
     assert len(f.clauses) == 1 + 3 * k - 4
     assert f.clauses[0] == list(guard) + lits
     assert all(clause[:len(guard)] == list(guard) for clause in f.clauses)
 
     counter = Formula()
-    counter.new_var("g")
-    counter.new_var("h")
+    counter.new_var()
+    counter.new_var()
     counter.at_most_k([counter.new_var() for _ in range(k)], 1)
     assert [c[len(guard):] for c in f.clauses[1:]] == counter.clauses
     assert counter.num_vars == f.num_vars
@@ -168,7 +151,7 @@ def test_guarded_ladder_semantics(k):
     """A guard literal g prefixes every clause: with g false exactly one of
     the literals holds; with g true any assignment of them extends."""
     f = Formula()
-    g = f.new_var("g")
+    g = f.new_var()
     lits = [f.new_var() for _ in range(k)]
     f.exactly_one(lits, [g])
     solver = InProcessSolver()
@@ -229,7 +212,7 @@ def test_gadget_rejects_out_of_range_literal(call):
 
 def test_at_most_zero_is_unit_negations():
     f = Formula()
-    x, y = f.new_var("x"), f.new_var("y")
+    x, y = f.new_var(), f.new_var()
     f.at_most_k([x, y], 0)
     assert sorted(map(tuple, f.clauses)) == [(-y,), (-x,)]
 
@@ -253,7 +236,7 @@ def test_at_most_one_of_three_model_count():
 
 def test_at_least_k_units_and_duals():
     f = Formula()
-    x = f.new_var("x")
+    x = f.new_var()
     f.at_least_k([x], 1)
     assert f.clauses == [[x]]
     h = Formula()
@@ -297,7 +280,7 @@ def test_cardinality_matches_brute_force(n, k):
 
 def test_negative_bounds_rejected():
     f = Formula()
-    x = f.new_var("x")
+    x = f.new_var()
     with pytest.raises(ValueError):
         f.at_most_k([x], -1)
     with pytest.raises(ValueError):
@@ -308,8 +291,8 @@ def test_negative_bounds_rejected():
 
 def test_dimacs_format():
     f = Formula()
-    f.new_var("a")
-    f.new_var("b")
+    f.new_var()
+    f.new_var()
     f.add_clause([1, -2])
     assert f.to_dimacs() == "p cnf 2 1\n1 -2 0\n"
 
@@ -349,7 +332,7 @@ def test_dimacs_round_trip_of_a_fixture_encoding():
 def test_pigeonhole_unsat():
     """Four pigeons into three holes via exactly_one/at_most_k."""
     f = Formula()
-    cell = {(p, h): f.new_var(f"p{p}h{h}") for p in range(4) for h in range(3)}
+    cell = {(p, h): f.new_var() for p in range(4) for h in range(3)}
     for p in range(4):
         f.exactly_one([cell[p, h] for h in range(3)])
     for h in range(3):

@@ -2,8 +2,6 @@
 across reachability encodings, and the descend/noop machinery behaves."""
 
 import hashlib
-import json
-import re
 
 import pytest
 
@@ -18,6 +16,8 @@ from snowplan.levels import GameTag, parse_level
 from snowplan.plans import decode
 from snowplan.search import serialize
 from snowplan.solvers import Status, solve
+
+from conftest import action_lit
 
 REACHES = list(ReachKind)
 
@@ -116,18 +116,14 @@ def test_descend_probes(backend):
 
     padded = encode(fx.level, EncodingConfig(Mode.DESCEND, opt + 2))
     out = solve(padded.formula, backend=backend,
-                assumptions=[padded.goal, padded.var(f"noop[{opt}]")])
+                assumptions=[padded.goal, padded.noops[opt]])
     assert out.status is Status.SAT
     plan = decode(padded, out.model)
     assert plan.object_action_count == opt
     assert len(plan.steps) == opt      # the two noop steps were skipped
     out = solve(padded.formula, backend=backend,
-                assumptions=[padded.goal, padded.var(f"noop[{opt - 1}]")])
+                assumptions=[padded.goal, padded.noops[opt - 1]])
     assert out.status is Status.UNSAT
-
-
-def _action_var(encoding, kind, cell, direction, t):
-    return encoding.var(f"{kind}[{cell[0]},{cell[1]},{direction},{t}]")
 
 
 def test_interference_pair_not_parallelizable(backend):
@@ -138,11 +134,11 @@ def test_interference_pair_not_parallelizable(backend):
     config = EncodingConfig(Mode.PARALLEL, 1, ReachKind.TREE)
     for kind, r, c, d in ((k1, r1, c1, d1), (k2, r2, c2, d2)):
         enc = encode(fx.level, config)
-        enc.formula.add_clause([_action_var(enc, kind, (r, c), d, 0)])
+        enc.formula.add_clause([action_lit(enc, 0, kind, (r, c), d)])
         assert _sat(enc, backend, goal=False)
     enc = encode(fx.level, config)
-    enc.formula.add_clause([_action_var(enc, k1, (r1, c1), d1, 0)])
-    enc.formula.add_clause([_action_var(enc, k2, (r2, c2), d2, 0)])
+    enc.formula.add_clause([action_lit(enc, 0, k1, (r1, c1), d1)])
+    enc.formula.add_clause([action_lit(enc, 0, k2, (r2, c2), d2)])
     assert not _sat(enc, backend, goal=False)
 
 
@@ -174,33 +170,41 @@ def test_self_blocking_action_needs_jump(backend):
     jr, jc = fx.flags["jump_cell"]
 
     enc = encode(fx.level, EncodingConfig(Mode.PARALLEL, 1, ReachKind.TREE))
-    enc.formula.add_clause([_action_var(enc, kind, (r, c), d, 0)])
+    enc.formula.add_clause([action_lit(enc, 0, kind, (r, c), d)])
     assert not _sat(enc, backend, goal=False)
 
     enc = encode(fx.level, EncodingConfig(Mode.PARALLEL, 2, ReachKind.TREE))
-    enc.formula.add_clause([enc.var(f"jump[{jr},{jc},0]")])
-    enc.formula.add_clause([_action_var(enc, kind, (r, c), d, 1)])
+    enc.formula.add_clause([enc.jumps[0][jr, jc]])
+    enc.formula.add_clause([action_lit(enc, 1, kind, (r, c), d)])
     assert _sat(enc, backend, goal=False)
 
 
 @pytest.mark.parametrize("reach", REACHES)
 @pytest.mark.parametrize("name", ["snow_pop", "soko_room"])
-def test_jump_reads_the_actions_reach(name, reach, backend):
+def test_jump_reads_the_actions_reach(name, reach, backend, monkeypatch):
     """A jump shares the actions' reachability fragment. That is sound
     because a jump step moves no ball, so the actions' gate free[t] and
     free[t+1] is the time-t gate there. PARALLEL at T = 1: under each
     jump[c,0], no free[x,1] can differ from free[x,0] (UNSAT), and the jump
-    alone is SAT exactly when the agent can walk to c. No registry name
-    carries the ",j" tag of a separate jump fragment."""
+    alone is SAT exactly when the agent can walk to c. The step attaches
+    one fragment, not a second one for the jump."""
     level = load_fixture(name).level
+    attached = []
+    attach = Encoding._attach_reach
+
+    def counted(self, actions, t, gate):
+        attached.append(t)
+        return attach(self, actions, t, gate)
+
+    monkeypatch.setattr(Encoding, "_attach_reach", counted)
     encoding = encode(level, EncodingConfig(Mode.PARALLEL, 1, reach))
+    assert attached == [0]
     formula = encoding.formula
-    assert not any(",j" in n for n in formula.name_to_var)
-    differ = formula.new_var("differ")
+    differ = formula.new_var()
     flips = []
     for cell in encoding.cells:
         now, nxt = encoding.free[cell, 0], encoding.free[cell, 1]
-        flip = formula.new_var(f"flip[{cell[0]},{cell[1]}]")
+        flip = formula.new_var()
         formula.add_clause([-flip, now, nxt])
         formula.add_clause([-flip, -now, -nxt])
         flips.append(flip)
@@ -250,14 +254,15 @@ def test_invariants_do_not_change_status(backend, monkeypatch):
 @pytest.mark.parametrize("mode", list(Mode))
 def test_extension_appends_layers_once(mode, backend):
     """An encoding grown horizon by horizon holds a fresh encoding's
-    variables plus the goal[t] of each earlier horizon t, and under goal[T]
-    answers like a fresh encoding at T."""
+    variables plus the goal[t] of each earlier horizon t, its newest
+    variable is goal[T], and under goal[T] it answers like a fresh encoding
+    at T."""
     fx = load_fixture("snow_pop")
     opt = fx.moves_optimal if mode is Mode.FULL else fx.object_actions_optimal
     encoding = None
     for T in range(opt + 1):
         encoding = encode(fx.level, EncodingConfig(mode, T), encoding)
-        assert encoding.goal == encoding.var(f"goal[{T}]")
+        assert encoding.goal == encoding.formula.num_vars
         fresh = encode(fx.level, EncodingConfig(mode, T))
         assert encoding.formula.num_vars == fresh.formula.num_vars + T
         out = _solve(encoding, backend)
@@ -274,7 +279,7 @@ def test_extension_rejects_other_configs():
     fresh = encode(level, EncodingConfig(Mode.COLLAPSED, 1))
     grown = encode(level, EncodingConfig(Mode.COLLAPSED, 2), fresh)
     assert grown is fresh and grown.config.horizon == 2
-    assert grown.goal == grown.var("goal[2]")
+    assert grown.goal == grown.formula.num_vars
     for horizon in (1, 2):
         with pytest.raises(ValueError):
             encode(level, EncodingConfig(Mode.COLLAPSED, horizon), grown)
@@ -286,7 +291,6 @@ def test_extension_rejects_other_configs():
 
 # -- action slots pruned to the cells a ball can reach ---------------------
 
-_ACTION_NAME = re.compile(r"^(roll|push|pop)\[")
 PRUNED_MODES = (Mode.COLLAPSED, Mode.PARALLEL, Mode.DESCEND)
 
 
@@ -365,7 +369,7 @@ def test_pruning_keeps_every_status(level, opt, backend, monkeypatch):
 
 def _formula(level, config):
     encoding = encode(level, config)
-    return encoding.formula.clauses, encoding.formula.name_to_var
+    return encoding.formula.clauses, encoding.formula.num_vars
 
 
 @pytest.mark.parametrize("name", list_fixtures())
@@ -378,8 +382,7 @@ def test_full_formulas_ignore_ball_cells(name, monkeypatch):
 
 
 def _action_count(encoding):
-    return sum(1 for name in encoding.formula.name_to_var
-               if _ACTION_NAME.match(name))
+    return sum(map(len, encoding.actions))
 
 
 def test_actions_only_on_live_ball_cells(monkeypatch):
@@ -411,16 +414,13 @@ def test_ball_cells_grow_one_push_per_step():
 # -- slots pruned by the two-way push analysis: pairs and dead cells -------
 
 
-def _slots(level, T, kind="roll|push|pop", mode=Mode.COLLAPSED):
-    """(kind, ball cell, direction, step) of every object-action name of
-    the mode's formula at horizon T."""
-    pattern = re.compile(rf"^({kind})\[(\d+),(\d+),([NSEW]),(\d+)\]$")
-    out = set()
-    for name in encode(level, EncodingConfig(mode, T)).formula.name_to_var:
-        if match := pattern.match(name):
-            k, r, c, d, t = match.groups()
-            out.add((k, (int(r), int(c)), d, int(t)))
-    return out
+def _slots(level, T, kind=None, mode=Mode.COLLAPSED):
+    """(kind, ball cell, direction, step) of every object action of the
+    mode's formula at horizon T, or of those of one kind ("roll", ...)."""
+    encoding = encode(level, EncodingConfig(mode, T))
+    return {(a.kind.value, a.cell, a.direction.name, t)
+            for t, actions in enumerate(encoding.actions) for a, _ in actions
+            if kind in (None, a.kind.value)}
 
 
 def _walled_draws():
@@ -549,70 +549,75 @@ def test_level_without_movable_object(mode, backend):
         assert _action_count(fresh) == 0 or mode is Mode.FULL
 
 
-def _listed_names(encoding):
-    """Name -> literal of every action literal in the encoding's per-step
-    lists, as the registry would name it."""
-    out = {}
-    for t, dirs in enumerate(encoding.dirs):
-        out.update((f"dir[{d.name},{t}]", var) for d, var in dirs.items())
-    for t, actions in enumerate(encoding.actions):
-        out.update((f"{a.kind.value}[{a.cell[0]},{a.cell[1]},{a.direction.name},{t}]",
-                    var) for a, var in actions)
-    for t, jumps in enumerate(encoding.jumps):
-        out.update((f"jump[{r},{c},{t}]", var)
-                   for (r, c), var in jumps.items())
-    for t, noop in enumerate(encoding.noops):
-        out[f"noop[{t}]"] = noop
-    return out
-
-
-# FULL's roll/push/pop are cases of a direction, named by the agent cell;
-# the plan is read from `dir` alone
-_LISTED = {Mode.FULL: re.compile(r"^dir\["),
-           **{mode: re.compile(r"^(roll|push|pop|jump|noop)\[")
-              for mode in (Mode.COLLAPSED, Mode.PARALLEL, Mode.DESCEND)}}
+def _table_literals(encoding):
+    """Every literal in the encoding's tables: the state variables, the
+    per-step action lists and the goal."""
+    lits = []
+    for table in (encoding.agent, encoding.snow, encoding.bs, encoding.bm,
+                  encoding.bl, encoding.box, encoding.free):
+        lits += table.values()
+    for dirs in encoding.dirs:
+        lits += dirs.values()
+    for actions in encoding.actions:
+        lits += [a for _, a in actions]
+    for jumps in encoding.jumps:
+        lits += jumps.values()
+    return lits + encoding.noops + [encoding.goal]
 
 
 @pytest.mark.parametrize("name", list_fixtures())
 def test_action_lists_match_registry(name):
-    """The lists the plan decoder reads hold exactly the variables the
-    registry names as actions, step by step, at T = 0..3 grown by extension
-    in every mode and reach encoding."""
+    """The encoding's tables are its only registry of variables. At
+    T = 0..3, grown by extension in every mode and reach encoding: each
+    literal in them is its own variable, the action lists the plan decoder
+    reads hold one literal per slot open by each step (in slot order), and
+    FULL has one direction literal per Direction per step."""
     level = load_fixture(name).level
+    slots = analysis.slots(level)
     for mode in Mode:
         for reach in REACHES:
             encoding = None
             for T in range(4):
                 encoding = encode(level, EncodingConfig(mode, T, reach),
                                   encoding)
-                named = {n: var
-                         for n, var in encoding.formula.name_to_var.items()
-                         if _LISTED[mode].match(n)}
-                assert _listed_names(encoding) == named, (mode, reach, T)
+                lits = _table_literals(encoding)
+                assert len(set(lits)) == len(lits), (mode, reach, T)
+                assert all(0 < lit <= encoding.formula.num_vars
+                           for lit in lits), (mode, reach, T)
+                full = mode is Mode.FULL
+                assert [list(dirs) for dirs in encoding.dirs] == (
+                    [list(Direction)] * T if full else []), (mode, reach, T)
+                assert [[a for a, _ in actions]
+                        for actions in encoding.actions] == (
+                    [] if full else [[a for a, opens in slots if opens <= t]
+                                     for t in range(T)]), (mode, reach, T)
+                assert len(encoding.jumps) == (T if mode is Mode.PARALLEL
+                                               else 0)
+                assert len(encoding.noops) == (T if mode is Mode.DESCEND
+                                               else 0)
 
 
 # Per mode, sha256 over the per-formula digests below, in loop order. A
 # change that alters formulas on purpose updates the values of its modes and
-# says why. Last change: COLLAPSED, PARALLEL and DESCEND drop the object-action
-# slots that move a ball onto or off a dead cell, and PUSH and POP slots no
-# pair of balls can fill by their step; PARALLEL also drops the jumps'
-# at-most-one, which the agent's exactly-one implies. FULL is unchanged.
+# says why. Last change: the variable-name registry left the hash (variables
+# have no names any more); the DIMACS text and goal literal of every formula
+# are those of the previous values.
 FORMULA_DIGESTS = {
     Mode.FULL:
-        "7ccd713f1d2a7c4b5545b55f0e0bc5308fac07b90c70c1d9c394c184fe9cbb59",
+        "6162dafb793abaa461b665d07f922c63da49bcdc38495a2e439509b4a2c92d95",
     Mode.COLLAPSED:
-        "e48b03c956fb12006d8ab3f010de5c0c91d7021ef46a8023a9b1cd8419994e72",
+        "eea3e4015ab6298d1fa7ade32dba2b2f26fe42e526913dcca9bdc5a293e278ee",
     Mode.PARALLEL:
-        "4aa9f3dd37a199023f51529b218afa57d7bd8f117d7bce46f09b00d60b252104",
+        "d6ee665301ec1fcd5cf744c038348ecbfc4b3292342fcf6dbf2f8382eaa7df92",
     Mode.DESCEND:
-        "9edb55fdf5b6ff9f4c23c2be6cba6a6f68a71ab2c2ac6d277cbb4baed3335558",
+        "27b38fe0b2c5a8efc7a31292e77400c7193181adecb921b608fae30075b5e189",
 }
 
 
 def test_formulas_are_pinned():
     """Every fixture, mode and reach encoding at T = 0..3, grown by
-    extension, gives byte-identical formulas: the DIMACS text, the name
-    registry in insertion order and the goal literal are hashed."""
+    extension, gives byte-identical formulas: the DIMACS text and the goal
+    literal are hashed."""
     levels = [load_fixture(name).level for name in list_fixtures()]
     totals = {}
     for mode in Mode:
@@ -625,7 +630,6 @@ def test_formulas_are_pinned():
                                       encoding)
                     h = hashlib.sha256()
                     h.update(encoding.formula.to_dimacs().encode())
-                    h.update(json.dumps(encoding.formula.name_to_var).encode())
                     h.update(str(encoding.goal).encode())
                     digests.append(h.hexdigest())
         assert len(digests) == 180

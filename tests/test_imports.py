@@ -1,5 +1,6 @@
-"""Every name a module imports is used in that module, and every private
-function in `src/` is used somewhere in `src/`."""
+"""Every name a module imports is used in that module, every private
+function in `src/` is used somewhere in `src/`, and every parameter of a
+function in `src/` is read in its body."""
 
 import ast
 from collections import Counter
@@ -48,3 +49,26 @@ def test_every_private_function_is_used():
     unused = sorted(node.name for node in defs
                     if used[node.name] <= _references(node)[node.name])
     assert unused == []
+
+
+def _unread_parameters(node) -> list[str]:
+    """Parameters (`self` and `cls` aside) that the body never loads."""
+    args = node.args
+    params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+    params += [a.arg for a in (args.vararg, args.kwarg) if a]
+    body = node.body if isinstance(node.body, list) else [node.body]
+    read = {sub.id for stmt in body for sub in ast.walk(stmt)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+    return [p for p in params if p not in read and p not in ("self", "cls")]
+
+
+def test_every_parameter_is_read():
+    """A parameter no body reads (a knob left behind by a deletion) fails,
+    in functions and lambdas alike."""
+    unread = [f"{path.relative_to(ROOT)}:{node.lineno} {param}"
+              for path in sorted((ROOT / "src").rglob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.Lambda))
+              for param in _unread_parameters(node)]
+    assert unread == []

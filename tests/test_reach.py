@@ -6,8 +6,9 @@ from itertools import combinations, product
 import pytest
 
 from snowplan.cnf import Formula
-from snowplan.reach import (Graph, _acyclic, _arcs, bfs_reachable, encode_dag,
-                            encode_path, encode_spanning_tree, grid_graph)
+from snowplan.reach import (Graph, _acyclic, _arcs, _justified, bfs_reachable,
+                            encode_dag, encode_path, encode_spanning_tree,
+                            grid_graph)
 from snowplan.solvers import InProcessSolver, Status
 
 SOLVER = InProcessSolver()
@@ -19,6 +20,13 @@ def _sat(formula):
 
 def _solve(formula):
     return SOLVER.solve(formula)
+
+
+def _arc_lits(graph, source):
+    """The arc literals of `_justified` on a fresh formula. DAG and TREE
+    begin with that call, so on a fresh formula of their own they allocate
+    the same literals."""
+    return _justified(Formula(), graph, source, None)[1]
 
 
 # -- DAG ----------------------------------------------------------------
@@ -40,7 +48,8 @@ def test_dag_path_graph_model():
     out = _solve(f)
     assert out.status is Status.SAT
     assert out.model[reach[0]] and out.model[reach[1]]
-    assert out.model[f.var("edge[0,1]")] and out.model[f.var("edge[1,2]")]
+    arcs = _arc_lits(g, 0)
+    assert out.model[arcs[0, 1]] and out.model[arcs[1, 2]]
 
 
 def test_dag_disconnected_cycle_unsat():
@@ -94,8 +103,8 @@ def _has_cycle(n, arcs):
 
 def _acyclic_formula(g):
     f = Formula()
-    lits = {(u, v): f.new_var(f"arc[{u},{v}]") for u, v in _arcs(g)}
-    _acyclic(f, g, lits, "")
+    lits = {(u, v): f.new_var() for u, v in _arcs(g)}
+    _acyclic(f, g, lits)
     return f, lits
 
 
@@ -203,7 +212,7 @@ def test_path_gated_column_unsat():
     gate = {}
     middle = {i for i, (r, c) in enumerate(g.cell_of) if c == 1}
     for v in range(g.num_vertices):
-        lit = f.new_var(f"g{v}")
+        lit = f.new_var()
         f.add_clause([-lit] if v in middle else [lit])
         gate[v] = lit
     src = next(i for i, cell in enumerate(g.cell_of) if cell == (1, 0))
@@ -220,7 +229,7 @@ def test_path_agrees_with_bfs_off_the_grid(g):
     n = g.num_vertices
     for source, target in product(range(n), repeat=2):
         f = Formula()
-        gate = {v: f.new_var(f"free{v}") for v in range(n)}
+        gate = {v: f.new_var() for v in range(n)}
         encode_path(f, g, source, target, gate)
         for mask in range(1 << n):
             free = {v for v in range(n) if mask >> v & 1}
@@ -255,7 +264,8 @@ def test_tree_path_graph_every_model_full():
         probe.add_clause([-reach[v]])
         assert not _sat(probe)
     out = _solve(f)
-    assert out.model[f.var("tree[0,1]")] and out.model[f.var("tree[1,2]")]
+    tree = _arc_lits(g, 0)
+    assert out.model[tree[0, 1]] and out.model[tree[1, 2]]
 
 
 def test_tree_two_components_never_reach():
@@ -281,7 +291,7 @@ def _random_gated_instance(rng):
 def _const_gate(f, free, n):
     gate = {}
     for v in range(n):
-        lit = f.new_var(f"free{v}")
+        lit = f.new_var()
         f.add_clause([lit] if v in free else [-lit])
         gate[v] = lit
     return gate
@@ -364,6 +374,11 @@ ROOM = grid_graph([(r, c) for r in range(7) for c in range(9)
                    if (r, c) not in {(2, 2), (2, 6), (4, 4)}])
 
 
+def _ord_count(graph):
+    """Two `ord` variables per chordal-completion edge."""
+    return 2 * sum(len(later) for _, later in graph.elimination)
+
+
 @pytest.mark.parametrize("encoder", [encode_dag, encode_spanning_tree])
 def test_dag_tree_linear_size_bound(encoder):
     """`ord` variables and clauses per call stay under a flat constant times
@@ -380,12 +395,12 @@ def test_dag_tree_linear_size_bound(encoder):
         n = g.num_vertices
         f = Formula()
         encoder(f, g, 0)
-        ords = sum(1 for name in f.name_to_var if name.startswith("ord["))
+        ords = _ord_count(g)
+        # reach literals, arc literals, the source literal, then `ord`
+        assert f.num_vars == n + len(_arcs(g)) + 1 + ords
         assert ords <= 13 * n, (n, ords)
         assert len(f.clauses) <= 72 * n, (n, len(f.clauses))
-    f = Formula()
-    encoder(f, ROOM, 0)
-    assert sum(1 for name in f.name_to_var if name.startswith("ord[")) == 430
+    assert _ord_count(ROOM) == 430
 
 
 def test_path_linear_size_bound():
