@@ -9,7 +9,7 @@ lists or copies the caller's.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, repeat
 
 
 # An at-most-one over this many literals or more is a Sinz ladder (3k-4
@@ -81,8 +81,10 @@ class Formula:
     def _at_most_one(self, lits: list[int], head: list[int]) -> None:
         if len(lits) >= LADDER_MIN:
             self._counter(lits, 1, head)
-        else:
-            self.clauses.extend(head + [-a, -b] for a, b in combinations(lits, 2))
+            return
+        # each pair of negated literals, in order, as a fresh list
+        pairs = map(list, combinations([-lit for lit in lits], 2))
+        self.clauses.extend(map(head.__add__, pairs) if head else pairs)
 
     def define_or(self, y: int, lits: list[int]) -> None:
         """y <-> OR(lits): [-l, y] per literal, then [-y] + lits."""
@@ -146,38 +148,22 @@ class Formula:
     # -- serialization --------------------------------------------------
 
     def to_dimacs(self) -> str:
-        pos = [str(v) for v in range(self.num_vars + 1)]
-        neg = ["-" + text for text in pos]
-        lines = [f"p cnf {self.num_vars} {len(self.clauses)}"]
-        lines += [" ".join([pos[lit] if lit > 0 else neg[-lit] for lit in clause])
-                  + " 0" for clause in self.clauses]
-        return "\n".join(lines) + "\n"
+        """DIMACS CNF text: the header, then one line per clause, an empty
+        clause as " 0".
 
-
-def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
-    """Parse DIMACS CNF text into (variable count, clause list)."""
-    num_vars = None
-    clauses: list[list[int]] = []
-    pending: list[int] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ValueError(f"bad DIMACS header: {line!r}")
-            num_vars = int(parts[2])
-            continue
-        for tok in line.split():
-            lit = int(tok)
-            if lit == 0:
-                clauses.append(pending)
-                pending = []
-            else:
-                pending.append(lit)
-    if pending:
-        raise ValueError("unterminated clause in DIMACS input")
-    if num_vars is None:
-        raise ValueError("missing DIMACS header")
-    return num_vars, clauses
+        Each literal's text comes from one table indexed by the literal
+        itself, as in `solvers._CDCL`: "v " at slot v and "-v " at slot
+        2n+1-v. So every literal must lie within +-1..n, as `add_clause`
+        and the gadgets check: a literal put into `clauses` past that check
+        prints as wrong text, and only far out of range raises IndexError."""
+        n = self.num_vars
+        pos = [f"{v} " for v in range(n + 1)]
+        text = pos + ["-" + t for t in reversed(pos[1:])]
+        # the clauses' texts, built without a Python step per literal
+        lines = list(map("".join, map(map, repeat(text.__getitem__),
+                                      self.clauses)))
+        if "" in lines:
+            lines = [line or " " for line in lines]
+        header = f"p cnf {n} {len(lines)}\n"
+        lines.append("")
+        return header + "0\n".join(lines)

@@ -1,5 +1,5 @@
-"""Shared test helpers: brute-force CNF enumeration, action literals and
-the solver backend."""
+"""Shared test helpers: brute-force CNF enumeration, a DIMACS parser,
+action literals and the solver backend."""
 
 from __future__ import annotations
 
@@ -32,6 +32,36 @@ def is_satisfiable_brute(formula: Formula) -> bool:
                for clause in formula.clauses):
             return True
     return False
+
+
+def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
+    """Parse DIMACS CNF text into (variable count, clause list): the
+    writer's independent oracle, token by token."""
+    num_vars = None
+    clauses: list[list[int]] = []
+    pending: list[int] = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        if line.startswith("p"):
+            parts = line.split()
+            if len(parts) != 4 or parts[1] != "cnf":
+                raise ValueError(f"bad DIMACS header: {line!r}")
+            num_vars = int(parts[2])
+            continue
+        for tok in line.split():
+            lit = int(tok)
+            if lit == 0:
+                clauses.append(pending)
+                pending = []
+            else:
+                pending.append(lit)
+    if pending:
+        raise ValueError("unterminated clause in DIMACS input")
+    if num_vars is None:
+        raise ValueError("missing DIMACS header")
+    return num_vars, clauses
 
 
 def action_lit(encoding, t: int, kind: str, cell, direction: str) -> int:

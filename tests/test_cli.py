@@ -6,10 +6,12 @@ import stat
 import pytest
 
 from snowplan.cli import EXIT_BOUNDED, EXIT_ERROR, EXIT_OK, build_parser, main
-from snowplan.cnf import Formula, parse_dimacs
+from snowplan.cnf import Formula
 from snowplan.fixtures import FIXTURE_DIR
 from snowplan.plans import RunRecord
 from snowplan.solvers import InProcessSolver, Status
+
+from conftest import parse_dimacs
 
 CORRIDOR = str(FIXTURE_DIR / "soko_corridor.xsb")
 

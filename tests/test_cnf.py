@@ -5,12 +5,12 @@ from itertools import combinations
 
 import pytest
 
-from snowplan.cnf import LADDER_MIN, Formula, parse_dimacs
+from snowplan.cnf import LADDER_MIN, Formula
 from snowplan.encoder import EncodingConfig, Mode, ReachKind, encode
 from snowplan.fixtures import load_fixture
 from snowplan.solvers import InProcessSolver, Status
 
-from conftest import brute_force_models
+from conftest import brute_force_models, parse_dimacs
 
 
 def test_dense_allocation_from_one():
@@ -114,6 +114,29 @@ def test_at_most_one_unguarded_is_pairwise():
     f.at_most_one(lits[:1])
     f.at_most_one([])
     assert len(f.clauses) == 3
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, LADDER_MIN - 1])
+@pytest.mark.parametrize("guarded", [False, True])
+def test_pairwise_at_most_one_is_the_ordered_pair_list(k, guarded):
+    """Below LADDER_MIN the at-most-one is [-a, -b] after the guard for
+    each pair of literals in order, and every clause is a fresh list that
+    neither another clause nor the caller holds."""
+    f = Formula()
+    guard = [-f.new_var(), f.new_var()] if guarded else []
+    lits = [(-1) ** i * f.new_var() for i in range(k)]
+    if guarded:
+        f.exactly_one(lits, guard)
+        assert f.clauses[0] == guard + lits
+        pairs = f.clauses[1:]
+    else:
+        f.at_most_one(lits)
+        pairs = f.clauses
+    assert pairs == [guard + [-lits[i], -lits[j]]
+                     for i in range(k) for j in range(i + 1, k)]
+    assert all(type(clause) is list for clause in pairs)
+    held = f.clauses + [lits, guard]
+    assert len({id(clause) for clause in held}) == len(held)
 
 
 def test_exactly_one_below_ladder_is_pairwise():
@@ -304,20 +327,52 @@ def test_dimacs_empty():
     assert f.to_dimacs() == "p cnf 0 1\n 0\n"
 
 
-def test_dimacs_round_trip():
+def _reference_dimacs(formula: Formula) -> str:
+    """The writer in its plain form: every literal's str, one at a time."""
+    lines = [f"p cnf {formula.num_vars} {len(formula.clauses)}"]
+    lines += [" ".join(str(lit) for lit in clause) + " 0"
+              for clause in formula.clauses]
+    return "\n".join(lines) + "\n"
+
+
+def _random_formula(rng: random.Random, n: int, m: int,
+                    empty_at=()) -> Formula:
+    """n variables and m clauses of width 0-5 whose literals lie in
+    +-1..n, +-1 and +-n often among them; the clauses at `empty_at` are
+    empty, and every clause is empty when n is 0."""
+    f = Formula()
+    for _ in range(n):
+        f.new_var()
+    for i in range(m):
+        width = 0 if i in empty_at or not n else rng.choice([0, 1, 1, 2, 3, 5])
+        f.add_clause([rng.choice([-1, 1]) * rng.choice([1, n, rng.randint(1, n)])
+                      for _ in range(width)])
+    return f
+
+
+def _random_formulas():
+    """Formulas with no variables, no clauses, and empty clauses first,
+    in the middle and last, next to random ones of every width."""
     rng = random.Random(7)
-    for _ in range(25):
-        f = Formula()
-        n = rng.randint(1, 8)
-        for _ in range(n):
-            f.new_var()
-        for _ in range(rng.randint(0, 12)):
-            width = rng.randint(1, 4)
-            f.add_clause([rng.choice([-1, 1]) * rng.randint(1, n)
-                          for _ in range(width)])
-        num_vars, clauses = parse_dimacs(f.to_dimacs())
-        assert num_vars == f.num_vars
-        assert sorted(map(tuple, clauses)) == sorted(map(tuple, f.clauses))
+    yield Formula()
+    yield _random_formula(rng, 0, 3)
+    yield _random_formula(rng, 5, 0)
+    for _ in range(60):
+        n = rng.choice([1, 2, 9, 10, 99, 1000, 12345])
+        m = rng.randint(1, 20)
+        ends = [0, m // 2, m - 1]
+        yield _random_formula(rng, n, m, rng.sample(ends, rng.randint(0, 3)))
+
+
+def test_dimacs_matches_the_reference_writer():
+    for f in _random_formulas():
+        assert f.to_dimacs() == _reference_dimacs(f)
+
+
+def test_dimacs_round_trip():
+    """Every clause comes back in order, empty ones included."""
+    for f in _random_formulas():
+        assert parse_dimacs(f.to_dimacs()) == (f.num_vars, f.clauses)
 
 
 def test_dimacs_round_trip_of_a_fixture_encoding():

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 from snowplan import solvers
-from snowplan.cnf import Formula, parse_dimacs
+from snowplan.cnf import Formula
 from snowplan.encoder import EncodingConfig, Mode, ReachKind, encode
 from snowplan.fixtures import list_fixtures, load_fixture
 from snowplan.search import solve_hybrid, solve_sequential
@@ -21,7 +21,7 @@ from snowplan.solvers import (BackendError, ExternalSolver, InProcessSolver,
                               Status, _CDCL, _luby, check_model,
                               default_backend, solve, SOLVER_CMD_ENV)
 
-from conftest import brute_force_models, is_satisfiable_brute
+from conftest import brute_force_models, is_satisfiable_brute, parse_dimacs
 
 
 def _tiny(clauses, n):
